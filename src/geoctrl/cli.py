@@ -47,7 +47,7 @@ from .oscillatory import (
 )
 from .series import ForcingField, truncation_errors
 from .simulation import ControlLaw, IntegratorConfig, State, simulate
-from .numutil import format_sig17
+from .numutil import format_sig17, loglog_slope
 
 EXPERIMENTS = (
     "simulate",
@@ -126,6 +126,14 @@ def parse_integrator(cfg):
         raise ConfigError(str(e))
 
 
+def parse_epsilons(spec):
+    """The positive amplitude sweep of a convergence-type experiment."""
+    eps = [float(e) for e in _get(spec, "epsilons", required=True)]
+    _require(len(eps) >= 2, f"epsilons needs at least 2 values to fit a slope, got {len(eps)}")
+    _require(all(e > 0 for e in eps), "epsilons must be positive")
+    return eps
+
+
 def parse_state(spec, n):
     q0 = np.asarray(spec.get("q0", [0.0] * n), dtype=float)
     qd0 = np.asarray(spec.get("qdot0", [0.0] * n), dtype=float)
@@ -167,8 +175,7 @@ def _exp_simulate(cfg, sys, outdir):
 def _exp_series_check(cfg, sys, outdir):
     spec = cfg.get("series_check") or cfg.get("series-check") or {}
     K = int(spec.get("order", 2))
-    eps = [float(e) for e in _get(spec, "epsilons", required=True)]
-    _require(all(e > 0 for e in eps), "epsilons must be positive")
+    eps = parse_epsilons(spec)
     T = float(spec.get("horizon", 1.0))
     idx = int(spec.get("input", 1)) - 1
     _require(0 <= idx < sys.m, f"input index out of range 1..{sys.m}")
@@ -196,7 +203,7 @@ def _exp_series_check(cfg, sys, outdir):
         fh.write("epsilon,err\n")
         for e, err in zip(eps, errs):
             fh.write(f"{format_sig17(e)},{format_sig17(err)}\n")
-    slope = float(np.polyfit(np.log(eps), np.log(errs), 1)[0]) if np.all(errs > 0) else None
+    slope = loglog_slope(eps, errs) if np.all(errs > 0) else None
     return ["series_convergence.csv"], {"order": K, "slope": slope}
 
 
@@ -272,8 +279,7 @@ def _exp_oscillatory_track(cfg, sys, outdir):
 
 def _exp_convergence(cfg, sys, outdir):
     spec = cfg.get("convergence") or {}
-    eps = [float(e) for e in _get(spec, "epsilons", required=True)]
-    _require(all(e > 0 for e in eps), "epsilons must be positive")
+    eps = parse_epsilons(spec)
     t1 = float(_get(spec, "t1", required=True))
     gains = parse_gains(_get(spec, "gains", required=True), sys.m)
     x0 = parse_state(spec, sys.n)

@@ -15,8 +15,10 @@ class GeoctrlError(Exception):
 class SingularInertiaError(GeoctrlError):
     """Inertia matrix is singular or too ill-conditioned to invert.
 
-    Raised when cond(M(q)) exceeds the configured guard (default 1e12) or
-    when M(q) is not positive definite.
+    Raised when M(q) is not positive definite (its Cholesky factorization
+    fails; ``cond`` is inf) or when the LAPACK 1-norm condition estimate
+    (dpocon on the Cholesky factor, ``cond`` = 1 / rcond) exceeds the
+    configured guard (default 1e12).
     """
 
     def __init__(self, q, cond):
@@ -87,5 +89,9 @@ class UnknownModelError(GeoctrlError):
         )
 
 
-class ConfigError(GeoctrlError):
-    """Experiment configuration failed to parse or validate."""
+class ConfigError(GeoctrlError, ValueError):
+    """Experiment configuration failed to parse or validate.
+
+    Also a ValueError: library arguments that a config supplies (such as a
+    step that does not divide the horizon) raise it directly.
+    """

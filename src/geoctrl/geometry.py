@@ -18,21 +18,32 @@ Conventions
 * State-space (lifted) vector fields live on R^{2n} with x = (q, qdot).
 
 All operations are pure functions of immutable inputs and safe to call
-from multiple threads; the optional Christoffel memo uses a lock.
+from multiple threads.
 """
 
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpocon, dpotrf, dpotrs
 
 from .errors import SingularInertiaError
 from .numutil import central_jacobian
 
 DEFAULT_FD_STEP = 1e-5
 COND_LIMIT = 1e12
+SYMMETRY_TOL = 1e-12
+
+
+def _asymmetry_error(q, asym):
+    """The error for an inertia matrix failing the SYMMETRY_TOL check at q."""
+    q = np.asarray(q, dtype=float)
+    return ValueError(f"inertia matrix asymmetric at q={q.tolist()} (|M - M^T| = {asym:.3e})")
+
+
+def _potrs(factor, b):
+    """M^-1 b from the lower Cholesky factor of M (LAPACK dpotrs)."""
+    return dpotrs(factor, b, lower=1)[0]
 
 
 @dataclass(frozen=True)
@@ -126,37 +137,41 @@ class MechanicalSystem:
     # -- inertia ---------------------------------------------------------
 
     def mass(self, q):
-        """M(q), validated symmetric (1e-12 relative) and returned symmetrized."""
+        """M(q), validated symmetric (SYMMETRY_TOL relative) and returned symmetrized."""
         q = np.asarray(q, dtype=float)
         M = np.asarray(self.inertia(q), dtype=float)
         if M.shape != (self.n, self.n):
             raise ValueError(f"inertia returned shape {M.shape}, expected {(self.n, self.n)}")
         asym = np.max(np.abs(M - M.T))
-        if asym > 1e-12 * max(1.0, np.max(np.abs(M))):
-            raise ValueError(f"inertia matrix asymmetric at q={q.tolist()} (|M - M^T| = {asym:.3e})")
+        if asym > SYMMETRY_TOL * max(1.0, np.max(np.abs(M))):
+            raise _asymmetry_error(q, asym)
         return 0.5 * (M + M.T)
 
     def _mass_factor(self, q):
+        """Lower Cholesky factor of M(q) (LAPACK dpotrf), condition-guarded.
+
+        The guard is dpocon's estimate of the 1-norm reciprocal condition
+        number; a factorization failure (M not positive definite) or
+        rcond * cond_limit < 1 raises SingularInertiaError.
+        """
         M = self.mass(q)
-        eigs = np.linalg.eigvalsh(M)
-        if eigs[0] <= 0.0 or eigs[-1] / eigs[0] > self.cond_limit:
-            cond = np.inf if eigs[0] <= 0.0 else eigs[-1] / eigs[0]
-            raise SingularInertiaError(q, cond)
-        return cho_factor(M, lower=True)
+        factor, info = dpotrf(M, lower=1)
+        if info != 0:
+            raise SingularInertiaError(q, np.inf)
+        rcond, _ = dpocon(factor, np.abs(M).sum(axis=0).max(), uplo="L")
+        if not rcond * self.cond_limit >= 1.0:  # also rejects a NaN estimate
+            raise SingularInertiaError(q, np.inf if rcond == 0.0 else 1.0 / rcond)
+        return factor
 
     def solve_mass(self, q, b):
-        """M(q)^-1 b via Cholesky factorization, with a condition guard.
+        """M(q)^-1 b through one guarded Cholesky factorization (dpotrf/dpotrs).
 
-        Non-finite entries in b propagate to the result (check_finite off)
-        so the integrator can report them as a state blow-up rather than a
-        linear-algebra error.
+        ``b`` may be a vector or an (n, k) block of right-hand sides.
+        dpotrs does no finiteness check, so non-finite entries in b
+        propagate to the result and the integrator can report them as a
+        state blow-up rather than a linear-algebra error.
         """
-        return cho_solve(
-            self._mass_factor(q), np.asarray(b, dtype=float), check_finite=False
-        )
-
-    def mass_inverse(self, q):
-        return self.solve_mass(q, np.eye(self.n))
+        return _potrs(self._mass_factor(q), np.asarray(b, dtype=float))
 
     def dmass(self, q):
         """dM_ij/dq^k as an (n, n, n) array, analytic or finite-difference."""
@@ -210,7 +225,8 @@ class MechanicalSystem:
 
         def jac(q, _a=a):
             q = np.asarray(q, dtype=float)
-            y = ev(q)
+            factor = self._mass_factor(q)
+            y = _potrs(factor, np.asarray(self.input_covectors[_a](q), dtype=float))
             if self.dinput_covectors is not None:
                 dF = np.asarray(self.dinput_covectors[_a](q), dtype=float)
             else:
@@ -218,7 +234,7 @@ class MechanicalSystem:
             dM = self.dmass(q)
             # columns: dF[:, j] - dM[:, :, j] @ y
             rhs = dF - np.einsum("irj,r->ij", dM, y)
-            return self.solve_mass(q, rhs)
+            return _potrs(factor, rhs)
 
         return VectorField(eval=ev, jacobian=jac, h=self.fd_step)
 
@@ -251,43 +267,19 @@ def christoffel(sys: MechanicalSystem, q) -> ChristoffelTensor:
 
     Gamma^i_jk = (1/2) M^{mi} (dM_mj/dq^k + dM_mk/dq^j - dM_jk/dq^m),
     symmetrized over (j, k) to cancel finite-difference asymmetry noise.
+    M^-1 is formed (dpotrs on the identity) and contracted rather than
+    solved for as in input_span_data: the two round differently, and
+    finite differences of this Gamma (the geodesic spray's Jacobian)
+    amplify that to ~1e-9.
     """
     q = np.asarray(q, dtype=float)
-    Minv = sys.mass_inverse(q)
+    Minv = _potrs(sys._mass_factor(q), np.eye(sys.n))
     D = sys.dmass(q)
     # A[m,j,k] = dM_mj/dq^k + dM_mk/dq^j - dM_jk/dq^m
     A = D + D.transpose(0, 2, 1) - D.transpose(2, 0, 1)
     G = 0.5 * np.einsum("mi,mjk->ijk", Minv, A)
     G = 0.5 * (G + G.transpose(0, 2, 1))
     return ChristoffelTensor(q=q, values=G)
-
-
-def christoffel_cache(sys: MechanicalSystem, grid=1e-9, maxsize=1024):
-    """Memoized Christoffel evaluator keyed by q quantized to ``grid``.
-
-    Thread-safe; entries are evicted FIFO once ``maxsize`` is exceeded.
-    """
-    lock = threading.Lock()
-    cache = {}
-    order = []
-
-    def evaluate(q):
-        q = np.asarray(q, dtype=float)
-        key = np.round(q / grid).astype(np.int64).tobytes()
-        with lock:
-            hit = cache.get(key)
-        if hit is not None:
-            return hit
-        val = christoffel(sys, q)
-        with lock:
-            if key not in cache:
-                cache[key] = val
-                order.append(key)
-                if len(order) > maxsize:
-                    cache.pop(order.pop(0), None)
-        return val
-
-    return evaluate
 
 
 def input_span_data(sys: MechanicalSystem, q):
@@ -301,11 +293,10 @@ def input_span_data(sys: MechanicalSystem, q):
     q = np.asarray(q, dtype=float)
     n, m = sys.n, sys.m
     factor = sys._mass_factor(q)
-    F = sys.input_matrix(q)
-    Y = cho_solve(factor, F)
+    Y = _potrs(factor, sys.input_matrix(q))
     dM = sys.dmass(q)
     A = dM + dM.transpose(0, 2, 1) - dM.transpose(2, 0, 1)
-    Gam = 0.5 * cho_solve(factor, A.reshape(n, n * n)).reshape(n, n, n)
+    Gam = 0.5 * _potrs(factor, A.reshape(n, n * n)).reshape(n, n, n)
     Gam = 0.5 * (Gam + Gam.transpose(0, 2, 1))
     if sys.dinput_covectors is not None:
         dF = np.array([np.asarray(d(q), dtype=float) for d in sys.dinput_covectors])
@@ -313,9 +304,10 @@ def input_span_data(sys: MechanicalSystem, q):
         dF = np.array(
             [central_jacobian(cov, q, sys.fd_step) for cov in sys.input_covectors]
         )
-    # JY_a = M^-1 (dF_a - dM . Y_a), columnwise over the derivative index
-    rhs = dF - np.einsum("irj,ra->aij", dM, Y)
-    JY = np.array([cho_solve(factor, rhs[a]) for a in range(m)])
+    # JY_a = M^-1 (dF_a - dM . Y_a), columnwise over the derivative index;
+    # the m right-hand-side blocks are solved side by side as (n, m*n)
+    rhs = dF.transpose(1, 0, 2) - np.einsum("irj,ra->iaj", dM, Y)
+    JY = _potrs(factor, rhs.reshape(n, m * n)).reshape(n, m, n).transpose(1, 0, 2)
     return Y, JY, Gam
 
 

@@ -39,6 +39,7 @@ from .simulation import (
     IntegratorConfig,
     ReconstructionResult,
     Trajectory,
+    _check_grid,
     reconstruct_inputs,
 )
 
@@ -89,9 +90,12 @@ class DecouplingSolutions:
 
     ``all_directions`` flags the degenerate case of identically zero
     quadratic forms (e.g. fully actuated systems): every direction works.
+    ``fields`` is the (n, m) matrix of input vector fields Y at the point,
+    so a direction h gives the field value ``fields @ h``.
     """
 
     directions: List[np.ndarray]
+    fields: np.ndarray
     all_directions: bool = False
 
 
@@ -103,6 +107,11 @@ def _canonical(h):
 
 def quadratic_forms(sys: MechanicalSystem, q) -> np.ndarray:
     """The forms B[l, a, b] tested against h at q; shape (n-m, m, m)."""
+    return _forms_and_fields(sys, q)[0]
+
+
+def _forms_and_fields(sys, q):
+    """(B, Y): the quadratic forms at q and the input fields they came from."""
     q = np.asarray(q, dtype=float)
     Y, JY, Gam = input_span_data(sys, q)
     try:
@@ -110,7 +119,7 @@ def quadratic_forms(sys: MechanicalSystem, q) -> np.ndarray:
     except RankDeficientInputsError:
         raise RankDeficientInputsError(q)
     S = pairwise_symmetric_products(Y, JY, Gam)
-    return np.einsum("il,abi->lab", C, S)
+    return np.einsum("il,abi->lab", C, S), Y
 
 
 def find_decoupling_fields(
@@ -130,12 +139,12 @@ def find_decoupling_fields(
     An empty list is a valid outcome (no real solutions).
     """
     m = sys.m
-    B = quadratic_forms(sys, q)
+    B, Y = _forms_and_fields(sys, q)
     if B.shape[0] == 0:
-        return DecouplingSolutions(directions=[], all_directions=True)
+        return DecouplingSolutions(directions=[], all_directions=True, fields=Y)
     scale = float(np.max(np.abs(B)))
     if scale <= zero_tol:
-        return DecouplingSolutions(directions=[], all_directions=True)
+        return DecouplingSolutions(directions=[], all_directions=True, fields=Y)
     live = [Bl for Bl in B if np.max(np.abs(Bl)) > zero_tol * scale]
 
     def satisfies(h):
@@ -180,7 +189,7 @@ def find_decoupling_fields(
         if not any(abs(h @ u) > 1.0 - 0.5 * angle_tol**2 for u in unique):
             unique.append(h)
     unique.sort(key=lambda h: tuple(np.round(h, 9)))
-    return DecouplingSolutions(directions=unique, all_directions=False)
+    return DecouplingSolutions(directions=unique, all_directions=False, fields=Y)
 
 
 @dataclass(frozen=True)
@@ -200,12 +209,16 @@ def candidate_from_direction(
     nearest the previously matched direction is taken (sign-aligned), so
     the field is continuous along any continuously sampled path.  The
     branch memory makes the candidate stateful: evaluate it along one
-    path at a time.
+    path at a time.  A field evaluation is one decoupling solve: V(q) is
+    the solve's own input fields Y(q) times the matched h, so each point
+    costs a single inertia evaluation and factorization.
     """
     h0 = _canonical(np.asarray(h0, dtype=float))
     ref = [h0]
 
-    def coefficients(q):
+    def solve(q):
+        # module-level name lookup, so wrapping find_decoupling_fields
+        # (e.g. for tracing) sees every re-solve
         sol = find_decoupling_fields(sys, q, seed=seed)
         if sol.all_directions:
             h = ref[0]
@@ -218,11 +231,14 @@ def candidate_from_direction(
             if h @ ref[0] < 0:
                 h = -h
             ref[0] = h
-        return h
+        return sol, h
+
+    def coefficients(q):
+        return solve(q)[1]
 
     def ev(q):
-        q = np.asarray(q, dtype=float)
-        return sys.input_fields_matrix(q) @ coefficients(q)
+        sol, h = solve(np.asarray(q, dtype=float))
+        return sol.fields @ h
 
     return DecouplingCandidate(coefficients=coefficients, field=VectorField(eval=ev))
 
@@ -428,9 +444,7 @@ def kinematic_plan(
     t_total = 0.0
     for si, seg in enumerate(segments):
         T = seg.scaling.T
-        steps = int(round(T / cfg.dt))
-        if abs(T / cfg.dt - steps) > 1e-12 * max(1.0, T / cfg.dt):
-            raise ValueError(f"dt={cfg.dt} does not divide segment horizon {T}")
+        steps = _check_grid(0.0, T, cfg.dt)
 
         ds = 1.0 / _PATH_STEPS
         path = np.empty((_PATH_STEPS + 1, sys.n))

@@ -525,7 +525,8 @@ def convergence_study(
     at a nested step dt_avg / ceil(dt_avg * steps_per_period / (eps T)),
     which resolves the fast period and keeps the sample grids aligned.
     Members fan out across worker threads (GEOCTRL_THREADS caps them) and
-    are merged in the given epsilon order.
+    are merged in the given epsilon order.  The slope is NaN when fewer
+    than 2 epsilons are given or an error is not positive.
     """
     ref = averaged_system(sys, gains).simulate(
         x0, 0.0, T_final, IntegratorConfig(dt=dt_avg)
@@ -544,5 +545,6 @@ def convergence_study(
         errors = list(pool.map(member, eps_list))
     eps_arr = np.array(eps_list, dtype=float)
     err_arr = np.array(errors, dtype=float)
-    slope = loglog_slope(eps_arr, err_arr) if np.all(err_arr > 0) else float("nan")
+    fit = eps_arr.size >= 2 and np.all(err_arr > 0)
+    slope = loglog_slope(eps_arr, err_arr) if fit else float("nan")
     return ConvergenceStudy(epsilons=eps_arr, errors=err_arr, slope=slope, averaged=ref)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .geometry import MechanicalSystem, VectorField, christoffel
 from .numutil import cumulative_simpson_uniform, lagrange4_interp
-from .simulation import IntegratorConfig, Trajectory, _rk4
+from .simulation import IntegratorConfig, Trajectory, _check_grid, _rk4
 
 DEFAULT_NODES_PER_UNIT = 201
 MAX_ORDER = 4  # cost and FD round-off both grow quickly with the order
@@ -201,9 +201,7 @@ def predict_from_rest(
     if grid is None:
         grid = uniform_grid(T)
     engine = _Engine(sys, forcing, K, grid)
-    steps = int(round(T / cfg.dt))
-    if abs(T / cfg.dt - steps) > 1e-12 * max(1.0, T / cfg.dt):
-        raise ValueError(f"dt={cfg.dt} does not divide the horizon {T}")
+    steps = _check_grid(0.0, T, cfg.dt)
 
     def rhs(t, q):
         return engine.velocity(q, t)

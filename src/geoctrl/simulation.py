@@ -19,8 +19,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import NonFiniteStateError
-from .geometry import MechanicalSystem
+from .errors import ConfigError, NonFiniteStateError
+from .geometry import SYMMETRY_TOL, MechanicalSystem, _asymmetry_error
 from .numutil import format_sig17
 
 
@@ -77,7 +77,6 @@ class ControlLaw:
 class IntegratorConfig:
     method: str = "rk4"
     dt: float = 1e-3
-    dense_output: bool = False  # reserved; every step is already emitted
 
     def __post_init__(self):
         if self.method != "rk4":
@@ -197,9 +196,10 @@ def dynamics_rhs(sys: MechanicalSystem, state: State, u) -> np.ndarray:
 
 
 def _check_grid(t0, t1, dt):
+    """Number of dt steps in [t0, t1]; ConfigError unless dt divides it."""
     steps = (t1 - t0) / dt
     if abs(steps - round(steps)) > 1e-12 * max(1.0, abs(steps)):
-        raise ValueError(f"dt={dt} does not divide the horizon {t1 - t0}")
+        raise ConfigError(f"dt={dt} does not divide the horizon {t1 - t0}")
     return int(round(steps))
 
 
@@ -318,32 +318,66 @@ def reconstruct_inputs(sys: MechanicalSystem, traj: Trajectory) -> Reconstructio
     f = M(q)(qddot + Gamma(qdot, qdot)) + dV/dq - M(q) k(q) qdot with
     qddot by central differences; u solves f ~ sum_a u_a F_a(q) and the
     residual is ||f - F u|| / max(1, ||f||).  Samples where {F_a(q)} is
-    rank deficient get residual +inf.  Endpoints are dropped.
+    rank deficient (numpy lstsq's rank rule) get residual +inf and the
+    minimum-norm u.  Endpoints are dropped.
+
+    Samples are processed in blocks of _RECONSTRUCT_BLOCK: only the model
+    callables run per sample; symmetry checks, the Coriolis term and the
+    least-squares solves (QR of F, rank from the singular values of R)
+    run on whole blocks, which bounds the memory they take.
     """
     N = traj.n_samples
     if N < 3:
         raise ValueError("need at least 3 samples to reconstruct inputs")
-    dt = traj.dt
-    m = sys.m
-    times = traj.times[1 : N - 1]
-    inputs = np.zeros((N - 2, m))
+    qdds = (traj.qds[2:] - traj.qds[:-2]) / (2.0 * traj.dt)
+    inputs = np.zeros((N - 2, sys.m))
     residuals = np.zeros(N - 2)
-    for j, i in enumerate(range(1, N - 1)):
-        q, qd = traj.qs[i], traj.qds[i]
-        qdd = (traj.qds[i + 1] - traj.qds[i - 1]) / (2.0 * dt)
-        dM = sys.dmass(q)
-        b = np.einsum("mjk,j,k->m", dM, qd, qd) - 0.5 * np.einsum(
-            "jkm,j,k->m", dM, qd, qd
+    for lo in range(0, N - 2, _RECONSTRUCT_BLOCK):
+        hi = min(lo + _RECONSTRUCT_BLOCK, N - 2)
+        inputs[lo:hi], residuals[lo:hi] = _reconstruct_block(
+            sys, traj.qs[1 + lo : 1 + hi], traj.qds[1 + lo : 1 + hi], qdds[lo:hi]
         )
-        M = sys.mass(q)
-        f = M @ qdd + b + sys.grad_potential(q)
-        if sys.damping is not None:
-            f = f - M @ (sys.damping_matrix(q) @ qd)
-        F = sys.input_matrix(q)
-        u, _, rank, _ = np.linalg.lstsq(F, f, rcond=None)
-        inputs[j] = u
-        if rank < m:
-            residuals[j] = np.inf
-        else:
-            residuals[j] = np.linalg.norm(f - F @ u) / max(1.0, np.linalg.norm(f))
-    return ReconstructionResult(times=times, inputs=inputs, residuals=residuals)
+    return ReconstructionResult(times=traj.times[1 : N - 1], inputs=inputs, residuals=residuals)
+
+
+# samples per reconstruct_inputs block: large enough to amortize the
+# batched calls, small enough that the stacked (B, n, n, n) arrays stay
+# a few hundred kB
+_RECONSTRUCT_BLOCK = 512
+
+
+def _reconstruct_block(sys, qs, qds, qdds):
+    """Inputs and residuals of reconstruct_inputs for one block of samples."""
+    n, m = sys.n, sys.m
+    Ms = np.array([np.asarray(sys.inertia(q), dtype=float) for q in qs])
+    if Ms.shape[1:] != (n, n):
+        raise ValueError(f"inertia returned shape {Ms.shape[1:]}, expected {(n, n)}")
+    asym = np.max(np.abs(Ms - Ms.transpose(0, 2, 1)), axis=(1, 2))
+    bad = asym > SYMMETRY_TOL * np.maximum(1.0, np.max(np.abs(Ms), axis=(1, 2)))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise _asymmetry_error(qs[i], asym[i])
+    Ms = 0.5 * (Ms + Ms.transpose(0, 2, 1))
+    dMs = np.array([sys.dmass(q) for q in qs])
+    Fs = np.array([sys.input_matrix(q) for q in qs])
+    # b_m = dM[m,j,k] qd^j qd^k - (1/2) dM[j,k,m] qd^j qd^k
+    C = dMs - 0.5 * dMs.transpose(0, 3, 1, 2)
+    f = np.einsum("bmjk,bj,bk->bm", C, qds, qds)
+    f += np.einsum("bij,bj->bi", Ms, qdds)
+    if sys.potential is not None:
+        f += np.array([sys.grad_potential(q) for q in qs])
+    if sys.damping is not None:
+        kqd = np.einsum("bij,bj->bi", np.array([sys.damping_matrix(q) for q in qs]), qds)
+        f -= np.einsum("bij,bj->bi", Ms, kqd)
+    Q, R = np.linalg.qr(Fs)
+    sv = np.linalg.svd(R, compute_uv=False)
+    # numpy lstsq(rcond=None): singular values above eps * max(n, m) * sigma_max
+    deficient = np.sum(sv > np.finfo(float).eps * max(n, m) * sv[:, :1], axis=1) < m
+    R[deficient] = np.eye(m)
+    u = np.linalg.solve(R, np.einsum("bia,bi->ba", Q, f)[..., None])[..., 0]
+    res = np.linalg.norm(f - np.einsum("bia,ba->bi", Fs, u), axis=1)
+    res /= np.maximum(1.0, np.linalg.norm(f, axis=1))
+    for i in np.flatnonzero(deficient):
+        u[i] = np.linalg.lstsq(Fs[i], f[i], rcond=None)[0]
+        res[i] = np.inf
+    return u, res

@@ -244,3 +244,50 @@ def test_convergence_run_writes_csv(tmp_path, capsys):
     lines = (out / "convergence.csv").read_text().splitlines()
     assert lines[0] == "epsilon,max_err,slope_partial"
     assert len(lines) == 3
+
+
+def test_run_dt_not_dividing_horizon_is_config_error(tmp_path, capsys):
+    cfg = dedent(
+        """\
+        experiment: simulate
+        model: {name: pvtol}
+        integrator: {dt: 0.003}
+        simulate:
+          t1: 1.0
+          controls: [{type: const, value: 9.81}, {type: const, value: 0.0}]
+        """
+    )
+    rc, _, error = run_json(capsys, ["run", write(tmp_path, cfg), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert error["error"]["kind"] == "config"
+    assert "does not divide" in error["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        """\
+        experiment: convergence
+        model: {name: pvtol, parameters: {gravity: 0.0}}
+        convergence:
+          epsilons: [0.1]
+          t1: 1.0
+          gains: {z: [{type: const, value: 0.2}], pairs: [{pair: [1, 2], type: const, value: 0.5}]}
+        """,
+        """\
+        experiment: series-check
+        model: {name: planar-body, actuators: [4]}
+        series-check: {epsilons: [0.02]}
+        """,
+    ],
+    ids=["convergence", "series-check"],
+)
+def test_single_epsilon_is_config_error(tmp_path, capsys, cfg):
+    out = tmp_path / "o"
+    rc = main(["run", write(tmp_path, dedent(cfg)), "--out", str(out)])
+    _, err = capsys.readouterr()
+    assert rc == 2
+    error = json.loads(err)  # one JSON line, no warning text around it
+    assert error["error"]["kind"] == "config"
+    assert "at least 2" in error["error"]["message"]
+    assert not (out / "run_manifest.json").exists()

@@ -8,7 +8,6 @@ from geoctrl import (
     MechanicalSystem,
     VectorField,
     christoffel,
-    christoffel_cache,
     covariant_derivative,
     damping_lift,
     geodesic_spray,
@@ -88,16 +87,6 @@ def test_christoffel_metric_compatibility():
         G = christoffel(sys, q).values
         recon = np.einsum("lj,lik->ijk", M, G) + np.einsum("il,ljk->ijk", M, G)
         assert_allclose(dM, recon, atol=1e-10)
-
-
-def test_christoffel_cache_hits():
-    sys = warped_plane()
-    cached = christoffel_cache(sys)
-    q = np.array([0.7, -0.3])
-    a = cached(q)
-    b = cached(q.copy())
-    assert a is b  # memo hit for the same quantized point
-    assert_allclose(a.values, christoffel(sys, q).values)
 
 
 def test_christoffel_bilinear_quadratic():
@@ -211,6 +200,45 @@ def test_singular_inertia_raises():
     )
     with pytest.raises(SingularInertiaError):
         sys.solve_mass(np.zeros(2), np.ones(2))
+
+
+def diagonal_inertia_system(diag):
+    return MechanicalSystem(
+        n=len(diag),
+        m=1,
+        inertia=lambda q: np.diag(diag),
+        input_covectors=[lambda q: np.eye(len(diag))[0]],
+    )
+
+
+def test_condition_guard_uses_lapack_estimate():
+    q = np.zeros(2)
+    with pytest.raises(SingularInertiaError) as ei:
+        diagonal_inertia_system([1.0, 1e-13]).solve_mass(q, np.ones(2))
+    assert ei.value.cond > 1e12
+    # cond 1e11 is inside the default 1e12 guard
+    x = diagonal_inertia_system([1.0, 1e-11]).solve_mass(q, np.ones(2))
+    assert_allclose(x, [1.0, 1e11], rtol=1e-15)
+
+
+def test_indefinite_inertia_raises():
+    sys = MechanicalSystem(
+        n=2,
+        m=1,
+        inertia=lambda q: np.array([[1.0, 2.0], [2.0, 1.0]]),
+        input_covectors=[lambda q: np.array([1.0, 0.0])],
+    )
+    with pytest.raises(SingularInertiaError):
+        sys.solve_mass(np.zeros(2), np.ones(2))
+
+
+def test_solve_mass_propagates_nonfinite_rhs():
+    sys = diagonal_inertia_system([2.0, 4.0])
+    x = sys.solve_mass(np.zeros(2), np.array([np.nan, 1.0]))
+    assert np.isnan(x[0])
+    B = sys.solve_mass(np.zeros(2), np.array([[2.0, np.inf], [4.0, 8.0]]))
+    assert_allclose(B[:, 0], [1.0, 1.0])
+    assert not np.isfinite(B[0, 1])
 
 
 def test_geodesic_spray_structure():

@@ -1,5 +1,7 @@
 """Decoupling vector fields, rank tests, time scalings, and motion plans."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -239,6 +241,24 @@ def two_candidates(sys, q0):
     sol = find_decoupling_fields(sys, q0)
     assert len(sol.directions) >= 2
     return [candidate_from_direction(sys, q0, h) for h in sol.directions[:2]]
+
+
+def test_candidate_field_evaluates_inertia_once_per_point():
+    sys = make("three-link")
+    calls = []
+
+    def counting_inertia(q):
+        calls.append(q)
+        return sys.inertia(q)
+
+    counted = dataclasses.replace(sys, inertia=counting_inertia)
+    q0 = np.array([0.4, 0.9, -1.3])
+    cand = two_candidates(counted, q0)[0]
+    calls.clear()
+    v = cand.field(q0 + 0.01)
+    assert len(calls) == 1  # the decoupling solve's fields are reused
+    h = cand.coefficients(q0 + 0.01)
+    assert_allclose(v, sys.input_fields_matrix(q0 + 0.01) @ h, rtol=0, atol=0)
 
 
 def test_plan_single_segment_matches_kinematic_ode():

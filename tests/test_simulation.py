@@ -176,6 +176,61 @@ def test_damping_enters_reconstruction():
     assert np.max(np.abs(rec.inputs - np.array([0.4, 0.1, -0.2]))) < 1e-5
 
 
+def per_sample_reconstruction(sys, traj):
+    """The unbatched reconstruction loop, kept as the oracle."""
+    N = traj.n_samples
+    dt = traj.dt
+    m = sys.m
+    inputs = np.zeros((N - 2, m))
+    residuals = np.zeros(N - 2)
+    for j, i in enumerate(range(1, N - 1)):
+        q, qd = traj.qs[i], traj.qds[i]
+        qdd = (traj.qds[i + 1] - traj.qds[i - 1]) / (2.0 * dt)
+        dM = sys.dmass(q)
+        b = np.einsum("mjk,j,k->m", dM, qd, qd) - 0.5 * np.einsum(
+            "jkm,j,k->m", dM, qd, qd
+        )
+        M = sys.mass(q)
+        f = M @ qdd + b + sys.grad_potential(q)
+        if sys.damping is not None:
+            f = f - M @ (sys.damping_matrix(q) @ qd)
+        F = sys.input_matrix(q)
+        u, _, rank, _ = np.linalg.lstsq(F, f, rcond=None)
+        inputs[j] = u
+        if rank < m:
+            residuals[j] = np.inf
+        else:
+            residuals[j] = np.linalg.norm(f - F @ u) / max(1.0, np.linalg.norm(f))
+    return inputs, residuals
+
+
+def smooth_curve(n, N, dt, seed):
+    """A smooth, generally unrealizable curve with exact velocities."""
+    rng = np.random.default_rng(seed)
+    a, w, p = rng.uniform(0.2, 1.0, (3, n))
+    t = dt * np.arange(N)[:, None]
+    qs = a * np.sin(w * 3.0 * t + 6.0 * p)
+    qds = a * 3.0 * w * np.cos(w * 3.0 * t + 6.0 * p)
+    return Trajectory(t0=0.0, t1=dt * (N - 1), dt=dt, qs=qs, qds=qds, us=np.zeros((N, 0)))
+
+
+@pytest.mark.parametrize(
+    "sys",
+    [make("three-link", gravity=9.81), make("blimp", drag=0.3)],
+    ids=["three-link-gravity", "blimp-damped"],
+)
+def test_blocked_reconstruction_matches_per_sample_oracle(sys):
+    N = 1203  # 1201 interior samples: two full blocks and a partial one
+    traj = smooth_curve(sys.n, N, 1e-3, seed=5)
+    rec = reconstruct_inputs(sys, traj)
+    want_u, want_r = per_sample_reconstruction(sys, traj)
+    assert rec.inputs.shape == want_u.shape and rec.residuals.shape == want_r.shape
+    assert np.max(np.abs(rec.inputs - want_u)) <= 1e-12 * np.max(np.abs(want_u))
+    assert np.all(want_r > 1e-3)  # the curve is not realizable: residuals count
+    assert_allclose(rec.residuals, want_r, rtol=1e-12, atol=0)
+    assert_allclose(rec.times, traj.times[1:-1], rtol=0, atol=0)
+
+
 def test_csv_roundtrip(tmp_path):
     sys = make("pvtol")
     law = ControlLaw.constant([9.81, 0.0])
