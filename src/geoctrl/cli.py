@@ -45,7 +45,7 @@ from .oscillatory import (
     synthesis_audit,
     synthesize_controls,
 )
-from .series import ForcingField, truncation_errors
+from .series import MAX_ORDER, ForcingField, truncation_errors
 from .simulation import ControlLaw, IntegratorConfig, State, simulate
 from .numutil import format_sig17, loglog_slope
 
@@ -175,14 +175,17 @@ def _exp_simulate(cfg, sys, outdir):
 def _exp_series_check(cfg, sys, outdir):
     spec = cfg.get("series_check") or cfg.get("series-check") or {}
     K = int(spec.get("order", 2))
+    _require(1 <= K <= MAX_ORDER, f"series order must be in 1..{MAX_ORDER}, got {K}")
     eps = parse_epsilons(spec)
     T = float(spec.get("horizon", 1.0))
+    _require(T > 0, f"horizon must be positive, got {T}")
     idx = int(spec.get("input", 1)) - 1
     _require(0 <= idx < sys.m, f"input index out of range 1..{sys.m}")
     base = parse_signal(spec.get("signal", {"type": "sinusoid"}))
     q0 = np.asarray(spec.get("q0", [0.0] * sys.n), dtype=float)
     cfg_ref = parse_integrator(cfg)
     ratio = int(spec.get("predict_dt_ratio", 5))
+    _require(ratio >= 1, f"predict_dt_ratio must be a positive integer, got {ratio}")
     cfg_pred = IntegratorConfig(dt=cfg_ref.dt * ratio)
 
     def make_forcing(e):

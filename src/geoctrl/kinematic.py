@@ -167,7 +167,7 @@ def find_decoupling_fields(
                 cands.append(np.array([1.0, r1]))
                 if qq != 0.0:
                     cands.append(np.array([1.0, c / qq]))
-        sols = [_canonical(h) for h in cands if satisfies(_canonical(h))]
+        sols = [h for h in map(_canonical, cands) if satisfies(h)]
     else:
         rng = np.random.default_rng(seed)
 

@@ -11,14 +11,20 @@ time integrals and symmetric products:
 V_k is homogeneous of degree k in the input amplitude, so truncating at
 order K leaves an O(eps^{K+1}) velocity error for inputs of size eps.
 
-Implementation notes: all time integrals share one uniform grid
-(composite Simpson, >= 201 nodes per unit time by default) and are
-evaluated cumulatively, vectorized over the grid axis.  The q-dependence
-is handled pointwise — a term's values on the whole time grid are
-computed at whatever q the caller supplies, and spatial Jacobians of the
-recursive terms come from central differences of that map.  Each
-evaluation uses a private memo for the recursion tree, so concurrent
-calls do not share mutable state.
+Implementation notes: time and space separate (Bullo, "Series expansions
+for the evolution of mechanical control systems", SIAM J. Control Optim.
+39(6), 2001).  With U_a(t) = int_0^t u_a,
+
+    V_2 = -1/2 sum_ab <Y_a : Y_b>(q) int_0^t U_a U_b,
+    V_3 = 1/2 sum_abc <Y_c : <Y_a : Y_b>>(q) int_0^t U_c int_0^s U_a U_b,
+
+and generally V_k = sum_w c_w(t) P_w(q) over the words w of order k: a
+leaf a (c = U_a, P = Y_a) or an unordered pair (u, v) of words of orders
+j + (k - j) = k, with P = <P_u : P_v> and c = -1/2 int_0^t c_u c_v summed
+over both orders and every split.  The c_w are integrated once per engine
+on one uniform grid (cumulative Simpson, >= 201 nodes per unit time by
+default).  P_w is evaluated lazily at the caller's q through a private
+per-call memo, a composite word's Jacobian by central differences.
 """
 
 import math
@@ -28,11 +34,11 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from .geometry import MechanicalSystem, VectorField, christoffel
-from .numutil import cumulative_simpson_uniform, lagrange4_interp
+from .numutil import central_jacobian, cumulative_simpson_uniform, lagrange4_interp
 from .simulation import IntegratorConfig, Trajectory, _check_grid, _rk4
 
 DEFAULT_NODES_PER_UNIT = 201
-MAX_ORDER = 4  # cost and FD round-off both grow quickly with the order
+MAX_ORDER = 4  # order-k words nest k - 2 central differences; round-off grows with each
 
 
 def uniform_grid(T, nodes_per_unit=DEFAULT_NODES_PER_UNIT):
@@ -86,7 +92,7 @@ class SeriesTerm:
 
 
 class _Engine:
-    """Shared machinery: term values on the whole grid at a given q."""
+    """Word coefficients c_w on the grid; word values P_w at a given q."""
 
     def __init__(self, sys: MechanicalSystem, forcing: ForcingField, K, grid, fd_step=1e-6):
         if not 1 <= K <= MAX_ORDER:
@@ -101,86 +107,79 @@ class _Engine:
         steps = np.diff(grid)
         if np.max(np.abs(steps - steps[0])) > 1e-12 * max(1.0, steps[0]):
             raise ValueError("grid must be uniform")
-        self.sys = sys
-        self.forcing = forcing
-        self.K = K
-        self.grid = grid
-        self.dx = float(steps[0])
-        self.h = fd_step
-        # (m, G) cumulative integrals of the input signals
+        self.sys, self.forcing, self.K, self.grid, self.h = sys, forcing, K, grid, fd_step
+        dx = float(steps[0])
+        # words[w] is a field index (leaf) or a pair (u, v) of word ids, u <= v;
+        # ids are grouped by order, words of order k being ends[k-1]:ends[k]
         U = np.array([[forcing.inputs[a](t) for t in grid] for a in range(forcing.m)])
-        self.cumU = cumulative_simpson_uniform(U, self.dx, axis=1)
-
-    def values(self, k, q, cache):
-        """V_k(q, t) for every grid node t, shape (G, n)."""
-        key = (k, q.tobytes())
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        if k == 1:
-            Ys = np.array([f(q) for f in self.forcing.fields])  # (m, n)
-            out = np.einsum("ag,an->gn", self.cumU, Ys)
-        else:
-            S = 0.0
+        self.words = list(range(forcing.m))
+        coefs = list(cumulative_simpson_uniform(U, dx, axis=1))
+        self.ends = [0, forcing.m]
+        for k in range(2, K + 1):
+            integrands = {}
             for j in range(1, k):
-                S = S + self._sym_grid(j, k - j, q, cache)
-            out = -0.5 * cumulative_simpson_uniform(S, self.dx, axis=0)
-        cache[key] = out
-        return out
+                for u in range(self.ends[j - 1], self.ends[j]):
+                    for v in range(self.ends[k - j - 1], self.ends[k - j]):
+                        pair = (min(u, v), max(u, v))
+                        integrands[pair] = integrands.get(pair, 0.0) + coefs[u] * coefs[v]
+            self.words += list(integrands)
+            S = np.array(list(integrands.values()))
+            coefs += list(-0.5 * cumulative_simpson_uniform(S, dx, axis=1))
+            self.ends.append(len(self.words))
+        self.coefs = np.array(coefs).T  # (G, W)
 
-    def _jacobian(self, k, q, cache):
-        """d V_k^i / d q^r on the grid, shape (G, n, i... ) -> (G, n, n)."""
-        if k == 1:
-            JYs = np.array([f.jacobian_at(q) for f in self.forcing.fields])  # (m,n,n)
-            return np.einsum("ag,air->gir", self.cumU, JYs)
-        n = q.size
-        G = self.grid.size
-        J = np.empty((G, n, n))
-        for r in range(n):
-            dq = np.zeros(n)
-            dq[r] = self.h
-            vp = self.values(k, q + dq, cache)
-            vm = self.values(k, q - dq, cache)
-            J[:, :, r] = (vp - vm) / (2.0 * self.h)
-        return J
+    def _value(self, w, q, memo):
+        """P_w(q); a pair is <P_u : P_v> = J_v P_u + J_u P_v + G(P_u, P_v) + G(P_v, P_u)."""
+        key = ("P", w, q.tobytes())
+        if key not in memo:
+            word = self.words[w]
+            if isinstance(word, int):
+                memo[key] = self.forcing.fields[word](q)
+            else:
+                u, v = word
+                pu, pv = self._value(u, q, memo), self._value(v, q, memo)
+                gkey = ("G", q.tobytes())
+                if gkey not in memo:
+                    memo[gkey] = christoffel(self.sys, q).values
+                G = memo[gkey]
+                out = self._jacobian(v, q, memo) @ pu + self._jacobian(u, q, memo) @ pv
+                out += np.einsum("ijk,j,k->i", G, pu, pv)
+                out += np.einsum("ijk,j,k->i", G, pv, pu)
+                memo[key] = out
+        return memo[key]
 
-    def _sym_grid(self, j, l, q, cache):
-        """<V_j : V_l>(q, t) on the grid, shape (G, n)."""
-        vj = self.values(j, q, cache)
-        vl = self.values(l, q, cache)
-        Jj = self._jacobian(j, q, cache)
-        Jl = self._jacobian(l, q, cache)
-        G = christoffel(self.sys, q).values
-        out = np.einsum("gir,gr->gi", Jl, vj) + np.einsum("gir,gr->gi", Jj, vl)
-        out += np.einsum("ijk,gj,gk->gi", G, vj, vl)
-        out += np.einsum("ijk,gj,gk->gi", G, vl, vj)
-        return out
+    def _jacobian(self, w, q, memo):
+        """d P_w^i / d q^r, shape (n, n)."""
+        key = ("J", w, q.tobytes())
+        if key not in memo:
+            word = self.words[w]
+            if isinstance(word, int):
+                memo[key] = self.forcing.fields[word].jacobian_at(q)
+            else:
+                memo[key] = central_jacobian(lambda x: self._value(w, x, memo), q, self.h)
+        return memo[key]
+
+    def _sum(self, q, t, lo, hi):
+        """sum_w c_w(t) P_w(q) over the word ids lo:hi."""
+        q = np.asarray(q, dtype=float)
+        memo = {}
+        c = lagrange4_interp(self.grid, self.coefs[:, lo:hi], t)
+        return c @ np.array([self._value(w, q, memo) for w in range(lo, hi)])
 
     def velocity(self, q, t, upto=None):
-        """sum_{k<=K} V_k(q, t) via one shared recursion cache."""
-        upto = self.K if upto is None else upto
-        cache = {}
-        q = np.asarray(q, dtype=float)
-        total = 0.0
-        for k in range(1, upto + 1):
-            total = total + lagrange4_interp(self.grid, self.values(k, q, cache), t)
-        return total
+        """sum_{k<=upto} V_k(q, t), upto defaulting to K."""
+        return self._sum(q, t, 0, self.ends[self.K if upto is None else upto])
 
 
 def series_terms(
     sys: MechanicalSystem, forcing: ForcingField, K: int, grid
 ) -> List[SeriesTerm]:
     """The terms V_1 .. V_K as evaluatable fields over the given time grid."""
-    engine = _Engine(sys, forcing, K, grid)
-
-    def make_eval(k):
-        def ev(q, t):
-            q = np.asarray(q, dtype=float)
-            return lagrange4_interp(engine.grid, engine.values(k, q, {}), t)
-
-        return ev
-
-    return [SeriesTerm(order=k, eval=make_eval(k)) for k in range(1, K + 1)]
+    e = _Engine(sys, forcing, K, grid)
+    return [
+        SeriesTerm(order=k, eval=lambda q, t, _k=k: e._sum(q, t, e.ends[_k - 1], e.ends[_k]))
+        for k in range(1, K + 1)
+    ]
 
 
 def predict_from_rest(

@@ -291,3 +291,30 @@ def test_single_epsilon_is_config_error(tmp_path, capsys, cfg):
     assert error["error"]["kind"] == "config"
     assert "at least 2" in error["error"]["message"]
     assert not (out / "run_manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("order", 5, "order must be in 1..4"),
+        ("order", 0, "order must be in 1..4"),
+        ("horizon", 0.0, "horizon must be positive"),
+        ("predict_dt_ratio", 0, "predict_dt_ratio must be a positive integer"),
+    ],
+)
+def test_series_check_bad_setting_is_config_error(tmp_path, capsys, key, value, message):
+    cfg = dedent(
+        f"""\
+        experiment: series-check
+        model: {{name: planar-body, actuators: [4]}}
+        series-check: {{epsilons: [0.02, 0.01], {key}: {value}}}
+        """
+    )
+    out = tmp_path / "o"
+    rc = main(["run", write(tmp_path, cfg), "--out", str(out)])
+    _, err = capsys.readouterr()
+    assert rc == 2
+    error = json.loads(err)
+    assert error["error"]["kind"] == "config"
+    assert message in error["error"]["message"]
+    assert not (out / "run_manifest.json").exists()

@@ -16,7 +16,11 @@ from geoctrl import (
     symmetric_product,
     truncation_errors,
 )
+from geoctrl import series
+from geoctrl.geometry import christoffel
+from geoctrl.numutil import cumulative_simpson_uniform, lagrange4_interp
 from geoctrl.series import uniform_grid
+from geoctrl.simulation import _rk4
 
 
 def offset_body(**params):
@@ -155,3 +159,114 @@ def test_forcing_field_validation():
         ForcingField.from_system(sys, [lambda t: 0.0, lambda t: 0.0])
     with pytest.raises(ValueError):
         ForcingField(fields=[], inputs=[])
+
+
+class GridRecursionOracle:
+    """The grid-wide recursion engine, kept as the oracle: every V_k on the
+    whole time grid at q, spatial Jacobians by central differences."""
+
+    def __init__(self, sys, forcing, grid, h=1e-6):
+        self.sys, self.forcing, self.grid, self.h = sys, forcing, grid, h
+        self.dx = grid[1] - grid[0]
+        U = np.array([[forcing.inputs[a](t) for t in grid] for a in range(forcing.m)])
+        self.cumU = cumulative_simpson_uniform(U, self.dx, axis=1)
+
+    def values(self, k, q, cache):
+        key = (k, q.tobytes())
+        if key not in cache:
+            if k == 1:
+                Ys = np.array([f(q) for f in self.forcing.fields])
+                cache[key] = np.einsum("ag,an->gn", self.cumU, Ys)
+            else:
+                S = sum(self.sym_grid(j, k - j, q, cache) for j in range(1, k))
+                cache[key] = -0.5 * cumulative_simpson_uniform(S, self.dx, axis=0)
+        return cache[key]
+
+    def jacobian(self, k, q, cache):
+        if k == 1:
+            JYs = np.array([f.jacobian_at(q) for f in self.forcing.fields])
+            return np.einsum("ag,air->gir", self.cumU, JYs)
+        J = np.empty((self.grid.size, q.size, q.size))
+        for r in range(q.size):
+            dq = np.zeros(q.size)
+            dq[r] = self.h
+            vp, vm = self.values(k, q + dq, cache), self.values(k, q - dq, cache)
+            J[:, :, r] = (vp - vm) / (2.0 * self.h)
+        return J
+
+    def sym_grid(self, j, l, q, cache):
+        vj, vl = self.values(j, q, cache), self.values(l, q, cache)
+        Jj, Jl = self.jacobian(j, q, cache), self.jacobian(l, q, cache)
+        G = christoffel(self.sys, q).values
+        out = np.einsum("gir,gr->gi", Jl, vj) + np.einsum("gir,gr->gi", Jj, vl)
+        out += np.einsum("ijk,gj,gk->gi", G, vj, vl)
+        out += np.einsum("ijk,gj,gk->gi", G, vl, vj)
+        return out
+
+    def term(self, k, q, t):
+        return lagrange4_interp(self.grid, self.values(k, np.asarray(q, float), {}), t)
+
+    def predict_qs(self, K, q0, dt, steps):
+        def rhs(t, q):
+            cache = {}
+            return sum(lagrange4_interp(self.grid, self.values(k, q, cache), t)
+                       for k in range(1, K + 1))
+
+        return _rk4(rhs, np.asarray(q0, float), 0.0, dt, steps)
+
+
+def sine_forcing(sys, amps):
+    return ForcingField.from_system(
+        sys, [lambda t, _a=a, _w=w: _a * np.sin(_w * t + 0.3) for w, a in enumerate(amps, 1)]
+    )
+
+
+@pytest.mark.parametrize(
+    "model, actuators, K",
+    [
+        ("planar-body", (4,), 1),
+        ("planar-body", (4,), 2),
+        ("planar-body", (4,), 3),
+        ("planar-body", (1, 4), 3),
+        ("three-link", (1, 2), 3),  # the planar body's Christoffel symbols vanish
+    ],
+    ids=["offset-K1", "offset-K2", "offset-K3", "two-inputs-K3", "three-link-K3"],
+)
+def test_prediction_matches_grid_recursion_oracle(model, actuators, K):
+    sys = make(model, actuators=actuators)
+    forcing = sine_forcing(sys, [0.1, 0.07][: len(actuators)])
+    q0, T, dt = np.array([0.2, -0.1, 0.4]), 0.5, 1e-2
+    pred = predict_from_rest(sys, forcing, K, q0, T, IntegratorConfig(dt=dt))
+    oracle = GridRecursionOracle(sys, forcing, uniform_grid(T))
+    want = oracle.predict_qs(K, q0, dt, int(round(T / dt)))
+    assert np.max(np.abs(pred.qs - want)) <= 1e-14
+
+
+def test_fourth_order_term_matches_grid_recursion_oracle():
+    # order-4 words nest two central differences: agreement is at FD noise
+    sys = make("planar-body", actuators=(4,))
+    forcing = sine_forcing(sys, [0.1])
+    grid = uniform_grid(1.0)
+    terms = series_terms(sys, forcing, 4, grid)
+    oracle = GridRecursionOracle(sys, forcing, grid)
+    q, t = np.array([0.1, -0.6, 0.8]), 0.77
+    want = oracle.term(4, q, t)
+    assert np.linalg.norm(terms[3](q, t) - want) <= 1e-3 * np.linalg.norm(want)
+
+
+def test_quadrature_runs_only_while_engine_is_built(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return cumulative_simpson_uniform(*args, **kwargs)
+
+    monkeypatch.setattr(series, "cumulative_simpson_uniform", counted)
+    sys = make("planar-body", actuators=(4,))
+    forcing = sine_forcing(sys, [0.1])
+    counts = []
+    for dt in (1e-2, 5e-3):
+        calls.clear()
+        predict_from_rest(sys, forcing, 3, np.zeros(3), 0.5, IntegratorConfig(dt=dt))
+        counts.append(len(calls))
+    assert counts == [3, 3]  # one cumulative quadrature per order, none per RK4 stage
