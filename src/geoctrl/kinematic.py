@@ -20,6 +20,7 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 from scipy.interpolate import CubicHermiteSpline, CubicSpline
+from scipy.linalg.lapack import dgeqrf, dorgqr
 from scipy.optimize import least_squares
 
 from .errors import (
@@ -50,13 +51,18 @@ def _span_projector(Y, tol=1e-10):
     """QR-based orthogonal-complement data for span{Y_a(q)}.
 
     Returns (Q, C): Q spans the input distribution, C its complement.
-    Raises if the input fields are rank deficient at the point.
+    Raises if the input fields are rank deficient at the point.  The
+    complete Q comes from LAPACK dgeqrf + dorgqr, the routines behind
+    np.linalg.qr(mode="complete"), without numpy's per-call overhead.
     """
     n, m = Y.shape
-    Qfull, R = np.linalg.qr(Y, mode="complete")
-    diag = np.abs(np.diag(R[:m, :m]))
+    qr, tau, _, _ = dgeqrf(Y)
+    diag = np.abs(np.diag(qr))
     if diag.min() <= tol * max(1.0, diag.max()):
         raise RankDeficientInputsError(None)
+    full = np.zeros((n, n), order="F")
+    full[:, :m] = qr
+    Qfull, _, _ = dorgqr(full, tau, overwrite_a=1)
     return Qfull[:, :m], Qfull[:, m:]
 
 
@@ -355,33 +361,34 @@ class TimeScaling:
             raise ValueError("T must be positive")
 
     def s(self, t):
-        tau = np.clip(t / self.T, 0.0, 1.0)
+        """s(t), elementwise for an array t."""
+        T = self.T
+        tau = np.clip(np.asarray(t, dtype=float) / T, 0.0, 1.0)
         if self.profile == "cubic":
             return tau * tau * (3.0 - 2.0 * tau)
         # trapezoidal speed: 25% ramp up, 50% cruise, 25% ramp down
-        v = 4.0 / (3.0 * self.T)
-        t = tau * self.T
-        ta = 0.25 * self.T
-        if t <= ta:
-            return 0.5 * v * t * t / ta
-        if t <= self.T - ta:
-            return v * ta / 2.0 + v * (t - ta)
-        r = self.T - t
-        return 1.0 - 0.5 * v * r * r / ta
+        v = 4.0 / (3.0 * T)
+        t = tau * T
+        ta = 0.25 * T
+        r = T - t
+        return np.where(
+            t <= ta,
+            0.5 * v * t * t / ta,
+            np.where(t <= T - ta, v * ta / 2.0 + v * (t - ta), 1.0 - 0.5 * v * r * r / ta),
+        )[()]
 
     def sdot(self, t):
-        if t < 0.0 or t > self.T:
-            return 0.0
-        tau = t / self.T
+        """ds/dt, elementwise for an array t; zero outside [0, T]."""
+        T = self.T
+        t = np.asarray(t, dtype=float)
+        tau = t / T
         if self.profile == "cubic":
-            return 6.0 * tau * (1.0 - tau) / self.T
-        v = 4.0 / (3.0 * self.T)
-        ta = 0.25 * self.T
-        if t <= ta:
-            return v * t / ta
-        if t <= self.T - ta:
-            return v
-        return v * (self.T - t) / ta
+            rate = 6.0 * tau * (1.0 - tau) / T
+        else:
+            v = 4.0 / (3.0 * T)
+            ta = 0.25 * T
+            rate = np.where(t <= ta, v * t / ta, np.where(t <= T - ta, v, v * (T - t) / ta))
+        return np.where((t < 0.0) | (t > T), 0.0, rate)[()]
 
     @staticmethod
     def cubic(T):
@@ -468,8 +475,8 @@ def kinematic_plan(
         v_of_s = CubicSpline(s_nodes, vel)
 
         ts = np.arange(steps + 1) * cfg.dt
-        svals = np.array([seg.scaling.s(t) for t in ts])
-        sdots = np.array([seg.scaling.sdot(t) for t in ts])
+        svals = seg.scaling.s(ts)
+        sdots = seg.scaling.sdot(ts)
         qs = q_of_s(svals)
         qds = sdots[:, None] * v_of_s(svals)
         us = np.zeros((steps + 1, sys.m))

@@ -22,18 +22,22 @@ three-link   planar manipulator with three revolute joints, torque inputs
              at a selectable subset of joints (default joints (1, 2)).
 
 Three-link derivation (standard Lagrangian composition): with relative
-joint angles q and absolute link angles theta_i = q_1 + ... + q_i, link i
-is a uniform rod of mass m_i, length l_i, center of mass at the midpoint
-and rotational inertia I_i = m_i l_i^2 / 12.  The center of mass sits at
-p_i = sum_{j<i} l_j e(theta_j) + (l_i/2) e(theta_i) with e(t) = (cos t,
-sin t), so with translational Jacobians Jv_i = dp_i/dq and angular rows
-Jw_i = (1,...,1,0,...) the inertia matrix is
+joint angles q and absolute link angles theta = L q, L lower-triangular
+ones (theta_j = q_1 + ... + q_j), link i is a uniform rod of mass m_i,
+length l_i, center of mass at the midpoint and rotational inertia
+I_i = m_i l_i^2 / 12.  The center of mass sits at p_i = sum_j A[i, j]
+e(theta_j) with e(t) = (cos t, sin t), A[i, j] = l_j for j < i and
+A[i, i] = l_i / 2.  Since e'(a) . e'(b) = cos(a - b), the translational
+Jacobians drop out of M = sum_i m_i Jv_i^T Jv_i + I_i Jw_i^T Jw_i:
 
-    M(q) = sum_i m_i Jv_i^T Jv_i + I_i Jw_i^T Jw_i,
+    M(q) = L^T (W o C(q)) L,    dM/dq_r = L^T (WD_r o S(q)) L,
 
-and V(q) = gravity * sum_i m_i p_{i,y}.  All q-derivatives of M and V are
-differentiated in closed form below; the test suite cross-checks every
-analytic derivative against central finite differences.
+with C[j, k] = cos(theta_j - theta_k), S[j, k] = sin(theta_j - theta_k),
+the constant weights W = A^T diag(m) A + diag(I) (the rod inertias sit
+on the diagonal, where C = 1) and WD_r[j, k] = -W[j, k] (L[j, r] -
+L[k, r]).  V(q) = gravity * sum_i m_i p_{i,y}.  The test suite
+cross-checks every analytic derivative against central finite
+differences.
 
 Parameters are unit values by default (masses 1 kg, lengths 1 m, derived
 rod inertias, offset/coupling 1 m).  Gravity defaults: 9.81 m/s^2 for the
@@ -340,41 +344,17 @@ def _build_three_link(params, acts):
         A[i, i] = 0.5 * l[i]
     # L[j, k] = 1 iff theta_j depends on q_k (j >= k)
     L = np.tril(np.ones((3, 3)))
-    # constant angular part sum_i I_i Jw_i^T Jw_i
-    Mw = np.zeros((3, 3))
-    for i in range(3):
-        w = np.zeros(3)
-        w[: i + 1] = 1.0
-        Mw += I[i] * np.outer(w, w)
+    W = A.T @ (m[:, None] * A) + np.diag(I)
+    WD = -W * (L.T[:, :, None] - L.T[:, None, :])  # WD[r] = WD_r
     mA = m @ A  # row vector: sum_i m_i A[i, j]
 
-    def jacobians(q):
-        th = np.cumsum(q)
-        c, s = np.cos(th), np.sin(th)
-        Jvx = -(A * s) @ L  # (links, joints)
-        Jvy = (A * c) @ L
-        return c, s, Jvx, Jvy
-
     def inertia(q):
-        _, _, Jvx, Jvy = jacobians(q)
-        return (
-            np.einsum("i,ik,il->kl", m, Jvx, Jvx)
-            + np.einsum("i,ik,il->kl", m, Jvy, Jvy)
-            + Mw
-        )
+        th = np.cumsum(q)
+        return L.T @ (W * np.cos(th[:, None] - th)) @ L
 
     def dinertia(q):
-        c, s, Jvx, Jvy = jacobians(q)
-        # dJv(x|y)[r, i, k] = d Jv[i, k] / d q_r
-        dJvx = -np.einsum("ij,j,jr,jk->rik", A, c, L, L)
-        dJvy = -np.einsum("ij,j,jr,jk->rik", A, s, L, L)
-        D = np.einsum("i,rik,il->klr", m, dJvx, Jvx) + np.einsum(
-            "i,ik,ril->klr", m, Jvx, dJvx
-        )
-        D += np.einsum("i,rik,il->klr", m, dJvy, Jvy) + np.einsum(
-            "i,ik,ril->klr", m, Jvy, dJvy
-        )
-        return D
+        th = np.cumsum(q)
+        return (L.T @ (WD * np.sin(th[:, None] - th)) @ L).transpose(1, 2, 0)
 
     covs = []
     dcovs = []

@@ -27,8 +27,6 @@ original m inputs.
 """
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -41,19 +39,6 @@ from .simulation import ControlLaw, IntegratorConfig, State, Trajectory, simulat
 
 TWO_PI = 2.0 * math.pi
 NODES_PER_PERIOD = 2001
-
-
-def worker_count() -> int:
-    """Thread budget for parameter sweeps (env GEOCTRL_THREADS caps it)."""
-    env = os.environ.get("GEOCTRL_THREADS")
-    if env:
-        try:
-            k = int(env)
-            if k >= 1:
-                return k
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
 
 
 def psi(N: int):
@@ -214,15 +199,10 @@ class SpanCoefficients:
         q = np.asarray(q, dtype=float)
         Y, JY, Gam = input_span_data(self.sys, q)
         S = pairwise_symmetric_products(Y, JY, Gam)
-        m = self.sys.m
-        alpha = np.zeros((m, m))
-        worst = 0.0
-        for a in range(m):
-            coef, _, _, _ = np.linalg.lstsq(Y, S[a, a], rcond=None)
-            alpha[a] = coef
-            res = np.linalg.norm(S[a, a] - Y @ coef) / max(1.0, np.linalg.norm(S[a, a]))
-            worst = max(worst, res)
-        return alpha, float(worst)
+        D = np.diagonal(S, axis1=0, axis2=1)  # (n, m): column a is <Y_a : Y_a>
+        coef, _, _, _ = np.linalg.lstsq(Y, D, rcond=None)
+        res = np.linalg.norm(D - Y @ coef, axis=0) / np.maximum(1.0, np.linalg.norm(D, axis=0))
+        return coef.T, float(res.max())
 
     def alpha(self, q):
         return self._solve(q)[0]
@@ -524,9 +504,9 @@ def convergence_study(
     The averaged reference runs once at dt_avg; each epsilon member runs
     at a nested step dt_avg / ceil(dt_avg * steps_per_period / (eps T)),
     which resolves the fast period and keeps the sample grids aligned.
-    Members fan out across worker threads (GEOCTRL_THREADS caps them) and
-    are merged in the given epsilon order.  The slope is NaN when fewer
-    than 2 epsilons are given or an error is not positive.
+    Members run one after the other in the given epsilon order.  The
+    slope is NaN when fewer than 2 epsilons are given or an error is not
+    positive.
     """
     ref = averaged_system(sys, gains).simulate(
         x0, 0.0, T_final, IntegratorConfig(dt=dt_avg)
@@ -541,10 +521,8 @@ def convergence_study(
         return float(np.max(np.linalg.norm(qeps - ref.qs, axis=1)))
 
     eps_list = list(eps_list)
-    with ThreadPoolExecutor(max_workers=min(worker_count(), len(eps_list))) as pool:
-        errors = list(pool.map(member, eps_list))
     eps_arr = np.array(eps_list, dtype=float)
-    err_arr = np.array(errors, dtype=float)
+    err_arr = np.array([member(eps) for eps in eps_list], dtype=float)
     fit = eps_arr.size >= 2 and np.all(err_arr > 0)
     slope = loglog_slope(eps_arr, err_arr) if fit else float("nan")
     return ConvergenceStudy(epsilons=eps_arr, errors=err_arr, slope=slope, averaged=ref)

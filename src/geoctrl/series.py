@@ -35,7 +35,7 @@ import numpy as np
 
 from .geometry import MechanicalSystem, VectorField, christoffel
 from .numutil import central_jacobian, cumulative_simpson_uniform, lagrange4_interp
-from .simulation import IntegratorConfig, Trajectory, _check_grid, _rk4
+from .simulation import IntegratorConfig, Trajectory, _check_grid, _record_stage_one, _rk4
 
 DEFAULT_NODES_PER_UNIT = 201
 MAX_ORDER = 4  # order-k words nest k - 2 central differences; round-off grows with each
@@ -201,13 +201,11 @@ def predict_from_rest(
         grid = uniform_grid(T)
     engine = _Engine(sys, forcing, K, grid)
     steps = _check_grid(0.0, T, cfg.dt)
-
-    def rhs(t, q):
-        return engine.velocity(q, t)
-
+    qds = np.empty((steps + 1, sys.n))
+    rhs = _record_stage_one(lambda t, q: engine.velocity(q, t), qds)
     qs = _rk4(rhs, q0, 0.0, cfg.dt, steps)
     ts = cfg.dt * np.arange(steps + 1)
-    qds = np.array([engine.velocity(qs[i], ts[i]) for i in range(steps + 1)])
+    qds[steps] = engine.velocity(qs[steps], ts[steps])
     us = np.array([[forcing.inputs[a](t) for a in range(forcing.m)] for t in ts])
     return Trajectory(t0=0.0, t1=T, dt=cfg.dt, qs=qs, qds=qds, us=us)
 

@@ -9,10 +9,11 @@ Integration is deliberately fixed-step (no adaptivity): convergence
 studies sweep a parameter epsilon and need commensurate, reproducible
 time grids.  Controls are evaluated at the RK4 stage times, so
 continuous-time oscillatory inputs are sampled exactly where the stages
-need them.
+need them; the recorded input at a sample is the one RK4 stage 1 used.
 """
 
 import io
+import itertools
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -230,6 +231,24 @@ def _rk4(rhs, x0, t0, dt, steps):
     return xs
 
 
+def _record_stage_one(fn, out):
+    """fn, storing in out[k] what it returns at RK4 stage 1 of step k.
+
+    Call it once per _rk4 stage: _rk4 runs its four stages in order, and
+    stage 1 of step k is at (t0 + k dt, x_k), a sample of the solution.
+    """
+    calls = itertools.count()
+
+    def recorded(*args):
+        value = fn(*args)
+        k, stage = divmod(next(calls), 4)
+        if stage == 0:
+            out[k] = value
+        return value
+
+    return recorded
+
+
 def simulate(
     sys: MechanicalSystem,
     control: ControlLaw,
@@ -247,16 +266,16 @@ def simulate(
             stacklevel=2,
         )
     n = sys.n
+    us = np.empty((steps + 1, sys.m))
+    law = _record_stage_one(control, us)
 
     def rhs(t, x):
         q, qd = x[:n], x[n:]
-        u = control(t, q, qd)
-        applied = sys.input_matrix(q) @ u
+        applied = sys.input_matrix(q) @ law(t, q, qd)
         return np.concatenate([qd, _acceleration(sys, q, qd, applied)])
 
     xs = _rk4(rhs, x0.as_vector(), t0, cfg.dt, steps)
-    ts = t0 + cfg.dt * np.arange(steps + 1)
-    us = np.array([control(ts[i], xs[i, :n], xs[i, n:]) for i in range(steps + 1)])
+    us[steps] = control(t0 + steps * cfg.dt, xs[steps, :n], xs[steps, n:])
     return Trajectory(t0=t0, t1=t1, dt=cfg.dt, qs=xs[:, :n], qds=xs[:, n:], us=us)
 
 

@@ -23,7 +23,8 @@ from geoctrl import (
     make,
     quadratic_forms,
 )
-from geoctrl.errors import ResidualViolationError
+from geoctrl.errors import RankDeficientInputsError, ResidualViolationError
+from geoctrl.kinematic import _span_projector
 
 
 # -- time scalings -------------------------------------------------------------
@@ -59,6 +60,58 @@ def test_trapezoid_cruise_speed():
         assert abs(sc.sdot(t) - v) < 1e-14
 
 
+class ScalarTimeScaling:
+    """The per-sample branchy time scalings, kept as the scalar-path oracle."""
+
+    def __init__(self, T, profile):
+        self.T, self.profile = T, profile
+
+    def s(self, t):
+        tau = np.clip(t / self.T, 0.0, 1.0)
+        if self.profile == "cubic":
+            return tau * tau * (3.0 - 2.0 * tau)
+        v = 4.0 / (3.0 * self.T)
+        t = tau * self.T
+        ta = 0.25 * self.T
+        if t <= ta:
+            return 0.5 * v * t * t / ta
+        if t <= self.T - ta:
+            return v * ta / 2.0 + v * (t - ta)
+        r = self.T - t
+        return 1.0 - 0.5 * v * r * r / ta
+
+    def sdot(self, t):
+        if t < 0.0 or t > self.T:
+            return 0.0
+        tau = t / self.T
+        if self.profile == "cubic":
+            return 6.0 * tau * (1.0 - tau) / self.T
+        v = 4.0 / (3.0 * self.T)
+        ta = 0.25 * self.T
+        if t <= ta:
+            return v * t / ta
+        if t <= self.T - ta:
+            return v
+        return v * (self.T - t) / ta
+
+
+@pytest.mark.parametrize("profile", ["cubic", "trapezoidal"])
+@pytest.mark.parametrize("T", [0.7, 2.0, 3.3])
+def test_time_scaling_arrays_match_scalar_path_bitwise(profile, T):
+    sc, oracle = TimeScaling(T=T, profile=profile), ScalarTimeScaling(T, profile)
+    corners = [-0.0, 0.0, 0.25 * T, 0.75 * T, T, T - 0.25 * T]
+    ts = np.concatenate([np.linspace(-0.5, T + 0.5, 2001), corners])
+    want_s = np.array([oracle.s(float(t)) for t in ts])
+    want_sdot = np.array([oracle.sdot(float(t)) for t in ts])
+    for got, want in (
+        (sc.s(ts), want_s),
+        (sc.sdot(ts), want_sdot),
+        (np.array([sc.s(float(t)) for t in ts]), want_s),
+        (np.array([sc.sdot(float(t)) for t in ts]), want_sdot),
+    ):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_time_scaling_validation():
     with pytest.raises(ValueError):
         TimeScaling(T=1.0, profile="quintic")
@@ -67,6 +120,33 @@ def test_time_scaling_validation():
 
 
 # -- decoupling fields -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("n, m", [(3, 1), (3, 2), (3, 3), (4, 2)])
+def test_span_projector_matches_numpy_complete_qr(n, m):
+    rng = np.random.default_rng(17)
+    for _ in range(50):
+        Y = rng.standard_normal((n, m))
+        Q, C = _span_projector(Y)
+        Qref = np.linalg.qr(Y, mode="complete")[0]
+        Cref = Qref[:, m:]
+        assert Q.shape == (n, m) and C.shape == (n, n - m)
+        assert np.max(np.abs(Q @ Q.T - Qref[:, :m] @ Qref[:, :m].T), initial=0.0) <= 1e-14
+        assert np.max(np.abs(C @ C.T - Cref @ Cref.T), initial=0.0) <= 1e-14
+        assert np.max(np.abs(C.T @ Y), initial=0.0) <= 1e-14 * np.max(np.abs(Y))
+
+
+@pytest.mark.parametrize(
+    "Y",
+    [
+        np.array([[1.0, 2.0], [0.5, 1.0], [-1.0, -2.0]]),  # parallel columns
+        np.array([[1.0, 0.0], [0.0, 0.0], [2.0, 0.0]]),  # a zero column
+        np.zeros((3, 1)),
+    ],
+)
+def test_span_projector_rank_deficient_raises(Y):
+    with pytest.raises(RankDeficientInputsError):
+        _span_projector(Y)
 
 
 def test_fully_actuated_all_directions():

@@ -112,6 +112,59 @@ def test_three_link_inertia_vs_kinematics_oracle():
         assert_allclose(sys.mass(q), want, rtol=0, atol=1e-8)
 
 
+def einsum_three_link(m, l):
+    """The three-link inertia and its derivative assembled from the link
+    Jacobians with 4-operand einsums, as the model computed them before
+    its closed form; kept as an oracle."""
+    I = m * l**2 / 12.0
+    A = np.zeros((3, 3))
+    for i in range(3):
+        A[i, :i] = l[:i]
+        A[i, i] = 0.5 * l[i]
+    L = np.tril(np.ones((3, 3)))
+    Mw = sum(I[i] * np.outer(L[i], L[i]) for i in range(3))
+
+    def jacobians(q):
+        th = np.cumsum(q)
+        c, s = np.cos(th), np.sin(th)
+        return c, s, -(A * s) @ L, (A * c) @ L
+
+    def inertia(q):
+        _, _, Jvx, Jvy = jacobians(q)
+        return np.einsum("i,ik,il->kl", m, Jvx, Jvx) + np.einsum("i,ik,il->kl", m, Jvy, Jvy) + Mw
+
+    def dinertia(q):
+        c, s, Jvx, Jvy = jacobians(q)
+        dJvx = -np.einsum("ij,j,jr,jk->rik", A, c, L, L)
+        dJvy = -np.einsum("ij,j,jr,jk->rik", A, s, L, L)
+        D = np.einsum("i,rik,il->klr", m, dJvx, Jvx) + np.einsum("i,ik,ril->klr", m, Jvx, dJvx)
+        D += np.einsum("i,rik,il->klr", m, dJvy, Jvy) + np.einsum("i,ik,ril->klr", m, Jvy, dJvy)
+        return D
+
+    return inertia, dinertia
+
+
+THREE_LINK_PARAMS = {"m1": 1.3, "m2": 0.8, "m3": 0.5, "l1": 1.1, "l2": 0.9, "l3": 0.6}
+
+
+def test_three_link_closed_form_matches_einsum_oracle():
+    sys = make("three-link", **THREE_LINK_PARAMS)
+    p = THREE_LINK_PARAMS
+    inertia, dinertia = einsum_three_link(
+        np.array([p["m1"], p["m2"], p["m3"]]), np.array([p["l1"], p["l2"], p["l3"]])
+    )
+    for q in random_configs(3, 200, seed=15):
+        assert np.max(np.abs(sys.inertia(q) - inertia(q))) <= 1e-13
+        assert np.max(np.abs(sys.dinertia(q) - dinertia(q))) <= 1e-13
+
+
+def test_three_link_dinertia_matches_fd_of_inertia():
+    sys = make("three-link", **THREE_LINK_PARAMS)
+    for q in random_configs(3, 50, seed=16):
+        fd = central_jacobian(sys.inertia, q, 1e-5)
+        assert_allclose(sys.dinertia(q), fd, rtol=0, atol=1e-9)
+
+
 def test_three_link_potential_is_weighted_com_height():
     sys = make("three-link", gravity=9.81)
     q = np.array([0.4, -0.3, 1.2])

@@ -24,7 +24,6 @@ from geoctrl import (
     span_coefficients,
     synthesis_audit,
     synthesize_controls,
-    worker_count,
 )
 from geoctrl.errors import SpanAssumptionError
 from geoctrl.oscillatory import TWO_PI
@@ -308,11 +307,3 @@ def test_convergence_errors_shrink_with_epsilon():
     assert len(lines) == 4
     assert lines[1].endswith("nan")
 
-
-def test_worker_count_env_override(monkeypatch):
-    monkeypatch.setenv("GEOCTRL_THREADS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("GEOCTRL_THREADS", "bogus")
-    assert worker_count() >= 1
-    monkeypatch.setenv("GEOCTRL_THREADS", "0")
-    assert worker_count() >= 1

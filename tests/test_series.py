@@ -270,3 +270,22 @@ def test_quadrature_runs_only_while_engine_is_built(monkeypatch):
         predict_from_rest(sys, forcing, 3, np.zeros(3), 0.5, IntegratorConfig(dt=dt))
         counts.append(len(calls))
     assert counts == [3, 3]  # one cumulative quadrature per order, none per RK4 stage
+
+
+def test_recorded_velocities_match_per_sample_evaluation(monkeypatch):
+    sys = make("three-link", actuators=(1, 2))
+    forcing = sine_forcing(sys, [0.1, 0.07])
+    q0, T, dt = np.array([0.2, -0.1, 0.4]), 0.5, 1e-2
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return lagrange4_interp(*args, **kwargs)
+
+    monkeypatch.setattr(series, "lagrange4_interp", counted)
+    pred = predict_from_rest(sys, forcing, 2, q0, T, IntegratorConfig(dt=dt))
+    steps = int(round(T / dt))
+    assert len(calls) == 4 * steps + 1  # RK4 stage 1 supplies the sampled velocity
+    engine = series._Engine(sys, forcing, 2, uniform_grid(T))
+    want = np.array([engine.velocity(q, t) for q, t in zip(pred.qs, pred.times)])
+    assert pred.qds.tobytes() == want.tobytes()

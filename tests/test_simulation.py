@@ -257,3 +257,32 @@ def test_coarse_dt_warns_for_oscillatory_control():
     law = ControlLaw(eval=lambda t, q, qd: np.array([np.sin(t / 1e-3)]), suggested_max_dt=1e-4)
     with pytest.warns(UserWarning, match="under-resolves"):
         simulate(sys, law, rest(2), 0.0, 0.1, IntegratorConfig(dt=1e-2))
+
+
+def traced_control(log):
+    """A state- and time-dependent law that logs every evaluation."""
+
+    def ev(t, q, qd):
+        log.append(t)
+        return np.array([np.sin(3.0 * t) + 0.2 * q[2], 0.1 * qd[0] - 0.3 * np.cos(t)])
+
+    return ControlLaw(eval=ev)
+
+
+def test_simulate_evaluates_control_once_per_stage():
+    sys = make("pvtol", gravity=0.0)
+    log = []
+    steps = 50
+    simulate(sys, traced_control(log), rest(3), 0.0, steps * 1e-2, IntegratorConfig(dt=1e-2))
+    # four RK4 stages per step, plus the last sample; stage 1 supplies the rest
+    assert len(log) == 4 * steps + 1
+
+
+def test_recorded_controls_match_per_sample_evaluation():
+    sys = make("pvtol", gravity=0.0)
+    law = traced_control([])
+    x0 = State(q=np.array([0.1, -0.2, 0.3]), qdot=np.array([0.2, 0.0, -0.1]))
+    traj = simulate(sys, law, x0, 0.3, 1.3, IntegratorConfig(dt=5e-3))
+    ts = traj.times
+    want = np.array([law(ts[i], traj.qs[i], traj.qds[i]) for i in range(traj.n_samples)])
+    assert traj.us.tobytes() == want.tobytes()
