@@ -25,6 +25,7 @@ Gain/control signals are restricted to `const(value)` and
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -42,6 +43,7 @@ from .oscillatory import (
     AveragedGains,
     averaged_system,
     convergence_study,
+    member_substeps,
     synthesis_audit,
     synthesize_controls,
 )
@@ -71,17 +73,39 @@ def _get(cfg, key, default=None, required=False):
     return default
 
 
+def _number(cfg, key, default=None, required=False, cast=float):
+    """cfg[key] (or default) through cast; ConfigError naming key if it is not numeric."""
+    value = _get(cfg, key, default, required)
+    try:
+        return cast(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"'{key}' must be numeric, got {value!r}") from None
+
+
+_floats = functools.partial(np.asarray, dtype=float)
+
+
+def _ints(value):
+    return tuple(int(x) for x in value)
+
+
+def _write_json(path, payload, **kwargs):
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, **kwargs)
+        fh.write("\n")
+
+
 def parse_signal(spec):
     """const(value) or sinusoid(amplitude, omega, phase) -> callable t."""
     _require(isinstance(spec, dict), f"signal spec must be a mapping, got {spec!r}")
     kind = spec.get("type")
     if kind == "const":
-        c = float(spec.get("value", 0.0))
+        c = _number(spec, "value", 0.0)
         return lambda t, _c=c: _c
     if kind == "sinusoid":
-        A = float(spec.get("amplitude", 1.0))
-        w = float(spec.get("omega", 1.0))
-        p = float(spec.get("phase", 0.0))
+        A = _number(spec, "amplitude", 1.0)
+        w = _number(spec, "omega", 1.0)
+        p = _number(spec, "phase", 0.0)
         return lambda t, _A=A, _w=w, _p=p: _A * math.sin(_w * t + _p)
     raise ConfigError(f"unknown signal type {kind!r} (use 'const' or 'sinusoid')")
 
@@ -97,7 +121,7 @@ def parse_gains(spec, m):
         _require(
             isinstance(item, dict) and "pair" in item, "pair gain needs a 'pair' key"
         )
-        a, b = (int(x) for x in item["pair"])
+        a, b = _number(item, "pair", cast=_ints)
         _require(1 <= a < b <= m, f"bad pair {item['pair']} for m={m}")
         body = {k: v for k, v in item.items() if k != "pair"}
         pairs[(a - 1, b - 1)] = parse_signal(body)
@@ -107,11 +131,12 @@ def parse_gains(spec, m):
 def parse_model(cfg):
     spec = _get(cfg, "model", required=True)
     _require(isinstance(spec, dict) and "name" in spec, "model needs a 'name'")
-    acts = spec.get("actuators")
+    params = spec.get("parameters") or {}
+    _require(isinstance(params, dict), "model parameters must be a mapping")
     desc = ModelDescriptor(
         name=spec["name"],
-        parameters={k: float(v) for k, v in (spec.get("parameters") or {}).items()},
-        actuators=tuple(int(a) for a in acts) if acts is not None else None,
+        parameters={k: _number(params, k) for k in params},
+        actuators=_number(spec, "actuators", cast=_ints) if "actuators" in spec else None,
     )
     return desc, build(desc)
 
@@ -119,24 +144,22 @@ def parse_model(cfg):
 def parse_integrator(cfg):
     spec = cfg.get("integrator") or {}
     try:
-        return IntegratorConfig(
-            method=spec.get("method", "rk4"), dt=float(spec.get("dt", 1e-3))
-        )
+        return IntegratorConfig(method=spec.get("method", "rk4"), dt=_number(spec, "dt", 1e-3))
     except ValueError as e:
         raise ConfigError(str(e))
 
 
 def parse_epsilons(spec):
     """The positive amplitude sweep of a convergence-type experiment."""
-    eps = [float(e) for e in _get(spec, "epsilons", required=True)]
+    eps = _number(spec, "epsilons", required=True, cast=lambda v: [float(e) for e in v])
     _require(len(eps) >= 2, f"epsilons needs at least 2 values to fit a slope, got {len(eps)}")
     _require(all(e > 0 for e in eps), "epsilons must be positive")
     return eps
 
 
 def parse_state(spec, n):
-    q0 = np.asarray(spec.get("q0", [0.0] * n), dtype=float)
-    qd0 = np.asarray(spec.get("qdot0", [0.0] * n), dtype=float)
+    q0 = _number(spec, "q0", [0.0] * n, cast=_floats)
+    qd0 = _number(spec, "qdot0", [0.0] * n, cast=_floats)
     _require(q0.shape == (n,) and qd0.shape == (n,), f"q0/qdot0 must have length {n}")
     return State(q=q0, qdot=qd0)
 
@@ -160,8 +183,8 @@ def load_config(path):
 
 def _exp_simulate(cfg, sys, outdir):
     spec = cfg.get("simulate") or {}
-    t0 = float(spec.get("t0", 0.0))
-    t1 = float(_get(spec, "t1", required=True))
+    t0 = _number(spec, "t0", 0.0)
+    t1 = _number(spec, "t1", required=True)
     x0 = parse_state(spec, sys.n)
     specs = _get(spec, "controls", required=True)
     _require(len(specs) == sys.m, f"need {sys.m} control specs, got {len(specs)}")
@@ -174,17 +197,17 @@ def _exp_simulate(cfg, sys, outdir):
 
 def _exp_series_check(cfg, sys, outdir):
     spec = cfg.get("series_check") or cfg.get("series-check") or {}
-    K = int(spec.get("order", 2))
+    K = _number(spec, "order", 2, cast=int)
     _require(1 <= K <= MAX_ORDER, f"series order must be in 1..{MAX_ORDER}, got {K}")
     eps = parse_epsilons(spec)
-    T = float(spec.get("horizon", 1.0))
+    T = _number(spec, "horizon", 1.0)
     _require(T > 0, f"horizon must be positive, got {T}")
-    idx = int(spec.get("input", 1)) - 1
+    idx = _number(spec, "input", 1, cast=int) - 1
     _require(0 <= idx < sys.m, f"input index out of range 1..{sys.m}")
     base = parse_signal(spec.get("signal", {"type": "sinusoid"}))
-    q0 = np.asarray(spec.get("q0", [0.0] * sys.n), dtype=float)
+    q0 = _number(spec, "q0", [0.0] * sys.n, cast=_floats)
     cfg_ref = parse_integrator(cfg)
-    ratio = int(spec.get("predict_dt_ratio", 5))
+    ratio = _number(spec, "predict_dt_ratio", 5, cast=int)
     _require(ratio >= 1, f"predict_dt_ratio must be a positive integer, got {ratio}")
     cfg_pred = IntegratorConfig(dt=cfg_ref.dt * ratio)
 
@@ -212,18 +235,16 @@ def _exp_series_check(cfg, sys, outdir):
 
 def _exp_decoupling(cfg, sys, outdir):
     spec = cfg.get("decoupling") or {}
-    q = np.asarray(_get(spec, "q", required=True), dtype=float)
+    q = _number(spec, "q", required=True, cast=_floats)
     _require(q.shape == (sys.n,), f"q must have length {sys.n}")
     report, cands = kinematic_controllability(
         sys,
         q,
-        max_depth=int(spec.get("depth", 2)),
-        tol=float(spec.get("tol", 1e-8)),
-        seed=int(spec.get("seed", 0)),
+        max_depth=_number(spec, "depth", 2, cast=int),
+        tol=_number(spec, "tol", 1e-8),
+        seed=_number(spec, "seed", 0, cast=int),
     )
-    with open(outdir / "controllability.json", "w") as fh:
-        json.dump(report.as_dict(), fh, indent=2)
-        fh.write("\n")
+    _write_json(outdir / "controllability.json", report.as_dict())
     return ["controllability.json"], {
         "fields_found": len(cands),
         "verdict": report.verdict,
@@ -232,31 +253,24 @@ def _exp_decoupling(cfg, sys, outdir):
 
 def _exp_larc(cfg, sys, outdir):
     spec = cfg.get("larc") or {}
-    q = np.asarray(_get(spec, "q", required=True), dtype=float)
+    q = _number(spec, "q", required=True, cast=_floats)
     _require(q.shape == (sys.n,), f"q must have length {sys.n}")
     fields = [sys.input_field(a) for a in range(sys.m)]
-    report = larc_rank(
-        fields,
-        q,
-        max_depth=int(spec.get("depth", 2)),
-        tol=float(spec.get("tol", 1e-8)),
-        n=sys.n,
-    )
-    with open(outdir / "controllability.json", "w") as fh:
-        json.dump(report.as_dict(), fh, indent=2)
-        fh.write("\n")
+    depth, tol = _number(spec, "depth", 2, cast=int), _number(spec, "tol", 1e-8)
+    report = larc_rank(fields, q, max_depth=depth, tol=tol, n=sys.n)
+    _write_json(outdir / "controllability.json", report.as_dict())
     return ["controllability.json"], {"rank": report.rank, "verdict": report.verdict}
 
 
 def _exp_oscillatory_track(cfg, sys, outdir):
     spec = cfg.get("oscillatory_track") or cfg.get("oscillatory-track") or {}
-    eps = float(_get(spec, "epsilon", required=True))
+    eps = _number(spec, "epsilon", required=True)
     _require(eps > 0, "epsilon must be positive")
-    t1 = float(_get(spec, "t1", required=True))
+    t1 = _number(spec, "t1", required=True)
     gains = parse_gains(_get(spec, "gains", required=True), sys.m)
     x0 = parse_state(spec, sys.n)
-    dt_avg = float(spec.get("dt_avg", 1e-2))
-    sub = max(1, math.ceil(dt_avg * 100 / (eps * 2 * math.pi)))
+    dt_avg = _number(spec, "dt_avg", 1e-2)
+    sub = member_substeps(dt_avg, eps)
     control = synthesize_controls(sys, gains, eps)
     true_traj = simulate(
         sys, control.as_control_law(), x0, 0.0, t1, IntegratorConfig(dt=dt_avg / sub)
@@ -267,9 +281,7 @@ def _exp_oscillatory_track(cfg, sys, outdir):
     true_traj.write_csv(outdir / "true.csv")
     avg_traj.write_csv(outdir / "averaged.csv")
     audit = synthesis_audit(gains)
-    with open(outdir / "synthesis_audit.json", "w") as fh:
-        json.dump(audit, fh, indent=2)
-        fh.write("\n")
+    _write_json(outdir / "synthesis_audit.json", audit)
     err = float(
         np.max(np.linalg.norm(true_traj.qs[::sub] - avg_traj.qs, axis=1))
     )
@@ -283,12 +295,10 @@ def _exp_oscillatory_track(cfg, sys, outdir):
 def _exp_convergence(cfg, sys, outdir):
     spec = cfg.get("convergence") or {}
     eps = parse_epsilons(spec)
-    t1 = float(_get(spec, "t1", required=True))
+    t1 = _number(spec, "t1", required=True)
     gains = parse_gains(_get(spec, "gains", required=True), sys.m)
     x0 = parse_state(spec, sys.n)
-    study = convergence_study(
-        sys, gains, x0, t1, eps, dt_avg=float(spec.get("dt_avg", 1e-2))
-    )
+    study = convergence_study(sys, gains, x0, t1, eps, dt_avg=_number(spec, "dt_avg", 1e-2))
     study.write_csv(outdir / "convergence.csv")
     return ["convergence.csv"], {"slope": study.slope, "errors": study.errors.tolist()}
 
@@ -347,9 +357,7 @@ def cmd_run(args):
         "artifacts": artifacts,
         "results": results,
     }
-    with open(outdir / "run_manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, default=float)
-        fh.write("\n")
+    _write_json(outdir / "run_manifest.json", manifest, default=float)
     print(json.dumps({"ok": True, "out": str(outdir), "artifacts": artifacts}))
     return 0
 

@@ -17,8 +17,13 @@ Conventions
 * Input vector fields are Y_a = M(q)^-1 F_a(q).
 * State-space (lifted) vector fields live on R^{2n} with x = (q, qdot).
 
+``sys.at(q)`` is the one per-point kernel: a :class:`PointData` factors
+M(q) once, evaluates dM, and derives Y, dY, Gamma and the symmetric
+products from them on first read.  Every consumer reads them there.
+
 All operations are pure functions of immutable inputs and safe to call
-from multiple threads.
+from multiple threads (a PointData read by two threads at once at worst
+computes a field twice).
 """
 
 from dataclasses import dataclass
@@ -33,17 +38,6 @@ from .numutil import central_jacobian
 DEFAULT_FD_STEP = 1e-5
 COND_LIMIT = 1e12
 SYMMETRY_TOL = 1e-12
-
-
-def _asymmetry_error(q, asym):
-    """The error for an inertia matrix failing the SYMMETRY_TOL check at q."""
-    q = np.asarray(q, dtype=float)
-    return ValueError(f"inertia matrix asymmetric at q={q.tolist()} (|M - M^T| = {asym:.3e})")
-
-
-def _potrs(factor, b):
-    """M^-1 b from the lower Cholesky factor of M (LAPACK dpotrs)."""
-    return dpotrs(factor, b, lower=1)[0]
 
 
 @dataclass(frozen=True)
@@ -139,13 +133,21 @@ class MechanicalSystem:
     def mass(self, q):
         """M(q), validated symmetric (SYMMETRY_TOL relative) and returned symmetrized."""
         q = np.asarray(q, dtype=float)
-        M = np.asarray(self.inertia(q), dtype=float)
-        if M.shape != (self.n, self.n):
-            raise ValueError(f"inertia returned shape {M.shape}, expected {(self.n, self.n)}")
-        asym = np.max(np.abs(M - M.T))
-        if asym > SYMMETRY_TOL * max(1.0, np.max(np.abs(M))):
-            raise _asymmetry_error(q, asym)
-        return 0.5 * (M + M.T)
+        return self._symmetrized(q, np.asarray(self.inertia(q), dtype=float))
+
+    def _symmetrized(self, q, M):
+        """M = inertia(q) checked symmetric and symmetrized; q may be a (B, n) stack."""
+        shape = M.shape[q.ndim - 1 :]
+        if shape != (self.n, self.n):
+            raise ValueError(f"inertia returned shape {shape}, expected {(self.n, self.n)}")
+        MT = M.swapaxes(-1, -2)
+        asym = np.abs(M - MT).max(axis=(-2, -1))
+        bad = asym > SYMMETRY_TOL * np.maximum(np.abs(M).max(axis=(-2, -1)), 1.0)
+        if bad.any():  # name the first point that fails
+            i, q, asym = np.argmax(bad), q.reshape(-1, self.n), np.ravel(asym)
+            msg = f"inertia matrix asymmetric at q={q[i].tolist()} (|M - M^T| = {asym[i]:.3e})"
+            raise ValueError(msg)
+        return 0.5 * (M + MT)
 
     def _mass_factor(self, q):
         """Lower Cholesky factor of M(q) (LAPACK dpotrf), condition-guarded.
@@ -171,7 +173,7 @@ class MechanicalSystem:
         propagate to the result and the integrator can report them as a
         state blow-up rather than a linear-algebra error.
         """
-        return _potrs(self._mass_factor(q), np.asarray(b, dtype=float))
+        return dpotrs(self._mass_factor(q), np.asarray(b, dtype=float), lower=1)[0]
 
     def dmass(self, q):
         """dM_ij/dq^k as an (n, n, n) array, analytic or finite-difference."""
@@ -204,7 +206,7 @@ class MechanicalSystem:
     def input_matrix(self, q):
         """Co-vector fields F_a(q) stacked as columns of an (n, m) matrix."""
         q = np.asarray(q, dtype=float)
-        return np.column_stack([np.asarray(F(q), dtype=float) for F in self.input_covectors])
+        return np.array([np.asarray(F(q), dtype=float) for F in self.input_covectors]).T
 
     def input_fields_matrix(self, q):
         """Input vector fields Y_a = M^-1 F_a as columns of an (n, m) matrix."""
@@ -213,9 +215,7 @@ class MechanicalSystem:
     def input_field(self, a):
         """The a-th input vector field Y_a as a :class:`VectorField` (0-based).
 
-        The Jacobian uses the chain rule
-        dY_a/dq^j = M^-1 (dF_a/dq^j - (dM/dq^j) Y_a),
-        with dF_a and dM from the system's derivative provider.
+        Its Jacobian is the kernel's ``at(q).JY[a]``.
         """
         if not 0 <= a < self.m:
             raise IndexError(f"input index {a} out of range for m={self.m}")
@@ -223,20 +223,11 @@ class MechanicalSystem:
         def ev(q, _a=a):
             return self.solve_mass(q, np.asarray(self.input_covectors[_a](q), dtype=float))
 
-        def jac(q, _a=a):
-            q = np.asarray(q, dtype=float)
-            factor = self._mass_factor(q)
-            y = _potrs(factor, np.asarray(self.input_covectors[_a](q), dtype=float))
-            if self.dinput_covectors is not None:
-                dF = np.asarray(self.dinput_covectors[_a](q), dtype=float)
-            else:
-                dF = central_jacobian(self.input_covectors[_a], q, self.fd_step)
-            dM = self.dmass(q)
-            # columns: dF[:, j] - dM[:, :, j] @ y
-            rhs = dF - np.einsum("irj,r->ij", dM, y)
-            return _potrs(factor, rhs)
+        return VectorField(eval=ev, jacobian=lambda q, _a=a: self.at(q).JY[_a], h=self.fd_step)
 
-        return VectorField(eval=ev, jacobian=jac, h=self.fd_step)
+    def at(self, q) -> "PointData":
+        """The per-point kernel at q (see :class:`PointData`)."""
+        return PointData(self, q)
 
     def kinetic_energy(self, q, qdot):
         qdot = np.asarray(qdot, dtype=float)
@@ -244,6 +235,69 @@ class MechanicalSystem:
 
     def total_energy(self, q, qdot):
         return self.kinetic_energy(q, qdot) + self.potential_value(q)
+
+
+class PointData:
+    """Everything the connection needs at one configuration q (``sys.at(q)``).
+
+    Construction evaluates M(q) once, factors it (``_mass_factor``, with
+    its guard) and evaluates dM.  Computed from those on first read:
+    ``Y`` (n, m), the input fields as columns; ``JY`` (m, n, n), with
+    JY[a, i, r] = dY_a^i/dq^r; ``Gamma`` (n, n, n), the Christoffel
+    symbols; ``products`` (m, m, n), products[a, b] = <Y_a : Y_b>.
+    """
+
+    __slots__ = ("sys", "q", "factor", "dM", "_Y", "_JY", "_Gamma", "_products")
+
+    def __init__(self, sys: MechanicalSystem, q):
+        self.sys = sys
+        self.q = q = np.asarray(q, dtype=float)
+        self.factor = sys._mass_factor(q)
+        self.dM = sys.dmass(q)
+        self._Y = self._JY = self._Gamma = self._products = None
+
+    def solve(self, b):
+        """M(q)^-1 b for a vector or an (n, k) block b."""
+        return dpotrs(self.factor, b, lower=1)[0]
+
+    @property
+    def Y(self):
+        if self._Y is None:
+            self._Y = self.solve(self.sys.input_matrix(self.q))
+        return self._Y
+
+    @property
+    def JY(self):
+        if self._JY is None:
+            sys, q, n = self.sys, self.q, self.sys.n
+            if sys.dinput_covectors is not None:
+                dF = np.array([np.asarray(d(q), dtype=float) for d in sys.dinput_covectors])
+            else:
+                dF = np.array([central_jacobian(F, q, sys.fd_step) for F in sys.input_covectors])
+            # chain rule dY_a = M^-1 (dF_a - dM . Y_a), the m blocks solved side by side
+            rhs = dF.transpose(1, 0, 2) - np.einsum("irj,ra->iaj", self.dM, self.Y)
+            self._JY = self.solve(rhs.reshape(n, -1)).reshape(n, sys.m, n).transpose(1, 0, 2)
+        return self._JY
+
+    @property
+    def Gamma(self):
+        if self._Gamma is None:
+            # A[m,j,k] = dM_mj/dq^k + dM_mk/dq^j - dM_jk/dq^m; symmetrizing over
+            # (j, k) cancels finite-difference asymmetry noise
+            n, D = self.sys.n, self.dM
+            A = D + D.transpose(0, 2, 1) - D.transpose(2, 0, 1)
+            G = 0.5 * self.solve(A.reshape(n, n * n)).reshape(n, n, n)
+            self._Gamma = 0.5 * (G + G.transpose(0, 2, 1))
+        return self._Gamma
+
+    @property
+    def products(self):
+        if self._products is None:
+            # P[a, b] = JY_b Y_a + Gamma(Y_a, Y_b); <Y_a : Y_b> = P[a, b] + P[b, a]
+            Y = self.Y
+            P = np.einsum("bir,ra->abi", self.JY, Y) + np.einsum("ijk,ja,kb->abi", self.Gamma, Y, Y)
+            self._products = P + P.transpose(1, 0, 2)
+        return self._products
 
 
 @dataclass(frozen=True)
@@ -263,59 +317,9 @@ class ChristoffelTensor:
 
 
 def christoffel(sys: MechanicalSystem, q) -> ChristoffelTensor:
-    """Christoffel symbols of the inertia metric at q.
-
-    Gamma^i_jk = (1/2) M^{mi} (dM_mj/dq^k + dM_mk/dq^j - dM_jk/dq^m),
-    symmetrized over (j, k) to cancel finite-difference asymmetry noise.
-    M^-1 is formed (dpotrs on the identity) and contracted rather than
-    solved for as in input_span_data: the two round differently, and
-    finite differences of this Gamma (the geodesic spray's Jacobian)
-    amplify that to ~1e-9.
-    """
+    """Christoffel symbols of the inertia metric at q (``sys.at(q).Gamma``)."""
     q = np.asarray(q, dtype=float)
-    Minv = _potrs(sys._mass_factor(q), np.eye(sys.n))
-    D = sys.dmass(q)
-    # A[m,j,k] = dM_mj/dq^k + dM_mk/dq^j - dM_jk/dq^m
-    A = D + D.transpose(0, 2, 1) - D.transpose(2, 0, 1)
-    G = 0.5 * np.einsum("mi,mjk->ijk", Minv, A)
-    G = 0.5 * (G + G.transpose(0, 2, 1))
-    return ChristoffelTensor(q=q, values=G)
-
-
-def input_span_data(sys: MechanicalSystem, q):
-    """(Y, JY, Gamma) at q, sharing a single inertia factorization.
-
-    Y is (n, m) with the input vector fields as columns, JY is (m, n, n)
-    with JY[a, i, r] = dY_a^i/dq^r, Gamma the Christoffel array.  This is
-    the batch form of input_field/christoffel used by the controllability
-    and averaging code, where all inputs are needed at once per point.
-    """
-    q = np.asarray(q, dtype=float)
-    n, m = sys.n, sys.m
-    factor = sys._mass_factor(q)
-    Y = _potrs(factor, sys.input_matrix(q))
-    dM = sys.dmass(q)
-    A = dM + dM.transpose(0, 2, 1) - dM.transpose(2, 0, 1)
-    Gam = 0.5 * _potrs(factor, A.reshape(n, n * n)).reshape(n, n, n)
-    Gam = 0.5 * (Gam + Gam.transpose(0, 2, 1))
-    if sys.dinput_covectors is not None:
-        dF = np.array([np.asarray(d(q), dtype=float) for d in sys.dinput_covectors])
-    else:
-        dF = np.array(
-            [central_jacobian(cov, q, sys.fd_step) for cov in sys.input_covectors]
-        )
-    # JY_a = M^-1 (dF_a - dM . Y_a), columnwise over the derivative index;
-    # the m right-hand-side blocks are solved side by side as (n, m*n)
-    rhs = dF.transpose(1, 0, 2) - np.einsum("irj,ra->iaj", dM, Y)
-    JY = _potrs(factor, rhs.reshape(n, m * n)).reshape(n, m, n).transpose(1, 0, 2)
-    return Y, JY, Gam
-
-
-def pairwise_symmetric_products(Y, JY, Gam):
-    """All <Y_a : Y_b> stacked as S[a, b] with shape (m, m, n)."""
-    S = np.einsum("bir,ra->abi", JY, Y) + np.einsum("air,rb->abi", JY, Y)
-    G = np.einsum("ijk,ja,kb->abi", Gam, Y, Y)
-    return S + G + G.transpose(1, 0, 2)
+    return ChristoffelTensor(q=q, values=sys.at(q).Gamma)
 
 
 def covariant_derivative(sys: MechanicalSystem, X: VectorField, Y: VectorField, q):

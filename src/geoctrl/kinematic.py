@@ -32,9 +32,7 @@ from .geometry import (
     MechanicalSystem,
     VectorField,
     covariant_derivative,
-    input_span_data,
     lie_bracket,
-    pairwise_symmetric_products,
 )
 from .simulation import (
     IntegratorConfig,
@@ -118,14 +116,12 @@ def quadratic_forms(sys: MechanicalSystem, q) -> np.ndarray:
 
 def _forms_and_fields(sys, q):
     """(B, Y): the quadratic forms at q and the input fields they came from."""
-    q = np.asarray(q, dtype=float)
-    Y, JY, Gam = input_span_data(sys, q)
+    pt = sys.at(q)
     try:
-        _, C = _span_projector(Y)
+        _, C = _span_projector(pt.Y)
     except RankDeficientInputsError:
-        raise RankDeficientInputsError(q)
-    S = pairwise_symmetric_products(Y, JY, Gam)
-    return np.einsum("il,abi->lab", C, S), Y
+        raise RankDeficientInputsError(pt.q)
+    return np.einsum("il,abi->lab", C, pt.products), pt.Y
 
 
 def find_decoupling_fields(

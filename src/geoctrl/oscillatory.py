@@ -33,9 +33,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import SpanAssumptionError
-from .geometry import MechanicalSystem, input_span_data, pairwise_symmetric_products
+from .geometry import MechanicalSystem
 from .numutil import cumulative_simpson_uniform, format_sig17, loglog_slope, simpson_uniform
-from .simulation import ControlLaw, IntegratorConfig, State, Trajectory, simulate, simulate_forced
+from .simulation import ControlLaw, IntegratorConfig, State, Trajectory, _text_output
+from .simulation import simulate, simulate_forced
 
 TWO_PI = 2.0 * math.pi
 NODES_PER_PERIOD = 2001
@@ -196,12 +197,10 @@ class SpanCoefficients:
     tol: float = 1e-6
 
     def _solve(self, q):
-        q = np.asarray(q, dtype=float)
-        Y, JY, Gam = input_span_data(self.sys, q)
-        S = pairwise_symmetric_products(Y, JY, Gam)
-        D = np.diagonal(S, axis1=0, axis2=1)  # (n, m): column a is <Y_a : Y_a>
-        coef, _, _, _ = np.linalg.lstsq(Y, D, rcond=None)
-        res = np.linalg.norm(D - Y @ coef, axis=0) / np.maximum(1.0, np.linalg.norm(D, axis=0))
+        pt = self.sys.at(q)
+        D = np.diagonal(pt.products, axis1=0, axis2=1)  # (n, m): column a is <Y_a : Y_a>
+        coef, _, _, _ = np.linalg.lstsq(pt.Y, D, rcond=None)
+        res = np.linalg.norm(D - pt.Y @ coef, axis=0) / np.maximum(1.0, np.linalg.norm(D, axis=0))
         return coef.T, float(res.max())
 
     def alpha(self, q):
@@ -302,14 +301,13 @@ class AveragedSystem:
     gains: AveragedGains
 
     def forcing(self, t, q):
-        Y, JY, Gam = input_span_data(self.sys, q)
-        S = pairwise_symmetric_products(Y, JY, Gam)
+        pt = self.sys.at(q)
         z = np.array([g(t) for g in self.gains.z])
-        out = Y @ z
+        out = pt.Y @ z
         for (a, b) in self.gains.pair_keys():
             zab = self.gains.pair_gain(a, b)(t)
             if zab != 0.0:
-                out = out + zab * S[a, b]
+                out = out + zab * pt.products[a, b]
         return out
 
     def gain_vector(self, t):
@@ -330,9 +328,8 @@ class AveragedSystem:
 
     def input_distribution_rank(self, q, tol=1e-8) -> int:
         """Rank of span{Y_a, <Y_b:Y_c>} — n means fully actuated on average."""
-        Y, JY, Gam = input_span_data(self.sys, q)
-        S = pairwise_symmetric_products(Y, JY, Gam)
-        cols = [Y] + [S[a, b][:, None] for (a, b) in self.gains.pair_keys()]
+        pt = self.sys.at(q)
+        cols = [pt.Y] + [pt.products[a, b][:, None] for (a, b) in self.gains.pair_keys()]
         sv = np.linalg.svd(np.hstack(cols), compute_uv=False)
         return int(np.sum(sv > tol * sv[0])) if sv[0] > 0 else 0
 
@@ -375,9 +372,9 @@ def general_averaged_forcing(sys: MechanicalSystem, control: OscillatoryControl,
 
     def forcing(t, q, qd=None):
         U1, U2 = _ubar_table(fast, m, control.period, t, nodes)
-        Y, JY, Gam = input_span_data(sys, q)
-        S = pairwise_symmetric_products(Y, JY, Gam)
-        out = Y @ control.slow(t, q)
+        pt = sys.at(q)
+        S = pt.products
+        out = pt.Y @ control.slow(t, q)
         for a in range(m):
             out = out + (0.5 * U1[a] ** 2 - U2[a, a]) * S[a, a]
             for b in range(a + 1, m):
@@ -466,13 +463,7 @@ class ConvergenceStudy:
     averaged: Trajectory
 
     def write_csv(self, path_or_file):
-        close = False
-        if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
-            fh = open(path_or_file, "w")
-            close = True
-        else:
-            fh = path_or_file
-        try:
+        with _text_output(path_or_file) as fh:
             fh.write("epsilon,max_err,slope_partial\n")
             for i in range(len(self.epsilons)):
                 if i == 0 or not np.all(self.errors[: i + 1] > 0):
@@ -483,9 +474,12 @@ class ConvergenceStudy:
                     f"{format_sig17(self.epsilons[i])},{format_sig17(self.errors[i])},"
                     f"{format_sig17(part)}\n"
                 )
-        finally:
-            if close:
-                fh.close()
+
+
+def member_substeps(dt_avg, eps, steps_per_period=100, T=TWO_PI):
+    """RK4 steps per dt_avg for an eps member: its fast period eps T gets at
+    least steps_per_period of them, and its samples land on the dt_avg grid."""
+    return max(1, math.ceil(dt_avg * steps_per_period / (eps * T)))
 
 
 def convergence_study(
@@ -502,8 +496,9 @@ def convergence_study(
     """Tracking error of the true oscillatory system vs the averaged one.
 
     The averaged reference runs once at dt_avg; each epsilon member runs
-    at a nested step dt_avg / ceil(dt_avg * steps_per_period / (eps T)),
-    which resolves the fast period and keeps the sample grids aligned.
+    at the nested step dt_avg / member_substeps(dt_avg, eps,
+    steps_per_period, T), which resolves the fast period and keeps the
+    sample grids aligned.
     Members run one after the other in the given epsilon order.  The
     slope is NaN when fewer than 2 epsilons are given or an error is not
     positive.
@@ -514,7 +509,7 @@ def convergence_study(
 
     def member(eps):
         control = synthesize_controls(sys, gains, eps, T, span_tol)
-        sub = max(1, math.ceil(dt_avg * steps_per_period / (eps * T)))
+        sub = member_substeps(dt_avg, eps, steps_per_period, T)
         cfg = IntegratorConfig(dt=dt_avg / sub)
         traj = simulate(sys, control.as_control_law(), x0, 0.0, T_final, cfg)
         qeps = traj.qs[::sub]

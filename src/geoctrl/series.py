@@ -33,7 +33,7 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .geometry import MechanicalSystem, VectorField, christoffel
+from .geometry import MechanicalSystem, VectorField
 from .numutil import central_jacobian, cumulative_simpson_uniform, lagrange4_interp
 from .simulation import IntegratorConfig, Trajectory, _check_grid, _record_stage_one, _rk4
 
@@ -138,10 +138,10 @@ class _Engine:
             else:
                 u, v = word
                 pu, pv = self._value(u, q, memo), self._value(v, q, memo)
-                gkey = ("G", q.tobytes())
-                if gkey not in memo:
-                    memo[gkey] = christoffel(self.sys, q).values
-                G = memo[gkey]
+                pkey = ("point", q.tobytes())
+                if pkey not in memo:
+                    memo[pkey] = self.sys.at(q)
+                G = memo[pkey].Gamma
                 out = self._jacobian(v, q, memo) @ pu + self._jacobian(u, q, memo) @ pv
                 out += np.einsum("ijk,j,k->i", G, pu, pv)
                 out += np.einsum("ijk,j,k->i", G, pv, pu)

@@ -15,13 +15,14 @@ need them; the recorded input at a sample is the one RK4 stage 1 used.
 import io
 import itertools
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import ConfigError, NonFiniteStateError
-from .geometry import SYMMETRY_TOL, MechanicalSystem, _asymmetry_error
+from .geometry import MechanicalSystem
 from .numutil import format_sig17
 
 
@@ -86,6 +87,16 @@ class IntegratorConfig:
             raise ValueError("dt must be positive")
 
 
+@contextmanager
+def _text_output(path_or_file):
+    """A path opened for writing (and closed after), or an open file as is."""
+    if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
+        with open(path_or_file, "w") as fh:
+            yield fh
+    else:
+        yield path_or_file
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Uniformly sampled states and the inputs recorded at sample times."""
@@ -129,21 +140,12 @@ class Trajectory:
             + [f"qd{i+1}" for i in range(n)]
             + [f"u{i+1}" for i in range(m)]
         )
-        close = False
-        if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
-            fh = open(path_or_file, "w")
-            close = True
-        else:
-            fh = path_or_file
-        try:
+        with _text_output(path_or_file) as fh:
             fh.write(",".join(header) + "\n")
             ts = self.times
             for i in range(self.qs.shape[0]):
                 row = [ts[i], *self.qs[i], *self.qds[i], *self.us[i]]
                 fh.write(",".join(format_sig17(v) for v in row) + "\n")
-        finally:
-            if close:
-                fh.close()
 
     def csv_text(self) -> str:
         buf = io.StringIO()
@@ -172,17 +174,21 @@ def read_trajectory_csv(path) -> Trajectory:
 # -- dynamics ----------------------------------------------------------------
 
 
+def coriolis_covector(dM, qd):
+    """b with Gamma(qd, qd) = M^-1 b, over any leading batch axes of dM and qd:
+    b_m = dM[m,j,k] qd^j qd^k - (1/2) dM[j,k,m] qd^j qd^k.
+    """
+    C = dM - 0.5 * dM.swapaxes(-1, -2).swapaxes(-2, -3)  # C[..m,j,k] -= dM[..j,k,m] / 2
+    return np.einsum("...mjk,...j,...k->...m", C, qd, qd)
+
+
 def _acceleration(sys: MechanicalSystem, q, qd, applied):
     """qddot given the generalized applied force (covector) `applied`.
 
-    Shares a single inertia factorization between the Coriolis term and
-    the force solve: Gamma(qd,qd) = M^-1 b with
-    b_m = dM[m,j,k] qd^j qd^k - (1/2) dM[j,k,m] qd^j qd^k.
+    One kernel point serves the Coriolis term and the force solve.
     """
-    dM = sys.dmass(q)
-    b = np.einsum("mjk,j,k->m", dM, qd, qd) - 0.5 * np.einsum("jkm,j,k->m", dM, qd, qd)
-    rhs = applied - b - sys.grad_potential(q)
-    acc = sys.solve_mass(q, rhs)
+    pt = sys.at(q)
+    acc = pt.solve(applied - coriolis_covector(pt.dM, qd) - sys.grad_potential(q))
     if sys.damping is not None:
         acc = acc + sys.damping_matrix(q) @ qd
     return acc
@@ -368,20 +374,9 @@ _RECONSTRUCT_BLOCK = 512
 def _reconstruct_block(sys, qs, qds, qdds):
     """Inputs and residuals of reconstruct_inputs for one block of samples."""
     n, m = sys.n, sys.m
-    Ms = np.array([np.asarray(sys.inertia(q), dtype=float) for q in qs])
-    if Ms.shape[1:] != (n, n):
-        raise ValueError(f"inertia returned shape {Ms.shape[1:]}, expected {(n, n)}")
-    asym = np.max(np.abs(Ms - Ms.transpose(0, 2, 1)), axis=(1, 2))
-    bad = asym > SYMMETRY_TOL * np.maximum(1.0, np.max(np.abs(Ms), axis=(1, 2)))
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise _asymmetry_error(qs[i], asym[i])
-    Ms = 0.5 * (Ms + Ms.transpose(0, 2, 1))
-    dMs = np.array([sys.dmass(q) for q in qs])
+    Ms = sys._symmetrized(qs, np.array([np.asarray(sys.inertia(q), dtype=float) for q in qs]))
     Fs = np.array([sys.input_matrix(q) for q in qs])
-    # b_m = dM[m,j,k] qd^j qd^k - (1/2) dM[j,k,m] qd^j qd^k
-    C = dMs - 0.5 * dMs.transpose(0, 3, 1, 2)
-    f = np.einsum("bmjk,bj,bk->bm", C, qds, qds)
+    f = coriolis_covector(np.array([sys.dmass(q) for q in qs]), qds)
     f += np.einsum("bij,bj->bi", Ms, qdds)
     if sys.potential is not None:
         f += np.array([sys.grad_potential(q) for q in qs])

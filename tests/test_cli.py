@@ -318,3 +318,34 @@ def test_series_check_bad_setting_is_config_error(tmp_path, capsys, key, value, 
     assert error["error"]["kind"] == "config"
     assert message in error["error"]["message"]
     assert not (out / "run_manifest.json").exists()
+
+
+NON_NUMERIC = {
+    "parameter": ("model: {name: flat}", "model: {name: pvtol, parameters: {mass: heavy}}", "mass"),
+    "actuator": ("model: {name: flat}", "model: {name: flat, actuators: [one]}", "actuators"),
+    "t1": ("t1: 1.0", "t1: abc", "t1"),
+    "q0-entry": ("q0: [0.0, 0.0]", "q0: [0.0, x]", "q0"),
+    "signal-value": (
+        "controls: [{type: sinusoid, amplitude: 0.5, omega: 2.0}]",
+        "controls: [{type: const, value: oops}]",
+        "value",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "case, command",
+    [(case, "run") for case in NON_NUMERIC] + [("parameter", "validate"), ("actuator", "validate")],
+)
+def test_non_numeric_config_value_is_config_error(tmp_path, capsys, case, command):
+    old, new, key = NON_NUMERIC[case]
+    assert old in FLAT_SIM
+    out = tmp_path / "o"
+    argv = [command, write(tmp_path, FLAT_SIM.replace(old, new))]
+    rc = main(argv + (["--out", str(out)] if command == "run" else []))
+    _, err = capsys.readouterr()
+    assert rc == 2
+    error = json.loads(err)  # one JSON line, no traceback
+    assert error["error"]["kind"] == "config"
+    assert f"'{key}' must be numeric" in error["error"]["message"]
+    assert not (out / "run_manifest.json").exists()

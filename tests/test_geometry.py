@@ -1,5 +1,7 @@
 """Christoffel symbols, connection operators, and state-space lifts."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -19,7 +21,7 @@ from geoctrl import (
     symmetric_product,
 )
 from geoctrl.errors import SingularInertiaError
-from geoctrl.geometry import input_span_data, pairwise_symmetric_products
+from geoctrl.numutil import central_jacobian
 
 
 def warped_plane(analytic=True):
@@ -153,18 +155,18 @@ def test_pairwise_products_match_pointwise(model):
     rng = np.random.default_rng(4)
     for _ in range(3):
         q = rng.uniform(-1.0, 1.0, sys.n)
-        Y, JY, Gam = input_span_data(sys, q)
-        S = pairwise_symmetric_products(Y, JY, Gam)
+        S = sys.at(q).products
         for a in range(sys.m):
             for b in range(sys.m):
                 want = symmetric_product(sys, sys.input_field(a), sys.input_field(b), q)
                 assert_allclose(S[a, b], want, atol=1e-10)
 
 
-def test_input_span_data_consistency():
+def test_point_data_consistency():
     sys = make("three-link", gravity=0.0)
     q = np.array([0.2, 0.5, -0.9])
-    Y, JY, Gam = input_span_data(sys, q)
+    pt = sys.at(q)
+    Y, JY, Gam = pt.Y, pt.JY, pt.Gamma
     assert_allclose(Y, sys.input_fields_matrix(q), atol=1e-14)
     assert_allclose(Gam, christoffel(sys, q).values, atol=1e-14)
     for a in range(sys.m):
@@ -306,3 +308,103 @@ def test_energy_accessors():
     qd = np.array([1.0, 0.0, 0.0])
     assert_allclose(sys.kinetic_energy(q, qd), 0.5)
     assert_allclose(sys.total_energy(q, qd), 0.5 + 9.81 * 2.0)
+
+
+# -- the per-point kernel sys.at(q) -------------------------------------------
+
+
+def random_polynomial_system(analytic=True, seed=7, n=4, m=2):
+    """M(q) = I + B(q) B(q)^T with B(q) = B0 + sum_k q_k B_k (symmetric positive
+    definite everywhere) and F_a(q) = c_a + D_a q + e_a |q|^2; the twin without
+    analytic derivatives takes them by central differences."""
+    rng = np.random.default_rng(seed)
+    B = 0.5 * rng.standard_normal((n + 1, n, n))
+    c, e = rng.standard_normal((2, m, n))
+    D = rng.standard_normal((m, n, n))
+
+    def Bq(q):
+        return B[0] + np.tensordot(q, B[1:], axes=1)
+
+    def dinertia(q):
+        BBk = np.einsum("kij,lj->ilk", B[1:], Bq(q))  # B_k B^T as [i, l, k]
+        return BBk + BBk.transpose(1, 0, 2)
+
+    return MechanicalSystem(
+        n=n,
+        m=m,
+        inertia=lambda q: np.eye(n) + Bq(q) @ Bq(q).T,
+        input_covectors=[lambda q, a=a: c[a] + D[a] @ q + e[a] * (q @ q) for a in range(m)],
+        dinertia=dinertia if analytic else None,
+        dinput_covectors=(
+            [lambda q, a=a: D[a] + 2.0 * np.outer(e[a], q) for a in range(m)] if analytic else None
+        ),
+    )
+
+
+KERNEL_SYSTEMS = pytest.mark.parametrize("analytic", [True, False], ids=["analytic", "fd"])
+
+
+def kernel_points(seed=8, count=4):
+    return np.random.default_rng(seed).uniform(-1.0, 1.0, (count, 4))
+
+
+@KERNEL_SYSTEMS
+def test_point_data_connection_identities(analytic):
+    sys = random_polynomial_system(analytic)
+    for q in kernel_points():
+        pt = sys.at(q)
+        M, G = sys.mass(q), pt.Gamma
+        # metric compatibility: dM_ij/dq^k = M_lj G^l_ik + M_il G^l_jk
+        recon = np.einsum("lj,lik->ijk", M, G) + np.einsum("il,ljk->ijk", M, G)
+        assert_allclose(pt.dM, recon, atol=1e-9)
+        assert np.array_equal(G, G.transpose(0, 2, 1))
+        assert np.array_equal(pt.products, pt.products.transpose(1, 0, 2))
+        fd = np.moveaxis(central_jacobian(lambda x: sys.at(x).Y, q, 1e-5), 1, 0)  # [a, i, r]
+        assert_allclose(pt.JY, fd, rtol=0, atol=1e-7)
+        for a in range(sys.m):
+            for b in range(sys.m):
+                want = symmetric_product(sys, sys.input_field(a), sys.input_field(b), q)
+                assert_allclose(pt.products[a, b], want, atol=1e-10)
+
+
+@KERNEL_SYSTEMS
+def test_christoffel_and_input_jacobians_read_the_kernel(analytic):
+    sys = random_polynomial_system(analytic)
+    for q in kernel_points(9):
+        pt = sys.at(q)
+        assert np.array_equal(christoffel(sys, q).values, pt.Gamma)
+        assert np.array_equal(sys.input_fields_matrix(q), pt.Y)
+        for a in range(sys.m):
+            assert np.array_equal(sys.input_field(a).jacobian_at(q), pt.JY[a])
+
+
+@pytest.mark.parametrize(
+    "reads", [(), ("Y",), ("JY",), ("Gamma",), ("products",), ("products", "JY", "Gamma", "Y")]
+)
+def test_point_data_evaluates_the_model_once(reads):
+    calls = {"inertia": 0, "dinertia": 0}
+
+    def counted(name, fn):
+        def wrapper(q):
+            calls[name] += 1
+            return fn(q)
+
+        return wrapper
+
+    sys = random_polynomial_system()
+    sys = dataclasses.replace(
+        sys, inertia=counted("inertia", sys.inertia), dinertia=counted("dinertia", sys.dinertia)
+    )
+    pt = sys.at(kernel_points()[0])
+    for name in reads + reads:  # a second read computes nothing
+        getattr(pt, name)
+    assert calls["inertia"] == 1
+    assert calls["dinertia"] <= 1
+    # the finite-difference twin takes dM from inertia; reading adds no calls
+    calls["inertia"] = 0
+    twin = random_polynomial_system(analytic=False)
+    pt = dataclasses.replace(twin, inertia=counted("inertia", twin.inertia)).at(kernel_points()[0])
+    built = calls["inertia"]
+    for name in reads:
+        getattr(pt, name)
+    assert calls["inertia"] == built

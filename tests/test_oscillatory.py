@@ -307,3 +307,42 @@ def test_convergence_errors_shrink_with_epsilon():
     assert len(lines) == 4
     assert lines[1].endswith("nan")
 
+
+
+def test_cli_and_convergence_study_use_one_substep_rule(tmp_path, capsys, monkeypatch):
+    """An epsilon member is integrated at the same step by `geoctrl run`
+    (oscillatory-track) and by convergence_study."""
+    from geoctrl import cli, oscillatory
+
+    class Stop(Exception):
+        pass
+
+    steps = {}
+
+    def recording(caller):
+        def simulate(sys, law, x0, t0, t1, cfg):
+            steps[caller] = cfg.dt
+            raise Stop
+
+        return simulate
+
+    monkeypatch.setattr(cli, "simulate", recording("cli"))
+    monkeypatch.setattr(oscillatory, "simulate", recording("library"))
+    sys = make("pvtol", gravity=0.0)
+    gains = AveragedGains.constant([0.2, -0.1], {(0, 1): 0.5})
+    x0 = State(q=np.zeros(3), qdot=np.zeros(3))
+    members = [(0.1, 0.01), (0.05, 0.01), (0.013, 0.02), (1.0 / TWO_PI, 0.01), (5.0, 0.01)]
+    for eps, dt_avg in members:
+        config = tmp_path / "track.yaml"
+        config.write_text(
+            "experiment: oscillatory-track\n"
+            "model: {name: pvtol, parameters: {gravity: 0.0}}\n"
+            f"oscillatory_track:\n  epsilon: {eps!r}\n  t1: 0.1\n  dt_avg: {dt_avg!r}\n"
+            "  gains: {z: [{type: const, value: 0.2}, {type: const, value: -0.1}],"
+            " pairs: [{pair: [1, 2], type: const, value: 0.5}]}\n"
+        )
+        cli.main(["run", str(config), "--out", str(tmp_path / "o")])
+        capsys.readouterr()
+        with pytest.raises(Stop):
+            convergence_study(sys, gains, x0, 0.1, [eps, eps / 2], dt_avg=dt_avg)
+        assert steps.pop("cli") == steps.pop("library")

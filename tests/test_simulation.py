@@ -231,6 +231,23 @@ def test_blocked_reconstruction_matches_per_sample_oracle(sys):
     assert_allclose(rec.times, traj.times[1:-1], rtol=0, atol=0)
 
 
+def test_reconstruction_names_the_first_asymmetric_sample():
+    # M(q) loses its symmetry once q1 > 0.5; mass() and the blocked path share one check
+    sys = MechanicalSystem(
+        n=2,
+        m=1,
+        inertia=lambda q: np.array([[1.0, 0.1 * (q[0] > 0.5)], [0.0, 1.0]]),
+        input_covectors=[lambda q: np.array([1.0, 0.0])],
+    )
+    qs = np.column_stack([np.arange(11) / 10, np.zeros(11)])
+    traj = Trajectory(t0=0.0, t1=1.0, dt=0.1, qs=qs, qds=np.zeros_like(qs), us=np.zeros((11, 1)))
+    message = r"asymmetric at q=\[0\.6, 0\.0\] \(\|M - M\^T\| = 1\.000e-01\)"
+    with pytest.raises(ValueError, match=message):
+        reconstruct_inputs(sys, traj)
+    with pytest.raises(ValueError, match=r"asymmetric at q=\[0\.6, 0\.0\]"):
+        sys.mass(qs[6])
+
+
 def test_csv_roundtrip(tmp_path):
     sys = make("pvtol")
     law = ControlLaw.constant([9.81, 0.0])
