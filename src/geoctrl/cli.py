@@ -74,12 +74,21 @@ def _get(cfg, key, default=None, required=False):
 
 
 def _number(cfg, key, default=None, required=False, cast=float):
-    """cfg[key] (or default) through cast; ConfigError naming key if it is not numeric."""
+    """cfg[key] (or default) through cast; ConfigError naming key unless it is all finite numbers."""
     value = _get(cfg, key, default, required)
     try:
-        return cast(value)
-    except (TypeError, ValueError):
+        number = cast(value)
+        finite = np.isfinite(number).all()
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"'{key}' must be numeric, got {value!r}") from None
+    _require(finite, f"'{key}' must be finite, got {value!r}")
+    return number
+
+
+def _list(cfg, key, default=None, required=False):
+    value = _get(cfg, key, default, required)
+    _require(isinstance(value, list), f"'{key}' must be a list, got {value!r}")
+    return value
 
 
 _floats = functools.partial(np.asarray, dtype=float)
@@ -112,16 +121,18 @@ def parse_signal(spec):
 
 def parse_gains(spec, m):
     _require(isinstance(spec, dict), "gains must be a mapping with keys z / pairs")
-    zspecs = spec.get("z", [])
+    zspecs = _list(spec, "z", [])
     _require(len(zspecs) <= m, f"too many z gains for m={m}")
     z = [parse_signal(s) for s in zspecs]
     z += [lambda t: 0.0] * (m - len(z))
     pairs = {}
-    for item in spec.get("pairs", []):
+    for item in _list(spec, "pairs", []):
         _require(
             isinstance(item, dict) and "pair" in item, "pair gain needs a 'pair' key"
         )
-        a, b = _number(item, "pair", cast=_ints)
+        pair = _number(item, "pair", cast=_ints)
+        _require(len(pair) == 2, f"'pair' must be two input indices, got {item['pair']!r}")
+        a, b = pair
         _require(1 <= a < b <= m, f"bad pair {item['pair']} for m={m}")
         body = {k: v for k, v in item.items() if k != "pair"}
         pairs[(a - 1, b - 1)] = parse_signal(body)
@@ -130,7 +141,9 @@ def parse_gains(spec, m):
 
 def parse_model(cfg):
     spec = _get(cfg, "model", required=True)
-    _require(isinstance(spec, dict) and "name" in spec, "model needs a 'name'")
+    _require(isinstance(spec, dict) and isinstance(spec.get("name"), str), "model needs a 'name' string")
+    for key in spec:
+        _require(key in ("name", "parameters", "actuators"), f"unknown model key {key!r}")
     params = spec.get("parameters") or {}
     _require(isinstance(params, dict), "model parameters must be a mapping")
     desc = ModelDescriptor(
@@ -186,7 +199,7 @@ def _exp_simulate(cfg, sys, outdir):
     t0 = _number(spec, "t0", 0.0)
     t1 = _number(spec, "t1", required=True)
     x0 = parse_state(spec, sys.n)
-    specs = _get(spec, "controls", required=True)
+    specs = _list(spec, "controls", required=True)
     _require(len(specs) == sys.m, f"need {sys.m} control specs, got {len(specs)}")
     signals = [parse_signal(s) for s in specs]
     law = ControlLaw.of_time(lambda t: np.array([s(t) for s in signals]))
@@ -237,10 +250,12 @@ def _exp_decoupling(cfg, sys, outdir):
     spec = cfg.get("decoupling") or {}
     q = _number(spec, "q", required=True, cast=_floats)
     _require(q.shape == (sys.n,), f"q must have length {sys.n}")
+    depth = _number(spec, "depth", 2, cast=int)
+    _require(depth >= 1, f"'depth' must be >= 1, got {depth}")
     report, cands = kinematic_controllability(
         sys,
         q,
-        max_depth=_number(spec, "depth", 2, cast=int),
+        max_depth=depth,
         tol=_number(spec, "tol", 1e-8),
         seed=_number(spec, "seed", 0, cast=int),
     )
@@ -257,6 +272,7 @@ def _exp_larc(cfg, sys, outdir):
     _require(q.shape == (sys.n,), f"q must have length {sys.n}")
     fields = [sys.input_field(a) for a in range(sys.m)]
     depth, tol = _number(spec, "depth", 2, cast=int), _number(spec, "tol", 1e-8)
+    _require(depth >= 1, f"'depth' must be >= 1, got {depth}")
     report = larc_rank(fields, q, max_depth=depth, tol=tol, n=sys.n)
     _write_json(outdir / "controllability.json", report.as_dict())
     return ["controllability.json"], {"rank": report.rank, "verdict": report.verdict}
@@ -270,6 +286,7 @@ def _exp_oscillatory_track(cfg, sys, outdir):
     gains = parse_gains(_get(spec, "gains", required=True), sys.m)
     x0 = parse_state(spec, sys.n)
     dt_avg = _number(spec, "dt_avg", 1e-2)
+    _require(dt_avg > 0, f"'dt_avg' must be positive, got {dt_avg}")
     sub = member_substeps(dt_avg, eps)
     control = synthesize_controls(sys, gains, eps)
     true_traj = simulate(
@@ -298,7 +315,9 @@ def _exp_convergence(cfg, sys, outdir):
     t1 = _number(spec, "t1", required=True)
     gains = parse_gains(_get(spec, "gains", required=True), sys.m)
     x0 = parse_state(spec, sys.n)
-    study = convergence_study(sys, gains, x0, t1, eps, dt_avg=_number(spec, "dt_avg", 1e-2))
+    dt_avg = _number(spec, "dt_avg", 1e-2)
+    _require(dt_avg > 0, f"'dt_avg' must be positive, got {dt_avg}")
+    study = convergence_study(sys, gains, x0, t1, eps, dt_avg=dt_avg)
     study.write_csv(outdir / "convergence.csv")
     return ["convergence.csv"], {"slope": study.slope, "errors": study.errors.tolist()}
 
@@ -325,7 +344,9 @@ def cmd_run(args):
     try:
         cfg = load_config(args.config)
         desc, sysm = parse_model(cfg)
-        outdir = Path(args.out) if args.out else Path(_get(cfg, "output", "geoctrl-out"))
+        output = _get(cfg, "output", "geoctrl-out")
+        _require(isinstance(output, str), f"'output' must be a directory name, got {output!r}")
+        outdir = Path(args.out or output)
     except (ConfigError, GeoctrlError) as e:
         _emit_error(e, "config")
         return 2

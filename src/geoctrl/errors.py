@@ -47,6 +47,14 @@ class RankDeficientInputsError(GeoctrlError):
         super().__init__(f"input vector fields are rank deficient{where}")
 
 
+class BranchVanishedError(GeoctrlError):
+    """A tracked decoupling field has no solution direction left at q."""
+
+    def __init__(self, q):
+        self.q = np.asarray(q)
+        super().__init__(f"decoupling branch vanished at q={self.q.tolist()}")
+
+
 class SpanAssumptionError(GeoctrlError):
     """A diagonal symmetric product leaves the span of the input fields.
 

@@ -24,6 +24,7 @@ from scipy.linalg.lapack import dgeqrf, dorgqr
 from scipy.optimize import least_squares
 
 from .errors import (
+    BranchVanishedError,
     NonFiniteStateError,
     RankDeficientInputsError,
     ResidualViolationError,
@@ -39,6 +40,8 @@ from .simulation import (
     ReconstructionResult,
     Trajectory,
     _check_grid,
+    _record_stage_one,
+    _rk4,
     reconstruct_inputs,
 )
 
@@ -226,9 +229,7 @@ def candidate_from_direction(
             h = ref[0]
         else:
             if not sol.directions:
-                raise ValueError(
-                    f"decoupling branch vanished at q={np.asarray(q).tolist()}"
-                )
+                raise BranchVanishedError(q)
             h = max(sol.directions, key=lambda d: abs(d @ ref[0]))
             if h @ ref[0] < 0:
                 h = -h
@@ -449,22 +450,13 @@ def kinematic_plan(
         T = seg.scaling.T
         steps = _check_grid(0.0, T, cfg.dt)
 
-        ds = 1.0 / _PATH_STEPS
-        path = np.empty((_PATH_STEPS + 1, sys.n))
-        vel = np.empty_like(path)  # dQ/ds at the arc nodes
-        x = q.copy()
-        path[0] = x
-        for i in range(_PATH_STEPS):
-            k1 = seg.sign * seg.candidate.field(x)
-            vel[i] = k1
-            k2 = seg.sign * seg.candidate.field(x + 0.5 * ds * k1)
-            k3 = seg.sign * seg.candidate.field(x + 0.5 * ds * k2)
-            k4 = seg.sign * seg.candidate.field(x + ds * k3)
-            x = x + (ds / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.isfinite(x).all():
-                raise NonFiniteStateError(t_total + _time_of_arc(seg.scaling, (i + 1) * ds))
-            path[i + 1] = x
-        vel[_PATH_STEPS] = seg.sign * seg.candidate.field(x)
+        vel = np.empty((_PATH_STEPS + 1, sys.n))  # dQ/ds at the arc nodes
+        rhs = _record_stage_one(lambda s, x: seg.sign * seg.candidate.field(x), vel)
+        try:  # _rk4 stamps errors with the arc parameter s
+            path = _rk4(rhs, q, 0.0, 1.0 / _PATH_STEPS, _PATH_STEPS)
+        except NonFiniteStateError as e:
+            raise NonFiniteStateError(t_total + _time_of_arc(seg.scaling, e.t)) from None
+        vel[-1] = seg.sign * seg.candidate.field(path[-1])
 
         s_nodes = np.linspace(0.0, 1.0, _PATH_STEPS + 1)
         q_of_s = CubicHermiteSpline(s_nodes, path, vel)

@@ -4,22 +4,25 @@ Registry
 --------
 flat         n=2 point mass, M = I, direct forces.  Sanity/test model.
 planar-body  n=3 rigid body in the horizontal plane, q = (x, y, theta),
-             M = diag(mass, mass, inertia).  Canonical inputs: body-frame
-             force through the center of mass along body-x (1) and body-y
-             (2), pure torque (3), and a body-x force applied at the
-             lateral offset point (0, offset) in the body frame (4); the
-             offset force carries the induced torque -offset.
+             M = diag(mass, mass, inertia).  Canonical inputs (body-frame
+             (bx, by, btau), below): force through the center of mass
+             along body-x (1, 0, 0) and body-y (0, 1, 0), pure torque
+             (0, 0, 1), and a body-x force applied at the lateral offset
+             point (0, offset), with its induced torque: (1, 0, -offset).
 blimp        planar-body plus isotropic linear damping k(q) = -drag * I,
              a crude hull-drag model.  Default actuators (1, 3): body-x
              force and torque, an underactuated configuration.
 pvtol        planar VTOL aircraft, q = (x, y, theta), M = diag(mass, mass,
              inertia).  Input 1 is unit thrust along the body vertical
-             axis (-sin theta, cos theta, 0); input 2 is a rolling moment
-             with the characteristic lateral-force coupling: (coupling *
-             cos theta, coupling * sin theta, 1).  Optional gravity
-             potential mass * gravity * y.
+             axis (0, 1, 0); input 2 is a rolling moment with the
+             characteristic lateral-force coupling (coupling, 0, 1).
+             Optional gravity potential mass * gravity * y.
 three-link   planar manipulator with three revolute joints, torque inputs
              at a selectable subset of joints (default joints (1, 2)).
+
+A body-frame force (bx, by) and moment btau acts at heading q[2] as the
+covector F(q) = (c bx - s by, s bx + c by, btau), c, s = cos q[2], sin q[2];
+dF/dq is zero except column 2, (-s bx - c by, c bx - s by, 0).
 
 Three-link derivation (standard Lagrangian composition): with relative
 joint angles q and absolute link angles theta = L q, L lower-triangular
@@ -90,8 +93,10 @@ class ModelDescriptor:
         acts = self.actuators if self.actuators is not None else entry["default_actuators"]
         acts = tuple(int(a) for a in acts)
         n_inputs = len(entry["input_names"])
-        if len(acts) == 0:
-            raise ConfigError("actuator subset must be non-empty")
+        if not 1 <= len(acts) <= entry["n"]:
+            raise ConfigError(
+                f"'actuators' must pick 1..{entry['n']} inputs of model '{self.name}', got {acts}"
+            )
         if len(set(acts)) != len(acts):
             raise ConfigError(f"duplicate actuator indices in {acts}")
         for a in acts:
@@ -177,54 +182,29 @@ _register(
 # -- planar rigid body / blimp ---------------------------------------------
 
 
-def _planar_covector_table(params):
-    """(F_a(q), dF_a/dq) builders for the 4 canonical planar-body inputs."""
-    d = params["offset"]
+def _body_covector(bx, by, btau):
+    """(F, dF) of the body-frame force (bx, by) and moment btau at heading q[2]."""
 
-    def fx(q):
-        c, s = np.cos(q[2]), np.sin(q[2])
-        return np.array([c, s, 0.0])
+    # float(): the scalar arithmetic costs less on Python floats than on numpy scalars
+    def F(q):
+        c, s = float(np.cos(q[2])), float(np.sin(q[2]))
+        return np.array([c * bx - s * by, s * bx + c * by, btau])
 
-    def dfx(q):
-        c, s = np.cos(q[2]), np.sin(q[2])
+    def dF(q):
+        c, s = float(np.cos(q[2])), float(np.sin(q[2]))
         J = np.zeros((3, 3))
-        J[:, 2] = [-s, c, 0.0]
+        J[:, 2] = [-s * bx - c * by, c * bx - s * by, 0.0]
         return J
 
-    def fy(q):
-        c, s = np.cos(q[2]), np.sin(q[2])
-        return np.array([-s, c, 0.0])
-
-    def dfy(q):
-        c, s = np.cos(q[2]), np.sin(q[2])
-        J = np.zeros((3, 3))
-        J[:, 2] = [-c, -s, 0.0]
-        return J
-
-    def torque(q):
-        return np.array([0.0, 0.0, 1.0])
-
-    def dtorque(q):
-        return np.zeros((3, 3))
-
-    def fx_off(q):
-        c, s = np.cos(q[2]), np.sin(q[2])
-        return np.array([c, s, -d])
-
-    def dfx_off(q):
-        c, s = np.cos(q[2]), np.sin(q[2])
-        J = np.zeros((3, 3))
-        J[:, 2] = [-s, c, 0.0]
-        return J
-
-    return [(fx, dfx), (fy, dfy), (torque, dtorque), (fx_off, dfx_off)]
+    return F, dF
 
 
 def _build_planar(params, acts, drag=0.0, name="planar-body"):
     mass, J = params["mass"], params["inertia"]
     M = np.diag([mass, mass, J])
     zero3 = np.zeros((3, 3, 3))
-    table = _planar_covector_table(params)
+    forces = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (1.0, 0.0, -params["offset"]))
+    table = [_body_covector(*f) for f in forces]
     covs = [table[a - 1][0] for a in acts]
     dcovs = [table[a - 1][1] for a in acts]
     damping = None
@@ -272,28 +252,7 @@ def _build_pvtol(params, acts):
     mass, J, eps0, g = params["mass"], params["inertia"], params["coupling"], params["gravity"]
     M = np.diag([mass, mass, J])
     zero3 = np.zeros((3, 3, 3))
-
-    def thrust(q):
-        c, s = np.cos(q[2]), np.sin(q[2])
-        return np.array([-s, c, 0.0])
-
-    def dthrust(q):
-        c, s = np.cos(q[2]), np.sin(q[2])
-        Jm = np.zeros((3, 3))
-        Jm[:, 2] = [-c, -s, 0.0]
-        return Jm
-
-    def roll(q):
-        c, s = np.cos(q[2]), np.sin(q[2])
-        return np.array([eps0 * c, eps0 * s, 1.0])
-
-    def droll(q):
-        c, s = np.cos(q[2]), np.sin(q[2])
-        Jm = np.zeros((3, 3))
-        Jm[:, 2] = [-eps0 * s, eps0 * c, 0.0]
-        return Jm
-
-    table = [(thrust, dthrust), (roll, droll)]
+    table = [_body_covector(0.0, 1.0, 0.0), _body_covector(eps0, 0.0, 1.0)]
     covs = [table[a - 1][0] for a in acts]
     dcovs = [table[a - 1][1] for a in acts]
     potential = None

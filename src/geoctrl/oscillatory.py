@@ -185,6 +185,22 @@ def fast_parts(gains: AveragedGains):
     return [w(a) for a in range(m)]
 
 
+def _stacked(ws):
+    def fast(tau, t):
+        # (m,) for scalar tau, (m, len(tau)) for array tau
+        return np.stack([np.asarray(w(tau, t), dtype=float) for w in ws])
+
+    return fast
+
+
+def _drift(gains: AveragedGains, t):
+    """The <Y_a : Y_a> drift 1/2 (a + sum_{c>a} z_ac(t)^2) of the fast parts, a 0-based."""
+    m = gains.m
+    return np.array(
+        [0.5 * (a + sum(gains.pair_gain(a, c)(t) ** 2 for c in range(a + 1, m))) for a in range(m)]
+    )
+
+
 @dataclass(frozen=True)
 class SpanCoefficients:
     """alpha(q) with <Y_a : Y_a>(q) = sum_b alpha[a, b] Y_b(q), by least squares.
@@ -269,25 +285,13 @@ def synthesize_controls(
         raise ValueError(f"gains are for m={gains.m}, system has m={sys.m}")
     if not 0.0 < epsilon:
         raise ValueError("epsilon must be positive")
-    m = sys.m
     coeffs = SpanCoefficients(sys=sys, tol=span_tol)
-    ws = fast_parts(gains)
-
-    def fast(tau, t):
-        # (m,) for scalar tau, (m, len(tau)) for array tau
-        return np.stack([np.asarray(ws[a](tau, t), dtype=float) for a in range(m)])
 
     def slow(t, q):
         alpha = coeffs.check(q)
-        drift = np.array(
-            [
-                b + sum(gains.pair_gain(b, c)(t) ** 2 for c in range(b + 1, m))
-                for b in range(m)
-            ]
-        )
-        return np.array([gains.z[a](t) for a in range(m)]) + 0.5 * (alpha.T @ drift)
+        return np.array([z(t) for z in gains.z]) + alpha.T @ _drift(gains, t)
 
-    return OscillatoryControl(slow=slow, fast=fast, epsilon=epsilon, period=T)
+    return OscillatoryControl(slow=slow, fast=_stacked(fast_parts(gains)), epsilon=epsilon, period=T)
 
 
 # -- the averaged system --------------------------------------------------------
@@ -340,22 +344,18 @@ def averaged_system(sys: MechanicalSystem, gains: AveragedGains) -> AveragedSyst
     return AveragedSystem(sys=sys, gains=gains)
 
 
-def _ubar_table(fast, m, T, t, nodes=NODES_PER_PERIOD):
-    """First- and second-order Ubar of the fast parts at time t.
+def _ubar_table(fast, T, t, nodes=NODES_PER_PERIOD):
+    """First- and second-order Ubar at time t of the fast parts fast(tau, t),
+    an (m, len(tau)) array for array tau.
 
     Returns (U1, U2): U1[a] = Ubar_{e_a}, U2[a, b] = Ubar_{e_a + e_b}
     (with the 1/2! factor on the diagonal)."""
     tau = _tau_grid(T, nodes)
     dx = tau[1] - tau[0]
-    W = np.array([cumulative_simpson_uniform(_eval_signal(fast[a], tau, t), dx) for a in range(m)])
+    W = cumulative_simpson_uniform(fast(tau, t), dx, axis=1)
     U1 = simpson_uniform(W, dx, axis=1) / T
-    U2 = np.empty((m, m))
-    for a in range(m):
-        for b in range(a, m):
-            val = simpson_uniform(W[a] * W[b], dx) / T
-            if a == b:
-                val *= 0.5
-            U2[a, b] = U2[b, a] = val
+    U2 = simpson_uniform(W[:, None] * W[None], dx, axis=2) / T
+    U2[np.diag_indices(len(W))] *= 0.5
     return U1, U2
 
 
@@ -365,13 +365,13 @@ def general_averaged_forcing(sys: MechanicalSystem, control: OscillatoryControl,
     Independent of the synthesis shortcuts: evaluates the Ubar integrals
     of the control's fast part by quadrature at each t and assembles
     sum_a v_a Y_a + sum_a (1/2 U1_a^2 - U2_aa) <Y_a:Y_a>
-    + sum_{a<b} (U1_a U1_b - U2_ab) <Y_a:Y_b>.  Use with simulate_forced.
+    + sum_{a<b} (U1_a U1_b - U2_ab) <Y_a:Y_b>.  Use with simulate_forced;
+    control.fast must accept an array tau, as synthesize_controls' does.
     """
     m = sys.m
-    fast = [lambda tau, t, _a=a: control.fast(tau, t)[_a] for a in range(m)]
 
     def forcing(t, q, qd=None):
-        U1, U2 = _ubar_table(fast, m, control.period, t, nodes)
+        U1, U2 = _ubar_table(control.fast, control.period, t, nodes)
         pt = sys.at(q)
         S = pt.products
         out = pt.Y @ control.slow(t, q)
@@ -405,42 +405,28 @@ def synthesis_audit(
     if times is None:
         rng = np.random.default_rng(seed)
         times = np.sort(rng.uniform(0.0, 10.0, size=20))
-    ws = fast_parts(gains)
-    pair_records = {key: {"coefficient": [], "target": []} for key in gains.pair_keys()}
-    diag_records = [{"coefficient": [], "target": []} for _ in range(m)]
-    mean_worst = 0.0
-    for t in times:
-        U1, U2 = _ubar_table(ws, m, T, float(t), nodes)
-        mean_worst = max(mean_worst, float(np.max(np.abs(U1))))
-        for (a, b) in gains.pair_keys():
-            pair_records[(a, b)]["coefficient"].append(float(U1[a] * U1[b] - U2[a, b]))
-            pair_records[(a, b)]["target"].append(float(gains.pair_gain(a, b)(t)))
-        for a in range(m):
-            drift = 0.5 * (a + sum(gains.pair_gain(a, c)(t) ** 2 for c in range(a + 1, m)))
-            diag_records[a]["coefficient"].append(float(U2[a, a]))
-            diag_records[a]["target"].append(float(drift))
-    pairs = []
-    for (a, b), rec in pair_records.items():
-        diff = float(np.max(np.abs(np.array(rec["coefficient"]) - np.array(rec["target"]))))
-        pairs.append(
-            {
-                "pair": [a + 1, b + 1],
-                "coefficient": rec["coefficient"],
-                "target": rec["target"],
-                "difference": diff,
-            }
+    fast = _stacked(fast_parts(gains))
+    tables = [_ubar_table(fast, T, float(t), nodes) for t in times]
+    drifts = [_drift(gains, t) for t in times]
+
+    def record(coefficient, target, **key):
+        coefficient, target = [float(c) for c in coefficient], [float(x) for x in target]
+        diff = float(np.max(np.abs(np.array(coefficient) - np.array(target))))
+        return {**key, "coefficient": coefficient, "target": target, "difference": diff}
+
+    pairs = [
+        record(
+            [U1[a] * U1[b] - U2[a, b] for U1, U2 in tables],
+            [gains.pair_gain(a, b)(t) for t in times],
+            pair=[a + 1, b + 1],
         )
-    diagonal = []
-    for a, rec in enumerate(diag_records):
-        diff = float(np.max(np.abs(np.array(rec["coefficient"]) - np.array(rec["target"]))))
-        diagonal.append(
-            {
-                "input": a + 1,
-                "coefficient": rec["coefficient"],
-                "target": rec["target"],
-                "difference": diff,
-            }
-        )
+        for (a, b) in gains.pair_keys()
+    ]
+    diagonal = [
+        record([U2[a, a] for _, U2 in tables], [d[a] for d in drifts], input=a + 1)
+        for a in range(m)
+    ]
+    mean_worst = max([0.0] + [float(np.max(np.abs(U1))) for U1, _ in tables])
     worst = max(
         [p["difference"] for p in pairs] + [d["difference"] for d in diagonal] + [0.0]
     )

@@ -203,8 +203,10 @@ def dynamics_rhs(sys: MechanicalSystem, state: State, u) -> np.ndarray:
 
 
 def _check_grid(t0, t1, dt):
-    """Number of dt steps in [t0, t1]; ConfigError unless dt divides it."""
+    """Number of dt steps in [t0, t1]; ConfigError unless it is finite, >= 0 and whole."""
     steps = (t1 - t0) / dt
+    if not 0.0 <= steps < np.inf:
+        raise ConfigError(f"t1={t1} must be finite and not before t0={t0}")
     if abs(steps - round(steps)) > 1e-12 * max(1.0, abs(steps)):
         raise ConfigError(f"dt={dt} does not divide the horizon {t1 - t0}")
     return int(round(steps))

@@ -291,7 +291,7 @@ def test_criterion_09_identical_runs_byte_identical(tmp_path, capsys):
     cfg = tmp_path / "run.yaml"
     cfg.write_text(
         "experiment: simulate\n"
-        "model: {name: pvtol, gravity: 0.0}\n"
+        "model: {name: pvtol}\n"
         "integrator: {dt: 0.002}\n"
         "simulate:\n"
         "  t1: 1.0\n"

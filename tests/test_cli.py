@@ -349,3 +349,71 @@ def test_non_numeric_config_value_is_config_error(tmp_path, capsys, case, comman
     assert error["error"]["kind"] == "config"
     assert f"'{key}' must be numeric" in error["error"]["message"]
     assert not (out / "run_manifest.json").exists()
+
+
+OSC_TRACK = dedent(
+    """\
+    experiment: oscillatory-track
+    model: {name: blimp}
+    oscillatory-track:
+      epsilon: 0.1
+      t1: 0.3
+      gains:
+        z: [{type: const, value: 0.2}]
+        pairs: [{pair: [1, 2], type: const, value: 0.5}]
+    """
+)
+CONVERGENCE = dedent(
+    """\
+    experiment: convergence
+    model: {name: flat}
+    convergence: {epsilons: [0.2, 0.1], t1: 0.5, gains: {z: [{type: const, value: 0.0}]}}
+    """
+)
+LARC = "experiment: larc\nmodel: {name: three-link}\nlarc: {q: [0.3, -0.2, 0.9]}\n"
+DECOUPLING = LARC.replace("larc", "decoupling")
+
+# case: (base config, old text, new text, key the error names, commands)
+BAD_CONFIG = {
+    "too-many-actuators": (
+        FLAT_SIM, "model: {name: flat}", "model: {name: blimp, actuators: [1, 2, 3, 4]}",
+        "actuators", ("run", "validate"),
+    ),
+    "name-not-string": (FLAT_SIM, "{name: flat}", "{name: [flat]}", "name", ("run", "validate")),
+    "output-not-string": (FLAT_SIM, "experiment:", "output: 5\nexperiment:", "output", ("run",)),
+    "unknown-model-key": (
+        FLAT_SIM, "{name: flat}", "{name: flat, gravity: 0.0}", "gravity", ("run", "validate"),
+    ),
+    "controls-not-list": (
+        FLAT_SIM, "controls: [{type: sinusoid, amplitude: 0.5, omega: 2.0}]", "controls: 5",
+        "controls", ("run",),
+    ),
+    "pair-of-three": (OSC_TRACK, "pair: [1, 2]", "pair: [1, 2, 3]", "pair", ("run",)),
+    "z-not-list": (OSC_TRACK, "z: [{type: const, value: 0.2}]", "z: 0.3", "z", ("run",)),
+    "larc-depth-0": (LARC, "0.9]}", "0.9], depth: 0}", "depth", ("run",)),
+    "decoupling-depth-0": (DECOUPLING, "0.9]}", "0.9], depth: 0}", "depth", ("run",)),
+    "track-dt-avg-negative": (OSC_TRACK, "t1: 0.3", "t1: 0.3\n  dt_avg: -0.01", "dt_avg", ("run",)),
+    "convergence-dt-avg-negative": (
+        CONVERGENCE, "t1: 0.5", "t1: 0.5, dt_avg: -0.01", "dt_avg", ("run",),
+    ),
+    "t1-negative": (FLAT_SIM, "t1: 1.0", "t1: -1.0", "t1", ("run",)),
+    "t1-nan": (FLAT_SIM, "t1: 1.0", "t1: .nan", "t1", ("run",)),
+    "epsilon-inf": (OSC_TRACK, "epsilon: 0.1", "epsilon: .inf", "epsilon", ("run",)),
+}
+
+
+@pytest.mark.parametrize(
+    "case, command",
+    [(case, command) for case, spec in BAD_CONFIG.items() for command in spec[-1]],
+)
+def test_bad_config_shape_or_range_is_config_error(tmp_path, capsys, monkeypatch, case, command):
+    base, old, new, key, _ = BAD_CONFIG[case]
+    assert old in base
+    monkeypatch.chdir(tmp_path)  # the output-not-string case writes nowhere else
+    rc = main([command, write(tmp_path, base.replace(old, new, 1))])
+    _, err = capsys.readouterr()
+    assert rc == 2
+    error = json.loads(err)  # one JSON line, no traceback
+    assert error["error"]["kind"] == "config"
+    assert key in error["error"]["message"]
+    assert not list(tmp_path.rglob("run_manifest.json"))

@@ -23,8 +23,15 @@ from geoctrl import (
     make,
     quadratic_forms,
 )
-from geoctrl.errors import RankDeficientInputsError, ResidualViolationError
-from geoctrl.kinematic import _span_projector
+from geoctrl import kinematic
+from geoctrl.errors import (
+    BranchVanishedError,
+    GeoctrlError,
+    NonFiniteStateError,
+    RankDeficientInputsError,
+    ResidualViolationError,
+)
+from geoctrl.kinematic import _PATH_STEPS, _span_projector
 
 
 # -- time scalings -------------------------------------------------------------
@@ -419,3 +426,68 @@ def test_plan_dt_must_divide_segment():
     seg = PlanSegment(candidate=cand, sign=1.0, scaling=TimeScaling.cubic(1.0))
     with pytest.raises(ValueError, match="divide"):
         kinematic_plan(sys, [seg], q0, IntegratorConfig(dt=3e-4))
+
+
+def test_vanished_branch_is_typed_error(monkeypatch):
+    sys = make("three-link")
+    q0 = np.array([0.4, 0.9, -1.3])
+    h0 = find_decoupling_fields(sys, q0).directions[0]
+    real = kinematic.find_decoupling_fields
+    calls = []
+
+    def directions_only_once(sys, q, **kwargs):
+        sol = real(sys, q, **kwargs)
+        calls.append(q)
+        return sol if len(calls) == 1 else dataclasses.replace(sol, directions=[])
+
+    monkeypatch.setattr(kinematic, "find_decoupling_fields", directions_only_once)
+    cand = candidate_from_direction(sys, q0, h0)
+    cand.field(q0)
+    q1 = q0 + 0.01
+    with pytest.raises(BranchVanishedError) as ei:
+        cand.field(q1)
+    assert isinstance(ei.value, GeoctrlError)
+    assert np.array_equal(ei.value.q, q1)
+
+
+def constant_segment(v, T, calls, nan_after=None):
+    """A plan segment along the constant field v that counts its calls and,
+    after nan_after of them, returns NaN."""
+
+    def ev(q):
+        calls.append(q)
+        if nan_after is not None and len(calls) > nan_after:
+            return np.full(3, np.nan)
+        return np.array(v, dtype=float)
+
+    cand = DecouplingCandidate(coefficients=lambda q: np.ones(1), field=VectorField(eval=ev))
+    return PlanSegment(candidate=cand, sign=1.0, scaling=TimeScaling.cubic(T))
+
+
+def test_path_ode_walks_each_field_once_per_rk4_stage():
+    calls1, calls2 = [], []
+    segs = [
+        constant_segment([1.0, 0.0, 0.0], 1.0, calls1),
+        constant_segment([0.0, 2.0, 0.0], 0.5, calls2),
+    ]
+    traj = kinematic_plan(
+        make("planar-body"), segs, np.zeros(3), IntegratorConfig(dt=1e-2), validate=False
+    )
+    assert len(calls1) == len(calls2) == 4 * _PATH_STEPS + 1
+    assert_allclose(traj.qs[-1], [1.0, 2.0, 0.0], rtol=0, atol=1e-12)
+
+
+def test_path_ode_nan_field_reports_a_time_inside_its_segment():
+    first, second = [], []
+    segs = [
+        constant_segment([1.0, 0.0, 0.0], 1.0, first),
+        constant_segment([0.0, 1.0, 0.0], 2.0, second, nan_after=4 * (_PATH_STEPS // 2) + 2),
+    ]
+    with pytest.raises(NonFiniteStateError) as ei:
+        kinematic_plan(
+            make("planar-body"), segs, np.zeros(3), IntegratorConfig(dt=1e-2), validate=False
+        )
+    assert len(second) == 4 * (_PATH_STEPS // 2) + 3  # caught at the first NaN stage
+    # inside the second segment, at its arc midpoint s = 1/2 (t = 1 of its 2 s)
+    assert 1.0 < ei.value.t < 3.0
+    assert abs(ei.value.t - 2.0) < 0.01

@@ -38,6 +38,7 @@ def test_unknown_model_rejected():
         ModelDescriptor("three-link", actuators=(1, 4)),
         ModelDescriptor("three-link", actuators=(2, 2)),
         ModelDescriptor("flat", actuators=()),
+        ModelDescriptor("blimp", actuators=(1, 2, 3, 4)),
     ],
 )
 def test_bad_descriptors_rejected(desc):
@@ -184,6 +185,88 @@ def test_three_link_actuator_subset():
     F = sys.input_matrix(q)
     assert_allclose(F[:, 0], [1.0, 0.0, 0.0])
     assert_allclose(F[:, 1], [0.0, 0.0, 1.0])
+
+
+def hand_written_covectors(d, eps0):
+    """The per-input covector functions that preceded the shared body-frame
+    covector; kept as an oracle.  Returns the planar (F, dF) pairs for
+    inputs 1..4 with offset d and the pvtol pairs with coupling eps0."""
+
+    def fx(q):
+        c, s = np.cos(q[2]), np.sin(q[2])
+        return np.array([c, s, 0.0])
+
+    def dfx(q):
+        c, s = np.cos(q[2]), np.sin(q[2])
+        J = np.zeros((3, 3))
+        J[:, 2] = [-s, c, 0.0]
+        return J
+
+    def fy(q):
+        c, s = np.cos(q[2]), np.sin(q[2])
+        return np.array([-s, c, 0.0])
+
+    def dfy(q):
+        c, s = np.cos(q[2]), np.sin(q[2])
+        J = np.zeros((3, 3))
+        J[:, 2] = [-c, -s, 0.0]
+        return J
+
+    def torque(q):
+        return np.array([0.0, 0.0, 1.0])
+
+    def dtorque(q):
+        return np.zeros((3, 3))
+
+    def fx_off(q):
+        c, s = np.cos(q[2]), np.sin(q[2])
+        return np.array([c, s, -d])
+
+    def dfx_off(q):
+        c, s = np.cos(q[2]), np.sin(q[2])
+        J = np.zeros((3, 3))
+        J[:, 2] = [-s, c, 0.0]
+        return J
+
+    def thrust(q):
+        c, s = np.cos(q[2]), np.sin(q[2])
+        return np.array([-s, c, 0.0])
+
+    def dthrust(q):
+        c, s = np.cos(q[2]), np.sin(q[2])
+        Jm = np.zeros((3, 3))
+        Jm[:, 2] = [-c, -s, 0.0]
+        return Jm
+
+    def roll(q):
+        c, s = np.cos(q[2]), np.sin(q[2])
+        return np.array([eps0 * c, eps0 * s, 1.0])
+
+    def droll(q):
+        c, s = np.cos(q[2]), np.sin(q[2])
+        Jm = np.zeros((3, 3))
+        Jm[:, 2] = [-eps0 * s, eps0 * c, 0.0]
+        return Jm
+
+    planar = [(fx, dfx), (fy, dfy), (torque, dtorque), (fx_off, dfx_off)]
+    return planar, [(thrust, dthrust), (roll, droll)]
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [("planar-body", {}), ("blimp", {"offset": 0.37}), ("pvtol", {"coupling": 0.23})],
+)
+def test_body_frame_covectors_match_hand_written_oracle(name, params):
+    planar, pvtol = hand_written_covectors(params.get("offset", 1.0), params.get("coupling"))
+    oracle = pvtol if name == "pvtol" else planar
+    qs = random_configs(3, 200, seed=21, scale=4.0)
+    qs[0] = 0.0  # q[2] = 0: sin is exactly zero
+    qs[1, 2] = np.pi
+    for a, (F, dF) in enumerate(oracle, start=1):
+        sys = make(name, actuators=(a,), **params)
+        for q in qs:
+            assert np.array_equal(sys.input_covectors[0](q), F(q))
+            assert np.array_equal(sys.dinput_covectors[0](q), dF(q))
 
 
 def test_pvtol_roll_self_product_is_thrust_direction():

@@ -1,6 +1,7 @@
 """Oscillatory controls: iterated-integral averages, synthesis identities,
 the averaged system, and epsilon-convergence of the true dynamics."""
 
+import dataclasses
 import io
 import math
 
@@ -26,7 +27,8 @@ from geoctrl import (
     synthesize_controls,
 )
 from geoctrl.errors import SpanAssumptionError
-from geoctrl.oscillatory import TWO_PI
+from geoctrl.numutil import cumulative_simpson_uniform, simpson_uniform
+from geoctrl.oscillatory import TWO_PI, _eval_signal, _stacked, _tau_grid, _ubar_table
 
 
 # -- basis oscillations and averaged iterated integrals ------------------------
@@ -117,6 +119,45 @@ def test_diagonal_average_counts_lower_pairs():
     for a in range(3):
         val = averaged_iterated_integral([ws[a]], (2,), TWO_PI)
         assert abs(val - expected[a]) < 1e-8
+
+
+def ubar_table_oracle(fast, m, T, t, nodes=2001):
+    """The per-input, per-pair Ubar table that preceded the one-pass table;
+    kept as an oracle.  ``fast`` is a list of m signals w_a(tau, t)."""
+    tau = _tau_grid(T, nodes)
+    dx = tau[1] - tau[0]
+    W = np.array([cumulative_simpson_uniform(_eval_signal(fast[a], tau, t), dx) for a in range(m)])
+    U1 = simpson_uniform(W, dx, axis=1) / T
+    U2 = np.empty((m, m))
+    for a in range(m):
+        for b in range(a, m):
+            val = simpson_uniform(W[a] * W[b], dx) / T
+            if a == b:
+                val *= 0.5
+            U2[a, b] = U2[b, a] = val
+    return U1, U2
+
+
+@pytest.mark.parametrize(
+    "gains",
+    [
+        AveragedGains(
+            z=[lambda t: 0.0, lambda t: 0.1], z_pairs={(0, 1): lambda t: 0.8 * math.cos(t)}
+        ),
+        AveragedGains(
+            z=[lambda t: 0.0, lambda t: 0.1, lambda t: -0.2],
+            z_pairs={(0, 1): lambda t: 0.5 * math.sin(t), (1, 2): lambda t: 0.3 - 0.1 * t},
+        ),
+    ],
+    ids=["m2", "m3"],
+)
+def test_ubar_table_matches_per_pair_oracle_bitwise(gains):
+    ws = fast_parts(gains)
+    for t in (0.0, 0.4, 1.7, 3.0):
+        for nodes in (801, 2001):
+            U1, U2 = _ubar_table(_stacked(ws), TWO_PI, t, nodes)
+            want1, want2 = ubar_table_oracle(ws, gains.m, TWO_PI, t, nodes)
+            assert np.array_equal(U1, want1) and np.array_equal(U2, want2)
 
 
 # -- span coefficients ----------------------------------------------------------
@@ -251,6 +292,23 @@ def test_averaged_blimp_matches_term_by_term_quadrature():
     forcing = general_averaged_forcing(sys, control, nodes=801)
     alt = simulate_forced(sys, lambda t, q, qd: forcing(t, q), x0, 0.0, 1.0, cfg)
     assert np.max(np.abs(alt.qs - ref.qs)) < 1e-6
+
+
+def test_general_forcing_evaluates_fast_part_once_per_call():
+    sys = make("blimp")
+    control = synthesize_controls(sys, AveragedGains.constant([0.2, 0.0], {(0, 1): 0.6}), 0.05)
+    calls = []
+
+    def counting_fast(tau, t):
+        calls.append(t)
+        return control.fast(tau, t)
+
+    forcing = general_averaged_forcing(sys, control, nodes=801)
+    counted = general_averaged_forcing(sys, dataclasses.replace(control, fast=counting_fast), 801)
+    q = np.array([0.1, -0.2, 0.4])
+    for k, t in enumerate((0.0, 0.3, 1.1), start=1):
+        assert np.array_equal(counted(t, q), forcing(t, q))
+        assert calls == [0.0, 0.3, 1.1][:k]
 
 
 def test_averaged_gain_vector_is_recorded():

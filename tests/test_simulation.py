@@ -16,7 +16,7 @@ from geoctrl import (
     reconstruct_inputs,
     simulate,
 )
-from geoctrl.errors import NonFiniteStateError
+from geoctrl.errors import ConfigError, NonFiniteStateError
 from geoctrl.numutil import loglog_slope
 
 
@@ -96,6 +96,13 @@ def test_dt_must_divide_horizon():
     sys = make("flat")
     with pytest.raises(ValueError, match="divide"):
         simulate(sys, ControlLaw.zero(1), rest(2), 0.0, 1.0, IntegratorConfig(dt=3e-4))
+
+
+@pytest.mark.parametrize("t1", [-1.0, np.nan, np.inf])
+def test_horizon_must_be_finite_and_not_reversed(t1):
+    sys = make("flat")
+    with pytest.raises(ConfigError, match="t1"):
+        simulate(sys, ControlLaw.zero(1), rest(2), 0.0, t1, IntegratorConfig(dt=1e-2))
 
 
 def test_nonfinite_state_detected():
