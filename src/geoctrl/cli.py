@@ -99,9 +99,13 @@ def _ints(value):
 
 
 def _write_json(path, payload, **kwargs):
+    """payload as indented JSON; a NaN or infinity in it raises before the file is opened."""
+    try:
+        text = json.dumps(payload, indent=2, allow_nan=False, **kwargs)
+    except ValueError as e:
+        raise GeoctrlError(f"{path.name}: {e}") from None
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, **kwargs)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def parse_signal(spec):
@@ -283,6 +287,7 @@ def _exp_oscillatory_track(cfg, sys, outdir):
     eps = _number(spec, "epsilon", required=True)
     _require(eps > 0, "epsilon must be positive")
     t1 = _number(spec, "t1", required=True)
+    _require(t1 > 0, f"'t1' must be positive, got {t1}")
     gains = parse_gains(_get(spec, "gains", required=True), sys.m)
     x0 = parse_state(spec, sys.n)
     dt_avg = _number(spec, "dt_avg", 1e-2)
@@ -313,13 +318,15 @@ def _exp_convergence(cfg, sys, outdir):
     spec = cfg.get("convergence") or {}
     eps = parse_epsilons(spec)
     t1 = _number(spec, "t1", required=True)
+    _require(t1 > 0, f"'t1' must be positive, got {t1}")
     gains = parse_gains(_get(spec, "gains", required=True), sys.m)
     x0 = parse_state(spec, sys.n)
     dt_avg = _number(spec, "dt_avg", 1e-2)
     _require(dt_avg > 0, f"'dt_avg' must be positive, got {dt_avg}")
     study = convergence_study(sys, gains, x0, t1, eps, dt_avg=dt_avg)
     study.write_csv(outdir / "convergence.csv")
-    return ["convergence.csv"], {"slope": study.slope, "errors": study.errors.tolist()}
+    slope = study.slope if math.isfinite(study.slope) else None  # NaN: no slope (a zero error)
+    return ["convergence.csv"], {"slope": slope, "errors": study.errors.tolist()}
 
 
 _RUNNERS = {
@@ -355,6 +362,21 @@ def cmd_run(args):
     try:
         outdir.mkdir(parents=True, exist_ok=True)
         artifacts, results = _RUNNERS[tag](cfg, sysm, outdir)
+        manifest = {
+            "experiment": tag,
+            "config": cfg,
+            "model": {"name": desc.name, "n": sysm.n, "m": sysm.m},
+            "versions": {
+                "geoctrl": __version__,
+                "python": sys.version.split()[0],
+                "numpy": np.__version__,
+                "scipy": __import__("scipy").__version__,
+            },
+            "wall_time_s": time.time() - started,
+            "artifacts": artifacts,
+            "results": results,
+        }
+        _write_json(outdir / "run_manifest.json", manifest, default=float)
     except ConfigError as e:
         _emit_error(e, "config")
         return 2
@@ -364,21 +386,6 @@ def cmd_run(args):
     except Exception as e:  # never a stack dump
         _emit_error(e, "internal")
         return 3
-    manifest = {
-        "experiment": tag,
-        "config": cfg,
-        "model": {"name": desc.name, "n": sysm.n, "m": sysm.m},
-        "versions": {
-            "geoctrl": __version__,
-            "python": sys.version.split()[0],
-            "numpy": np.__version__,
-            "scipy": __import__("scipy").__version__,
-        },
-        "wall_time_s": time.time() - started,
-        "artifacts": artifacts,
-        "results": results,
-    }
-    _write_json(outdir / "run_manifest.json", manifest, default=float)
     print(json.dumps({"ok": True, "out": str(outdir), "artifacts": artifacts}))
     return 0
 

@@ -16,6 +16,8 @@ Conventions
 * dmass(q)[i, j, k] is dM_ij / dq^k.
 * Input vector fields are Y_a = M(q)^-1 F_a(q).
 * State-space (lifted) vector fields live on R^{2n} with x = (q, qdot).
+  They are :class:`VectorField`s too, one field type for both spaces,
+  tagged with a velocity homogeneity class ``hclass``.
 
 ``sys.at(q)`` is the one per-point kernel: a :class:`PointData` factors
 M(q) once, evaluates dM, and derives Y, dY, Gamma and the symmetric
@@ -42,15 +44,23 @@ SYMMETRY_TOL = 1e-12
 
 @dataclass(frozen=True)
 class VectorField:
-    """A configuration-space vector field q -> R^n with Jacobian access.
+    """A vector field q -> R^n with Jacobian access.
 
     ``jacobian`` returns the matrix d eval^i / d q^j; when omitted it is
     computed by central finite differences of ``eval`` with step ``h``.
+
+    On state space R^{2n}, x = (q, qdot), ``hclass`` tags velocity
+    homogeneity: the first n components are polynomial of degree j in
+    qdot and the last n of degree j+1, so under qdot -> lam * qdot they
+    scale by lam^j and lam^(j+1).  The geodesic spray has class 1, a
+    damping lift class 0 and an input lift class -1; Lie brackets add
+    classes.
     """
 
     eval: Callable[[np.ndarray], np.ndarray]
     jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
     h: float = DEFAULT_FD_STEP
+    hclass: Optional[int] = None
 
     def __call__(self, q):
         return np.asarray(self.eval(np.asarray(q, dtype=float)), dtype=float)
@@ -337,47 +347,20 @@ def lie_bracket(X: VectorField, Y: VectorField, q):
     return Y.jacobian_at(q) @ X(q) - X.jacobian_at(q) @ Y(q)
 
 
+def _symmetric_product(a, b, Ja, Jb, G):
+    """<A : B> = J_A b + J_B a + G(a, b) + G(b, a) from the values a, b of
+    A, B, their Jacobians Ja, Jb and the Christoffel symbols G."""
+    return Ja @ b + Jb @ a + np.einsum("ijk,j,k->i", G, a, b) + np.einsum("ijk,j,k->i", G, b, a)
+
+
 def symmetric_product(sys: MechanicalSystem, Ya: VectorField, Yb: VectorField, q):
     """<Ya : Yb> = nabla_Ya Yb + nabla_Yb Ya at q (symmetric in Ya, Yb)."""
     q = np.asarray(q, dtype=float)
-    a = Ya(q)
-    b = Yb(q)
-    gamma = christoffel(sys, q)
-    return (
-        Ya.jacobian_at(q) @ b
-        + Yb.jacobian_at(q) @ a
-        + gamma.bilinear(a, b)
-        + gamma.bilinear(b, a)
-    )
+    gamma = christoffel(sys, q).values
+    return _symmetric_product(Ya(q), Yb(q), Ya.jacobian_at(q), Yb.jacobian_at(q), gamma)
 
 
 # -- lifted (state-space) fields ------------------------------------------
-
-
-@dataclass(frozen=True)
-class LiftedVectorField:
-    """A vector field on state space R^{2n}, x = (q, qdot).
-
-    ``hclass`` tags velocity homogeneity: the first n components are
-    polynomial of degree j in qdot and the last n of degree j+1, so under
-    qdot -> lam * qdot they scale by lam^j and lam^(j+1).  The geodesic
-    spray has class 1, a damping lift class 0 and an input lift class -1;
-    Lie brackets add classes.
-    """
-
-    eval: Callable[[np.ndarray], np.ndarray]
-    jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    hclass: Optional[int] = None
-    h: float = 1e-6
-
-    def __call__(self, x):
-        return np.asarray(self.eval(np.asarray(x, dtype=float)), dtype=float)
-
-    def jacobian_at(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.jacobian is not None:
-            return np.asarray(self.jacobian(x), dtype=float)
-        return central_jacobian(self.eval, x, self.h)
 
 
 def _split_state(x):
@@ -385,7 +368,7 @@ def _split_state(x):
     return x[:n], x[n:]
 
 
-def lift(Y: VectorField) -> LiftedVectorField:
+def lift(Y: VectorField) -> VectorField:
     """Vertical lift (0, Y(q)) of a configuration vector field; class -1."""
 
     def ev(x):
@@ -399,10 +382,10 @@ def lift(Y: VectorField) -> LiftedVectorField:
         J[n:, :n] = Y.jacobian_at(q)
         return J
 
-    return LiftedVectorField(eval=ev, jacobian=jac, hclass=-1)
+    return VectorField(eval=ev, jacobian=jac, hclass=-1)
 
 
-def geodesic_spray(sys: MechanicalSystem) -> LiftedVectorField:
+def geodesic_spray(sys: MechanicalSystem) -> VectorField:
     """The geodesic spray Z(q, qdot) = (qdot, -Gamma(qdot, qdot)); class 1."""
 
     def ev(x):
@@ -421,10 +404,10 @@ def geodesic_spray(sys: MechanicalSystem) -> LiftedVectorField:
         J[n:, n:] = -2.0 * np.einsum("ijk,k->ij", christoffel(sys, q).values, qd)
         return J
 
-    return LiftedVectorField(eval=ev, jacobian=jac, hclass=1)
+    return VectorField(eval=ev, jacobian=jac, hclass=1)
 
 
-def damping_lift(sys: MechanicalSystem) -> LiftedVectorField:
+def damping_lift(sys: MechanicalSystem) -> VectorField:
     """(0, k(q) qdot), the damping force as a state-space field; class 0."""
 
     def ev(x):
@@ -439,22 +422,18 @@ def damping_lift(sys: MechanicalSystem) -> LiftedVectorField:
         J[n:, n:] = sys.damping_matrix(q)
         return J
 
-    return LiftedVectorField(eval=ev, jacobian=jac, hclass=0)
+    return VectorField(eval=ev, jacobian=jac, hclass=0)
 
 
-def lifted_lie_bracket(F: LiftedVectorField, G: LiftedVectorField) -> LiftedVectorField:
+def lifted_lie_bracket(F: VectorField, G: VectorField) -> VectorField:
     """[F, G] on state space; homogeneity classes add when both are tagged."""
-
-    def ev(x):
-        return G.jacobian_at(x) @ F(x) - F.jacobian_at(x) @ G(x)
-
     cls = None
     if F.hclass is not None and G.hclass is not None:
         cls = F.hclass + G.hclass
-    return LiftedVectorField(eval=ev, hclass=cls)
+    return VectorField(eval=lambda x: lie_bracket(F, G, x), h=1e-6, hclass=cls)
 
 
-def homogeneity_error(W: LiftedVectorField, q, qdot, lam):
+def homogeneity_error(W: VectorField, q, qdot, lam):
     """Deviation from the class-j scaling law under qdot -> lam * qdot.
 
     Returns ||W(q, lam qdot) - S_lam W(q, qdot)|| / max(1, ||.||) where

@@ -15,7 +15,7 @@ with {c_l} an orthonormal basis of the orthogonal complement of the input
 span.  Solutions are projective directions in R^m.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -37,7 +37,6 @@ from .geometry import (
 )
 from .simulation import (
     IntegratorConfig,
-    ReconstructionResult,
     Trajectory,
     _check_grid,
     _record_stage_one,
@@ -271,7 +270,6 @@ def larc_rank(
     max_depth: int = 2,
     tol: float = RANK_TOL,
     n: Optional[int] = None,
-    residuals: Optional[Sequence[float]] = None,
 ) -> ControllabilityReport:
     """Numerical rank of the iterated-bracket span of ``fields`` at q.
 
@@ -305,12 +303,7 @@ def larc_rank(
         ranks.append(current_rank())
     rank = ranks[-1]
     depth = 1 + next(i for i, r in enumerate(ranks) if r == rank)
-    return ControllabilityReport(
-        rank=rank,
-        depth=depth,
-        verdict=(rank == n),
-        residuals=list(residuals) if residuals is not None else [],
-    )
+    return ControllabilityReport(rank=rank, depth=depth, verdict=(rank == n))
 
 
 def kinematic_controllability(
@@ -334,11 +327,8 @@ def kinematic_controllability(
     else:
         cands = [candidate_from_direction(sys, q, h, seed=seed) for h in sol.directions]
     residuals = [decoupling_residual(sys, c.field, q) for c in cands]
-    report = larc_rank(
-        [c.field for c in cands], q, max_depth=max_depth, tol=tol, n=sys.n,
-        residuals=residuals,
-    )
-    return report, cands
+    report = larc_rank([c.field for c in cands], q, max_depth=max_depth, tol=tol, n=sys.n)
+    return replace(report, residuals=residuals), cands
 
 
 # -- time scalings and plans ----------------------------------------------------

@@ -24,7 +24,9 @@ j + (k - j) = k, with P = <P_u : P_v> and c = -1/2 int_0^t c_u c_v summed
 over both orders and every split.  The c_w are integrated once per engine
 on one uniform grid (cumulative Simpson, >= 201 nodes per unit time by
 default).  P_w is evaluated lazily at the caller's q through a private
-per-call memo, a composite word's Jacobian by central differences.
+per-call memo, a composite word's Jacobian by central differences.  The
+leaves Y_a, their Jacobians and Gamma all come from one kernel
+``sys.at(q)`` per point, so M(q) is factored once there.
 """
 
 import math
@@ -33,7 +35,7 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .geometry import MechanicalSystem, VectorField
+from .geometry import MechanicalSystem, _symmetric_product
 from .numutil import central_jacobian, cumulative_simpson_uniform, lagrange4_interp
 from .simulation import IntegratorConfig, Trajectory, _check_grid, _record_stage_one, _rk4
 
@@ -51,23 +53,17 @@ def uniform_grid(T, nodes_per_unit=DEFAULT_NODES_PER_UNIT):
 
 @dataclass(frozen=True)
 class ForcingField:
-    """Y(q, t) = sum_a fields[a](q) * inputs[a](t)."""
+    """Y(q, t) = sum_a Y_a(q) * inputs[a](t) along a system's input fields Y_a."""
 
-    fields: Sequence[VectorField]
     inputs: Sequence[Callable[[float], float]]
 
     def __post_init__(self):
-        if len(self.fields) != len(self.inputs):
-            raise ValueError("one input signal per vector field")
-        if not self.fields:
-            raise ValueError("forcing needs at least one field")
+        if not self.inputs:
+            raise ValueError("forcing needs at least one input signal")
 
     @property
     def m(self):
-        return len(self.fields)
-
-    def eval(self, q, t):
-        return sum(self.fields[a](q) * self.inputs[a](t) for a in range(self.m))
+        return len(self.inputs)
 
     @staticmethod
     def from_system(sys: MechanicalSystem, inputs) -> "ForcingField":
@@ -75,9 +71,7 @@ class ForcingField:
         inputs = list(inputs)
         if len(inputs) != sys.m:
             raise ValueError(f"expected {sys.m} input signals, got {len(inputs)}")
-        return ForcingField(
-            fields=[sys.input_field(a) for a in range(sys.m)], inputs=inputs
-        )
+        return ForcingField(inputs=inputs)
 
 
 @dataclass(frozen=True)
@@ -101,6 +95,8 @@ class _Engine:
             raise ValueError(
                 "the from-rest series requires a system without potential or damping"
             )
+        if forcing.m != sys.m:
+            raise ValueError(f"expected {sys.m} input signals, got {forcing.m}")
         grid = np.asarray(grid, dtype=float)
         if grid.ndim != 1 or grid.size < 4 or grid[0] != 0.0:
             raise ValueError("grid must be a 1-D array of times starting at 0")
@@ -109,7 +105,7 @@ class _Engine:
             raise ValueError("grid must be uniform")
         self.sys, self.forcing, self.K, self.grid, self.h = sys, forcing, K, grid, fd_step
         dx = float(steps[0])
-        # words[w] is a field index (leaf) or a pair (u, v) of word ids, u <= v;
+        # words[w] is an input index (leaf) or a pair (u, v) of word ids, u <= v;
         # ids are grouped by order, words of order k being ends[k-1]:ends[k]
         U = np.array([[forcing.inputs[a](t) for t in grid] for a in range(forcing.m)])
         self.words = list(range(forcing.m))
@@ -128,35 +124,38 @@ class _Engine:
             self.ends.append(len(self.words))
         self.coefs = np.array(coefs).T  # (G, W)
 
+    def _point(self, q, memo):
+        """The kernel sys.at(q), built once per point per call."""
+        key = ("point", q.tobytes())
+        if key not in memo:
+            memo[key] = self.sys.at(q)
+        return memo[key]
+
     def _value(self, w, q, memo):
-        """P_w(q); a pair is <P_u : P_v> = J_v P_u + J_u P_v + G(P_u, P_v) + G(P_v, P_u)."""
+        """P_w(q): a leaf a is Y_a, a pair (u, v) is <P_u : P_v>."""
+        word = self.words[w]
+        if isinstance(word, int):
+            return self._point(q, memo).Y[:, word]
         key = ("P", w, q.tobytes())
         if key not in memo:
-            word = self.words[w]
-            if isinstance(word, int):
-                memo[key] = self.forcing.fields[word](q)
-            else:
-                u, v = word
-                pu, pv = self._value(u, q, memo), self._value(v, q, memo)
-                pkey = ("point", q.tobytes())
-                if pkey not in memo:
-                    memo[pkey] = self.sys.at(q)
-                G = memo[pkey].Gamma
-                out = self._jacobian(v, q, memo) @ pu + self._jacobian(u, q, memo) @ pv
-                out += np.einsum("ijk,j,k->i", G, pu, pv)
-                out += np.einsum("ijk,j,k->i", G, pv, pu)
-                memo[key] = out
+            u, v = word
+            memo[key] = _symmetric_product(
+                self._value(u, q, memo),
+                self._value(v, q, memo),
+                self._jacobian(u, q, memo),
+                self._jacobian(v, q, memo),
+                self._point(q, memo).Gamma,
+            )
         return memo[key]
 
     def _jacobian(self, w, q, memo):
         """d P_w^i / d q^r, shape (n, n)."""
+        word = self.words[w]
+        if isinstance(word, int):
+            return self._point(q, memo).JY[word]
         key = ("J", w, q.tobytes())
         if key not in memo:
-            word = self.words[w]
-            if isinstance(word, int):
-                memo[key] = self.forcing.fields[word].jacobian_at(q)
-            else:
-                memo[key] = central_jacobian(lambda x: self._value(w, x, memo), q, self.h)
+            memo[key] = central_jacobian(lambda x: self._value(w, x, memo), q, self.h)
         return memo[key]
 
     def _sum(self, q, t, lo, hi):

@@ -6,6 +6,7 @@ from textwrap import dedent
 import numpy as np
 import pytest
 
+from geoctrl import cli
 from geoctrl.cli import main
 
 FLAT_SIM = dedent(
@@ -398,6 +399,8 @@ BAD_CONFIG = {
     ),
     "t1-negative": (FLAT_SIM, "t1: 1.0", "t1: -1.0", "t1", ("run",)),
     "t1-nan": (FLAT_SIM, "t1: 1.0", "t1: .nan", "t1", ("run",)),
+    "track-t1-zero": (OSC_TRACK, "t1: 0.3", "t1: 0.0", "t1", ("run",)),
+    "convergence-t1-zero": (CONVERGENCE, "t1: 0.5", "t1: 0.0", "t1", ("run",)),
     "epsilon-inf": (OSC_TRACK, "epsilon: 0.1", "epsilon: .inf", "epsilon", ("run",)),
 }
 
@@ -417,3 +420,16 @@ def test_bad_config_shape_or_range_is_config_error(tmp_path, capsys, monkeypatch
     assert error["error"]["kind"] == "config"
     assert key in error["error"]["message"]
     assert not list(tmp_path.rglob("run_manifest.json"))
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_result_is_json_exit_3(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setitem(cli._RUNNERS, "simulate", lambda cfg, sys, outdir: ([], {"x": value}))
+    out = tmp_path / "out"
+    rc = main(["run", write(tmp_path, FLAT_SIM), "--out", str(out)])
+    _, err = capsys.readouterr()
+    assert rc == 3
+    error = json.loads(err)  # one JSON line, no traceback
+    assert error["error"]["kind"] == "numerical"
+    assert "run_manifest.json" in error["error"]["message"]
+    assert not (out / "run_manifest.json").exists()

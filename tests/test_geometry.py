@@ -289,6 +289,21 @@ def test_homogeneity_classes_add_under_bracket():
     assert homogeneity_error(B2, q, qd, 2.0) < 1e-8
 
 
+def test_lifted_fields_are_vector_fields():
+    sys = make("blimp")
+    Z, W = geodesic_spray(sys), lift(sys.input_field(0))
+    B = lifted_lie_bracket(Z, W)
+    for F in (Z, W, damping_lift(sys), B):
+        assert isinstance(F, VectorField)
+    # a bracket has no analytic Jacobian: central differences with step 1e-6
+    assert B.jacobian is None and B.h == 1e-6
+    x = np.array([0.1, -0.2, 0.3, 1.0, 2.0, 3.0])
+    assert np.array_equal(B.jacobian_at(x), central_jacobian(B.eval, x, 1e-6))
+    # hclass comes last, so positional construction keeps its meaning
+    V = VectorField(np.negative, None, 1e-3)
+    assert V.h == 1e-3 and V.hclass is None
+
+
 def test_lift_identity_point():
     # <Ya : Yb>^lift = [Yb^lift, [Z, Ya^lift]] at one pvtol state
     sys = make("pvtol", gravity=0.0)

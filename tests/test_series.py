@@ -1,5 +1,7 @@
 """From-rest velocity series: hand oracles, scaling, order improvement."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -158,7 +160,30 @@ def test_forcing_field_validation():
     with pytest.raises(ValueError):
         ForcingField.from_system(sys, [lambda t: 0.0, lambda t: 0.0])
     with pytest.raises(ValueError):
-        ForcingField(fields=[], inputs=[])
+        ForcingField(inputs=[])
+    with pytest.raises(ValueError):  # two signals for a one-input system
+        series_terms(offset_body(), ForcingField(inputs=[lambda t: 0.0] * 2), 2, uniform_grid(1.0))
+
+
+def test_words_read_one_kernel_per_point():
+    # order 2 has no composite Jacobian: each velocity evaluation is one sys.at(q)
+    calls = {"inertia": 0, "dinertia": 0}
+
+    def counted(name, fn):
+        def wrapper(q):
+            calls[name] += 1
+            return fn(q)
+
+        return wrapper
+
+    sys = offset_body()
+    sys = dataclasses.replace(
+        sys, inertia=counted("inertia", sys.inertia), dinertia=counted("dinertia", sys.dinertia)
+    )
+    T, dt = 0.5, 1e-2
+    predict_from_rest(sys, sine_forcing(sys, [0.1]), 2, np.zeros(3), T, IntegratorConfig(dt=dt))
+    steps = int(round(T / dt))
+    assert calls == {"inertia": 4 * steps + 1, "dinertia": 4 * steps + 1}
 
 
 class GridRecursionOracle:
@@ -175,7 +200,7 @@ class GridRecursionOracle:
         key = (k, q.tobytes())
         if key not in cache:
             if k == 1:
-                Ys = np.array([f(q) for f in self.forcing.fields])
+                Ys = np.array([self.sys.input_field(a)(q) for a in range(self.forcing.m)])
                 cache[key] = np.einsum("ag,an->gn", self.cumU, Ys)
             else:
                 S = sum(self.sym_grid(j, k - j, q, cache) for j in range(1, k))
@@ -184,7 +209,7 @@ class GridRecursionOracle:
 
     def jacobian(self, k, q, cache):
         if k == 1:
-            JYs = np.array([f.jacobian_at(q) for f in self.forcing.fields])
+            JYs = np.array([self.sys.input_field(a).jacobian_at(q) for a in range(self.forcing.m)])
             return np.einsum("ag,air->gir", self.cumU, JYs)
         J = np.empty((self.grid.size, q.size, q.size))
         for r in range(q.size):
