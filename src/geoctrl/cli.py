@@ -48,8 +48,8 @@ from .oscillatory import (
     synthesize_controls,
 )
 from .series import MAX_ORDER, ForcingField, truncation_errors
-from .simulation import ControlLaw, IntegratorConfig, State, simulate
-from .numutil import format_sig17, loglog_slope
+from .simulation import ControlLaw, IntegratorConfig, State, _write_rows, simulate
+from .numutil import loglog_slope
 
 EXPERIMENTS = (
     "simulate",
@@ -192,6 +192,10 @@ def load_config(path):
     _require(isinstance(cfg, dict), "config root must be a mapping")
     tag = _get(cfg, "experiment", required=True)
     _require(tag in EXPERIMENTS, f"unknown experiment {tag!r} (known: {', '.join(EXPERIMENTS)})")
+    # the experiment's own section, spelled with '-' or '_'
+    known = {"experiment", "model", "integrator", "output", tag, tag.replace("-", "_")}
+    for key in cfg:
+        _require(key in known, f"unknown config key {key!r}")
     return cfg
 
 
@@ -242,10 +246,7 @@ def _exp_series_check(cfg, sys, outdir):
         return simulate(sys, law, State(q=q0, qdot=np.zeros(sys.n)), 0.0, T, cfg_ref)
 
     errs = truncation_errors(sys, make_forcing, K, q0, T, eps, cfg_pred, reference)
-    with open(outdir / "series_convergence.csv", "w") as fh:
-        fh.write("epsilon,err\n")
-        for e, err in zip(eps, errs):
-            fh.write(f"{format_sig17(e)},{format_sig17(err)}\n")
+    _write_rows(outdir / "series_convergence.csv", ["epsilon", "err"], zip(eps, errs))
     slope = loglog_slope(eps, errs) if np.all(errs > 0) else None
     return ["series_convergence.csv"], {"order": K, "slope": slope}
 

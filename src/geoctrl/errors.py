@@ -17,8 +17,8 @@ class SingularInertiaError(GeoctrlError):
 
     Raised when M(q) is not positive definite (its Cholesky factorization
     fails; ``cond`` is inf) or when the LAPACK 1-norm condition estimate
-    (dpocon on the Cholesky factor, ``cond`` = 1 / rcond) exceeds the
-    configured guard (default 1e12).
+    (dpocon on the Cholesky factor, ``cond`` = 1 / rcond) exceeds
+    ``geometry.COND_LIMIT`` (1e12).
     """
 
     def __init__(self, q, cond):

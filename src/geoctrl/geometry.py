@@ -19,9 +19,10 @@ Conventions
   They are :class:`VectorField`s too, one field type for both spaces,
   tagged with a velocity homogeneity class ``hclass``.
 
-``sys.at(q)`` is the one per-point kernel: a :class:`PointData` factors
-M(q) once, evaluates dM, and derives Y, dY, Gamma and the symmetric
-products from them on first read.  Every consumer reads them there.
+``sys.at(q)`` is the one per-point kernel and the only place M(q) is
+factored: a :class:`PointData` factors M(q) once (refusing a condition
+number above COND_LIMIT) and computes dM, Y, dY, Gamma and the symmetric
+products on first read.  Every consumer reads them there.
 
 All operations are pure functions of immutable inputs and safe to call
 from multiple threads (a PointData read by two threads at once at worst
@@ -103,7 +104,7 @@ class MechanicalSystem:
         Optional analytic first derivatives: dinertia(q)[i, j, k] is
         dM_ij/dq^k, dpotential(q) the gradient of V, and
         dinput_covectors[a](q)[i, j] is dF_a^i/dq^j.  Any that are omitted
-        fall back to central finite differences with step ``fd_step``.
+        fall back to central finite differences with step DEFAULT_FD_STEP.
     """
 
     n: int
@@ -115,8 +116,6 @@ class MechanicalSystem:
     dinertia: Optional[Callable[[np.ndarray], np.ndarray]] = None
     dpotential: Optional[Callable[[np.ndarray], np.ndarray]] = None
     dinput_covectors: Optional[Sequence[Callable[[np.ndarray], np.ndarray]]] = None
-    fd_step: float = DEFAULT_FD_STEP
-    cond_limit: float = COND_LIMIT
     name: str = ""
 
     def __post_init__(self):
@@ -136,7 +135,7 @@ class MechanicalSystem:
             and (self.potential is None or self.dpotential is not None)
             and self.dinput_covectors is not None
         )
-        return "analytic" if analytic else f"central-finite-difference({self.fd_step:g})"
+        return "analytic" if analytic else f"central-finite-difference({DEFAULT_FD_STEP:g})"
 
     # -- inertia ---------------------------------------------------------
 
@@ -159,38 +158,12 @@ class MechanicalSystem:
             raise ValueError(msg)
         return 0.5 * (M + MT)
 
-    def _mass_factor(self, q):
-        """Lower Cholesky factor of M(q) (LAPACK dpotrf), condition-guarded.
-
-        The guard is dpocon's estimate of the 1-norm reciprocal condition
-        number; a factorization failure (M not positive definite) or
-        rcond * cond_limit < 1 raises SingularInertiaError.
-        """
-        M = self.mass(q)
-        factor, info = dpotrf(M, lower=1)
-        if info != 0:
-            raise SingularInertiaError(q, np.inf)
-        rcond, _ = dpocon(factor, np.abs(M).sum(axis=0).max(), uplo="L")
-        if not rcond * self.cond_limit >= 1.0:  # also rejects a NaN estimate
-            raise SingularInertiaError(q, np.inf if rcond == 0.0 else 1.0 / rcond)
-        return factor
-
-    def solve_mass(self, q, b):
-        """M(q)^-1 b through one guarded Cholesky factorization (dpotrf/dpotrs).
-
-        ``b`` may be a vector or an (n, k) block of right-hand sides.
-        dpotrs does no finiteness check, so non-finite entries in b
-        propagate to the result and the integrator can report them as a
-        state blow-up rather than a linear-algebra error.
-        """
-        return dpotrs(self._mass_factor(q), np.asarray(b, dtype=float), lower=1)[0]
-
     def dmass(self, q):
         """dM_ij/dq^k as an (n, n, n) array, analytic or finite-difference."""
         q = np.asarray(q, dtype=float)
         if self.dinertia is not None:
             return np.asarray(self.dinertia(q), dtype=float)
-        return central_jacobian(self.inertia, q, self.fd_step)
+        return central_jacobian(self.inertia, q, DEFAULT_FD_STEP)
 
     # -- potential and damping -------------------------------------------
 
@@ -203,7 +176,7 @@ class MechanicalSystem:
             return np.zeros(self.n)
         if self.dpotential is not None:
             return np.asarray(self.dpotential(q), dtype=float)
-        return central_jacobian(lambda x: np.array(self.potential(x)), q, self.fd_step)
+        return central_jacobian(lambda x: np.array(self.potential(x)), q, DEFAULT_FD_STEP)
 
     def damping_matrix(self, q):
         q = np.asarray(q, dtype=float)
@@ -218,22 +191,18 @@ class MechanicalSystem:
         q = np.asarray(q, dtype=float)
         return np.array([np.asarray(F(q), dtype=float) for F in self.input_covectors]).T
 
-    def input_fields_matrix(self, q):
-        """Input vector fields Y_a = M^-1 F_a as columns of an (n, m) matrix."""
-        return self.solve_mass(q, self.input_matrix(q))
-
     def input_field(self, a):
         """The a-th input vector field Y_a as a :class:`VectorField` (0-based).
 
-        Its Jacobian is the kernel's ``at(q).JY[a]``.
+        Its value is ``at(q).solve(F_a(q))`` and its Jacobian ``at(q).JY[a]``.
         """
         if not 0 <= a < self.m:
             raise IndexError(f"input index {a} out of range for m={self.m}")
 
         def ev(q, _a=a):
-            return self.solve_mass(q, np.asarray(self.input_covectors[_a](q), dtype=float))
+            return self.at(q).solve(np.asarray(self.input_covectors[_a](q), dtype=float))
 
-        return VectorField(eval=ev, jacobian=lambda q, _a=a: self.at(q).JY[_a], h=self.fd_step)
+        return VectorField(eval=ev, jacobian=lambda q, _a=a: self.at(q).JY[_a])
 
     def at(self, q) -> "PointData":
         """The per-point kernel at q (see :class:`PointData`)."""
@@ -250,25 +219,44 @@ class MechanicalSystem:
 class PointData:
     """Everything the connection needs at one configuration q (``sys.at(q)``).
 
-    Construction evaluates M(q) once, factors it (``_mass_factor``, with
-    its guard) and evaluates dM.  Computed from those on first read:
-    ``Y`` (n, m), the input fields as columns; ``JY`` (m, n, n), with
-    JY[a, i, r] = dY_a^i/dq^r; ``Gamma`` (n, n, n), the Christoffel
-    symbols; ``products`` (m, m, n), products[a, b] = <Y_a : Y_b>.
+    Construction evaluates M(q) once and factors it (LAPACK dpotrf); a
+    failed factorization (M not positive definite) or dpocon's 1-norm
+    estimate rcond with rcond * COND_LIMIT < 1 raises SingularInertiaError.
+    Computed on first read, so ``Y`` and ``solve`` never evaluate dM:
+    ``dM`` (n, n, n), dM[i, j, k] = dM_ij/dq^k; ``Y`` (n, m), the input
+    fields as columns; ``JY`` (m, n, n), with JY[a, i, r] = dY_a^i/dq^r;
+    ``Gamma`` (n, n, n), the Christoffel symbols; ``products`` (m, m, n),
+    products[a, b] = <Y_a : Y_b>.
     """
 
-    __slots__ = ("sys", "q", "factor", "dM", "_Y", "_JY", "_Gamma", "_products")
+    __slots__ = ("sys", "q", "factor", "_dM", "_Y", "_JY", "_Gamma", "_products")
 
     def __init__(self, sys: MechanicalSystem, q):
         self.sys = sys
         self.q = q = np.asarray(q, dtype=float)
-        self.factor = sys._mass_factor(q)
-        self.dM = sys.dmass(q)
-        self._Y = self._JY = self._Gamma = self._products = None
+        M = sys.mass(q)
+        self.factor, info = dpotrf(M, lower=1)
+        if info != 0:
+            raise SingularInertiaError(q, np.inf)
+        rcond, _ = dpocon(self.factor, np.abs(M).sum(axis=0).max(), uplo="L")
+        if not rcond * COND_LIMIT >= 1.0:  # also rejects a NaN estimate
+            raise SingularInertiaError(q, np.inf if rcond == 0.0 else 1.0 / rcond)
+        self._dM = self._Y = self._JY = self._Gamma = self._products = None
 
     def solve(self, b):
-        """M(q)^-1 b for a vector or an (n, k) block b."""
+        """M(q)^-1 b for a vector or an (n, k) block b.
+
+        dpotrs does no finiteness check, so non-finite entries in b
+        propagate to the result and the integrator can report them as a
+        state blow-up rather than a linear-algebra error.
+        """
         return dpotrs(self.factor, b, lower=1)[0]
+
+    @property
+    def dM(self):
+        if self._dM is None:
+            self._dM = self.sys.dmass(self.q)
+        return self._dM
 
     @property
     def Y(self):
@@ -283,7 +271,7 @@ class PointData:
             if sys.dinput_covectors is not None:
                 dF = np.array([np.asarray(d(q), dtype=float) for d in sys.dinput_covectors])
             else:
-                dF = np.array([central_jacobian(F, q, sys.fd_step) for F in sys.input_covectors])
+                dF = np.array([central_jacobian(F, q, DEFAULT_FD_STEP) for F in sys.input_covectors])
             # chain rule dY_a = M^-1 (dF_a - dM . Y_a), the m blocks solved side by side
             rhs = dF.transpose(1, 0, 2) - np.einsum("irj,ra->iaj", self.dM, self.Y)
             self._JY = self.solve(rhs.reshape(n, -1)).reshape(n, sys.m, n).transpose(1, 0, 2)
@@ -399,7 +387,7 @@ def geodesic_spray(sys: MechanicalSystem) -> VectorField:
         J[:n, n:] = np.eye(n)
         # d(-Gamma(q)(qd,qd))/dq by finite differences of the quadratic form
         J[n:, :n] = central_jacobian(
-            lambda qq: -christoffel(sys, qq).quadratic(qd), q, sys.fd_step
+            lambda qq: -christoffel(sys, qq).quadratic(qd), q, DEFAULT_FD_STEP
         )
         J[n:, n:] = -2.0 * np.einsum("ijk,k->ij", christoffel(sys, q).values, qd)
         return J
@@ -418,7 +406,7 @@ def damping_lift(sys: MechanicalSystem) -> VectorField:
         q, qd = _split_state(x)
         n = q.size
         J = np.zeros((2 * n, 2 * n))
-        J[n:, :n] = central_jacobian(lambda qq: sys.damping_matrix(qq) @ qd, q, sys.fd_step)
+        J[n:, :n] = central_jacobian(lambda qq: sys.damping_matrix(qq) @ qd, q, DEFAULT_FD_STEP)
         J[n:, n:] = sys.damping_matrix(q)
         return J
 

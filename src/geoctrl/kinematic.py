@@ -45,21 +45,26 @@ from .simulation import (
 )
 
 RANK_TOL = 1e-8
+ZERO_TOL = 1e-10  # a form or coefficient this small (relative) is zero
+ROOT_TOL = 1e-10  # a root leaves every form below this (relative)
+N_STARTS = 100  # random starts of the m > 2 root search
+ANGLE_TOL = 1e-6  # directions closer than this angle are one
 
 
-def _span_projector(Y, tol=1e-10):
+def _span_projector(Y, q=None):
     """QR-based orthogonal-complement data for span{Y_a(q)}.
 
     Returns (Q, C): Q spans the input distribution, C its complement.
-    Raises if the input fields are rank deficient at the point.  The
-    complete Q comes from LAPACK dgeqrf + dorgqr, the routines behind
-    np.linalg.qr(mode="complete"), without numpy's per-call overhead.
+    Raises RankDeficientInputsError(q) if the input fields are rank
+    deficient at the point.  The complete Q comes from LAPACK dgeqrf +
+    dorgqr, the routines behind np.linalg.qr(mode="complete"), without
+    numpy's per-call overhead.
     """
     n, m = Y.shape
     qr, tau, _, _ = dgeqrf(Y)
     diag = np.abs(np.diag(qr))
-    if diag.min() <= tol * max(1.0, diag.max()):
-        raise RankDeficientInputsError(None)
+    if diag.min() <= 1e-10 * max(1.0, diag.max()):
+        raise RankDeficientInputsError(q)
     full = np.zeros((n, n), order="F")
     full[:, :m] = qr
     Qfull, _, _ = dorgqr(full, tau, overwrite_a=1)
@@ -76,11 +81,7 @@ def decoupling_residual(sys: MechanicalSystem, V: VectorField, q) -> float:
     (to numerical noise) characterizes a decoupling field at the point.
     """
     q = np.asarray(q, dtype=float)
-    Y = sys.input_fields_matrix(q)
-    try:
-        Q, _ = _span_projector(Y)
-    except RankDeficientInputsError:
-        raise RankDeficientInputsError(q)
+    Q, _ = _span_projector(sys.at(q).Y, q)
     dVV = covariant_derivative(sys, V, V, q)
     v = V(q)
 
@@ -119,27 +120,16 @@ def quadratic_forms(sys: MechanicalSystem, q) -> np.ndarray:
 def _forms_and_fields(sys, q):
     """(B, Y): the quadratic forms at q and the input fields they came from."""
     pt = sys.at(q)
-    try:
-        _, C = _span_projector(pt.Y)
-    except RankDeficientInputsError:
-        raise RankDeficientInputsError(pt.q)
+    _, C = _span_projector(pt.Y, pt.q)
     return np.einsum("il,abi->lab", C, pt.products), pt.Y
 
 
-def find_decoupling_fields(
-    sys: MechanicalSystem,
-    q,
-    zero_tol: float = 1e-10,
-    root_tol: float = 1e-10,
-    n_starts: int = 100,
-    seed: int = 0,
-    angle_tol: float = 1e-6,
-) -> DecouplingSolutions:
+def find_decoupling_fields(sys: MechanicalSystem, q, seed: int = 0) -> DecouplingSolutions:
     """All projective h with B_l(h, h) = 0 at the point q.
 
     m = 2 uses the closed-form quadratic in the ratio h_2/h_1; larger m
-    runs damped least-squares root finding from ``n_starts`` random unit
-    starts (seeded, deterministic) and deduplicates at ``angle_tol``.
+    runs damped least-squares root finding from N_STARTS random unit
+    starts (seeded, deterministic) and deduplicates at ANGLE_TOL.
     An empty list is a valid outcome (no real solutions).
     """
     m = sys.m
@@ -147,19 +137,19 @@ def find_decoupling_fields(
     if B.shape[0] == 0:
         return DecouplingSolutions(directions=[], all_directions=True, fields=Y)
     scale = float(np.max(np.abs(B)))
-    if scale <= zero_tol:
+    if scale <= ZERO_TOL:
         return DecouplingSolutions(directions=[], all_directions=True, fields=Y)
-    live = [Bl for Bl in B if np.max(np.abs(Bl)) > zero_tol * scale]
+    live = [Bl for Bl in B if np.max(np.abs(Bl)) > ZERO_TOL * scale]
 
     def satisfies(h):
-        return all(abs(h @ Bl @ h) <= root_tol * scale for Bl in live)
+        return all(abs(h @ Bl @ h) <= ROOT_TOL * scale for Bl in live)
 
     if m == 2:
         cands = []
         Bl = live[0]
         c, b, a = Bl[0, 0], 2.0 * Bl[0, 1], Bl[1, 1]  # a r^2 + b r + c, r = h2/h1
-        if abs(a) <= zero_tol * scale:
-            if abs(b) > zero_tol * scale:
+        if abs(a) <= ZERO_TOL * scale:
+            if abs(b) > ZERO_TOL * scale:
                 cands.append(np.array([1.0, -c / b]))
             cands.append(np.array([0.0, 1.0]))  # h1 = 0 annihilates when a ~ 0
         else:
@@ -180,7 +170,7 @@ def find_decoupling_fields(
             return np.array([hn @ Bl @ hn for Bl in live]) / scale
 
         sols = []
-        for _ in range(n_starts):
+        for _ in range(N_STARTS):
             h0 = rng.standard_normal(m)
             h0 /= np.linalg.norm(h0)
             res = least_squares(resid, h0, xtol=1e-14, ftol=1e-14, gtol=1e-14)
@@ -190,7 +180,7 @@ def find_decoupling_fields(
     # projective dedupe, deterministic order
     unique: List[np.ndarray] = []
     for h in sols:
-        if not any(abs(h @ u) > 1.0 - 0.5 * angle_tol**2 for u in unique):
+        if not any(abs(h @ u) > 1.0 - 0.5 * ANGLE_TOL**2 for u in unique):
             unique.append(h)
     unique.sort(key=lambda h: tuple(np.round(h, 9)))
     return DecouplingSolutions(directions=unique, all_directions=False, fields=Y)

@@ -48,13 +48,13 @@ def lagrange4_interp(tgrid, values, t):
     """Cubic (4-point Lagrange) interpolation on a uniform grid.
 
     ``values`` is indexed by grid node along axis 0.  Accurate to O(dx^4)
-    for smooth data; exact at the nodes.
+    for smooth data; exact at the nodes.  Needs at least four nodes.
     """
     tgrid = np.asarray(tgrid)
     values = np.asarray(values)
     n = tgrid.size
-    if n < 2:
-        raise ValueError("need at least two grid nodes")
+    if n < 4:
+        raise ValueError(f"4-point interpolation needs at least 4 grid nodes, got {n}")
     dx = tgrid[1] - tgrid[0]
     if not (tgrid[0] - 1e-9 * dx <= t <= tgrid[-1] + 1e-9 * dx):
         raise ValueError(f"t={t} outside grid [{tgrid[0]}, {tgrid[-1]}]")
@@ -62,11 +62,6 @@ def lagrange4_interp(tgrid, values, t):
     i = int(round(pos))
     if 0 <= i < n and abs(pos - i) < 1e-9:
         return values[i]
-    if n < 4:
-        # linear fallback for tiny grids
-        i = min(max(int(pos), 0), n - 2)
-        w = pos - i
-        return (1 - w) * values[i] + w * values[i + 1]
     i0 = min(max(int(pos) - 1, 0), n - 4)
     s = pos - i0
     vs = values[i0:i0 + 4]

@@ -34,8 +34,8 @@ import numpy as np
 
 from .errors import SpanAssumptionError
 from .geometry import MechanicalSystem
-from .numutil import cumulative_simpson_uniform, format_sig17, loglog_slope, simpson_uniform
-from .simulation import ControlLaw, IntegratorConfig, State, Trajectory, _text_output
+from .numutil import cumulative_simpson_uniform, loglog_slope, simpson_uniform
+from .simulation import ControlLaw, IntegratorConfig, State, Trajectory, _write_rows
 from .simulation import simulate, simulate_forced
 
 TWO_PI = 2.0 * math.pi
@@ -449,17 +449,13 @@ class ConvergenceStudy:
     averaged: Trajectory
 
     def write_csv(self, path_or_file):
-        with _text_output(path_or_file) as fh:
-            fh.write("epsilon,max_err,slope_partial\n")
-            for i in range(len(self.epsilons)):
-                if i == 0 or not np.all(self.errors[: i + 1] > 0):
-                    part = float("nan")
-                else:
-                    part = loglog_slope(self.epsilons[: i + 1], self.errors[: i + 1])
-                fh.write(
-                    f"{format_sig17(self.epsilons[i])},{format_sig17(self.errors[i])},"
-                    f"{format_sig17(part)}\n"
-                )
+        eps, errs = self.epsilons, self.errors
+        parts = [
+            loglog_slope(eps[: i + 1], errs[: i + 1])
+            if i > 0 and np.all(errs[: i + 1] > 0) else float("nan")
+            for i in range(len(eps))
+        ]
+        _write_rows(path_or_file, ["epsilon", "max_err", "slope_partial"], zip(eps, errs, parts))
 
 
 def member_substeps(dt_avg, eps, steps_per_period=100, T=TWO_PI):

@@ -22,11 +22,11 @@ and generally V_k = sum_w c_w(t) P_w(q) over the words w of order k: a
 leaf a (c = U_a, P = Y_a) or an unordered pair (u, v) of words of orders
 j + (k - j) = k, with P = <P_u : P_v> and c = -1/2 int_0^t c_u c_v summed
 over both orders and every split.  The c_w are integrated once per engine
-on one uniform grid (cumulative Simpson, >= 201 nodes per unit time by
-default).  P_w is evaluated lazily at the caller's q through a private
-per-call memo, a composite word's Jacobian by central differences.  The
-leaves Y_a, their Jacobians and Gamma all come from one kernel
-``sys.at(q)`` per point, so M(q) is factored once there.
+on one uniform grid (cumulative Simpson, >= NODES_PER_UNIT nodes per unit
+time by default).  P_w is evaluated lazily at the caller's q through a
+private per-call memo, a composite word's Jacobian by central differences
+with step WORD_FD_STEP.  The leaves Y_a, their Jacobians and Gamma all
+come from one kernel ``sys.at(q)`` per point, so M(q) is factored once.
 """
 
 import math
@@ -39,15 +39,16 @@ from .geometry import MechanicalSystem, _symmetric_product
 from .numutil import central_jacobian, cumulative_simpson_uniform, lagrange4_interp
 from .simulation import IntegratorConfig, Trajectory, _check_grid, _record_stage_one, _rk4
 
-DEFAULT_NODES_PER_UNIT = 201
+NODES_PER_UNIT = 201
+WORD_FD_STEP = 1e-6
 MAX_ORDER = 4  # order-k words nest k - 2 central differences; round-off grows with each
 
 
-def uniform_grid(T, nodes_per_unit=DEFAULT_NODES_PER_UNIT):
-    """Uniform time grid on [0, T] with at least nodes_per_unit per unit."""
+def uniform_grid(T):
+    """Uniform time grid on [0, T] with at least NODES_PER_UNIT nodes per unit."""
     if T <= 0:
         raise ValueError("horizon must be positive")
-    N = max(4, int(math.ceil((nodes_per_unit - 1) * T)) + 1)
+    N = max(4, int(math.ceil((NODES_PER_UNIT - 1) * T)) + 1)
     return np.linspace(0.0, T, N)
 
 
@@ -88,7 +89,7 @@ class SeriesTerm:
 class _Engine:
     """Word coefficients c_w on the grid; word values P_w at a given q."""
 
-    def __init__(self, sys: MechanicalSystem, forcing: ForcingField, K, grid, fd_step=1e-6):
+    def __init__(self, sys: MechanicalSystem, forcing: ForcingField, K, grid):
         if not 1 <= K <= MAX_ORDER:
             raise ValueError(f"series order must be in 1..{MAX_ORDER}, got K={K}")
         if sys.potential is not None or sys.damping is not None:
@@ -103,7 +104,7 @@ class _Engine:
         steps = np.diff(grid)
         if np.max(np.abs(steps - steps[0])) > 1e-12 * max(1.0, steps[0]):
             raise ValueError("grid must be uniform")
-        self.sys, self.forcing, self.K, self.grid, self.h = sys, forcing, K, grid, fd_step
+        self.sys, self.forcing, self.K, self.grid = sys, forcing, K, grid
         dx = float(steps[0])
         # words[w] is an input index (leaf) or a pair (u, v) of word ids, u <= v;
         # ids are grouped by order, words of order k being ends[k-1]:ends[k]
@@ -155,7 +156,7 @@ class _Engine:
             return self._point(q, memo).JY[word]
         key = ("J", w, q.tobytes())
         if key not in memo:
-            memo[key] = central_jacobian(lambda x: self._value(w, x, memo), q, self.h)
+            memo[key] = central_jacobian(lambda x: self._value(w, x, memo), q, WORD_FD_STEP)
         return memo[key]
 
     def _sum(self, q, t, lo, hi):

@@ -97,6 +97,14 @@ def _text_output(path_or_file):
         yield path_or_file
 
 
+def _write_rows(path_or_file, header, rows):
+    """CSV text: the header names, then one line per row of numbers (format_sig17)."""
+    with _text_output(path_or_file) as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(format_sig17(v) for v in row) + "\n")
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Uniformly sampled states and the inputs recorded at sample times."""
@@ -128,24 +136,15 @@ class Trajectory:
     def n_samples(self):
         return self.qs.shape[0]
 
-    def state(self, i) -> State:
-        return State(self.qs[i], self.qds[i])
-
     def write_csv(self, path_or_file):
-        n = self.qs.shape[1]
-        m = self.us.shape[1]
+        n, m = self.n, self.us.shape[1]
         header = (
             ["t"]
             + [f"q{i+1}" for i in range(n)]
             + [f"qd{i+1}" for i in range(n)]
             + [f"u{i+1}" for i in range(m)]
         )
-        with _text_output(path_or_file) as fh:
-            fh.write(",".join(header) + "\n")
-            ts = self.times
-            for i in range(self.qs.shape[0]):
-                row = [ts[i], *self.qs[i], *self.qds[i], *self.us[i]]
-                fh.write(",".join(format_sig17(v) for v in row) + "\n")
+        _write_rows(path_or_file, header, np.column_stack([self.times, self.qs, self.qds, self.us]))
 
     def csv_text(self) -> str:
         buf = io.StringIO()

@@ -402,6 +402,12 @@ BAD_CONFIG = {
     "track-t1-zero": (OSC_TRACK, "t1: 0.3", "t1: 0.0", "t1", ("run",)),
     "convergence-t1-zero": (CONVERGENCE, "t1: 0.5", "t1: 0.0", "t1", ("run",)),
     "epsilon-inf": (OSC_TRACK, "epsilon: 0.1", "epsilon: .inf", "epsilon", ("run",)),
+    "unknown-root-key": (
+        FLAT_SIM, "experiment:", "extra: .nan\nexperiment:", "extra", ("run", "validate"),
+    ),
+    "other-experiment-section": (
+        FLAT_SIM, "integrator:", "larc: {q: [0.3, -0.2, 0.9]}\nintegrator:", "larc", ("run", "validate"),
+    ),
 }
 
 
@@ -420,6 +426,28 @@ def test_bad_config_shape_or_range_is_config_error(tmp_path, capsys, monkeypatch
     assert error["error"]["kind"] == "config"
     assert key in error["error"]["message"]
     assert not list(tmp_path.rglob("run_manifest.json"))
+
+
+@pytest.mark.parametrize("case", ["unknown-root-key", "other-experiment-section"])
+def test_unknown_root_key_writes_no_artifact(tmp_path, capsys, case):
+    base, old, new, _, _ = BAD_CONFIG[case]
+    out = tmp_path / "out"
+    assert main(["run", write(tmp_path, base.replace(old, new, 1)), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "base, section",
+    [
+        ("experiment: series-check\nmodel: {name: flat}\nseries-check: {epsilons: [0.02, 0.01]}\n",
+         "series-check"),
+        (OSC_TRACK, "oscillatory-track"),
+    ],
+)
+def test_experiment_section_takes_either_spelling(tmp_path, capsys, base, section):
+    for spelling in (section, section.replace("-", "_")):
+        config = base.replace(f"{section}:", f"{spelling}:", 1)
+        assert main(["validate", write(tmp_path, config)]) == 0
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])

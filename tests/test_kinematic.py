@@ -172,7 +172,7 @@ def test_planar_com_forces_all_decoupling():
     q = np.array([1.0, -0.5, 0.7])
     sol = find_decoupling_fields(sys, q)
     assert sol.all_directions
-    V = VectorField(eval=lambda qq: sys.input_fields_matrix(qq) @ np.array([0.6, -0.8]))
+    V = VectorField(eval=lambda qq: sys.at(qq).Y @ np.array([0.6, -0.8]))
     assert decoupling_residual(sys, V, q) < 1e-8
 
 
@@ -187,9 +187,9 @@ def test_blimp_pure_inputs_decouple():
     got = sorted(tuple(np.round(np.abs(h), 9)) for h in sol.directions)
     assert got == [(0.0, 1.0), (1.0, 0.0)]
     for h in sol.directions:
-        V = VectorField(eval=lambda qq, _h=h: sys.input_fields_matrix(qq) @ _h)
+        V = VectorField(eval=lambda qq, _h=h: sys.at(qq).Y @ _h)
         assert decoupling_residual(sys, V, q) < 1e-8
-    mixed = VectorField(eval=lambda qq: sys.input_fields_matrix(qq) @ np.array([1.0, 1.0]))
+    mixed = VectorField(eval=lambda qq: sys.at(qq).Y @ np.array([1.0, 1.0]))
     assert decoupling_residual(sys, mixed, q) > 1e-3
 
 
@@ -205,7 +205,7 @@ def test_three_link_roots_annihilate_forms():
     for h in sol.directions:
         assert abs(h @ B[0] @ h) < 1e-10 * scale
         assert abs(np.linalg.norm(h) - 1.0) < 1e-12
-        V = VectorField(eval=lambda qq, _h=h: sys.input_fields_matrix(qq) @ _h)
+        V = VectorField(eval=lambda qq, _h=h: sys.at(qq).Y @ _h)
         assert decoupling_residual(sys, V, q) < 1e-8
 
 
@@ -272,7 +272,7 @@ def test_general_m_root_finding_designed_roots():
         align = np.max(np.abs(found @ target)) if found.size else 0.0
         assert align > 1.0 - 1e-8
     for h in sol.directions:
-        V = VectorField(eval=lambda qq, _h=h: sys.input_fields_matrix(qq) @ _h)
+        V = VectorField(eval=lambda qq, _h=h: sys.at(qq).Y @ _h)
         assert decoupling_residual(sys, V, np.zeros(5)) < 1e-8
 
 
@@ -345,7 +345,7 @@ def test_candidate_field_evaluates_inertia_once_per_point():
     v = cand.field(q0 + 0.01)
     assert len(calls) == 1  # the decoupling solve's fields are reused
     h = cand.coefficients(q0 + 0.01)
-    assert_allclose(v, sys.input_fields_matrix(q0 + 0.01) @ h, rtol=0, atol=0)
+    assert_allclose(v, sys.at(q0 + 0.01).Y @ h, rtol=0, atol=0)
 
 
 def test_plan_single_segment_matches_kinematic_ode():
@@ -396,7 +396,7 @@ def test_plan_validates_span_residual():
     bad = DecouplingCandidate(
         coefficients=lambda q: np.array([1.0, 1.0]) / np.sqrt(2),
         field=VectorField(
-            eval=lambda q: sys.input_fields_matrix(q) @ (np.array([1.0, 1.0]) / np.sqrt(2))
+            eval=lambda q: sys.at(q).Y @ (np.array([1.0, 1.0]) / np.sqrt(2))
         ),
     )
     seg = PlanSegment(candidate=bad, sign=1.0, scaling=TimeScaling.cubic(1.0))

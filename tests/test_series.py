@@ -186,6 +186,32 @@ def test_words_read_one_kernel_per_point():
     assert calls == {"inertia": 4 * steps + 1, "dinertia": 4 * steps + 1}
 
 
+def test_first_order_never_evaluates_the_inertia_derivative():
+    # order 1 reads only the leaves Y_a: one factorization per stage, no dM
+    calls = {"inertia": 0, "dinertia": 0}
+
+    def counted(name, fn):
+        def wrapper(q):
+            calls[name] += 1
+            return fn(q)
+
+        return wrapper
+
+    sys = make("three-link", actuators=(1, 2))
+    sys = dataclasses.replace(
+        sys, inertia=counted("inertia", sys.inertia), dinertia=counted("dinertia", sys.dinertia)
+    )
+    q0, T, dt = np.array([0.2, -0.1, 0.4]), 0.5, 1e-2
+    predict_from_rest(sys, sine_forcing(sys, [0.1, 0.07]), 1, q0, T, IntegratorConfig(dt=dt))
+    assert calls == {"inertia": 201, "dinertia": 0}
+
+
+def test_interpolation_needs_four_nodes():
+    with pytest.raises(ValueError, match="at least 4"):
+        lagrange4_interp(np.linspace(0.0, 1.0, 3), np.zeros(3), 0.5)
+    assert lagrange4_interp(np.linspace(0.0, 1.0, 4), np.arange(4.0), 0.5) == pytest.approx(1.5)
+
+
 class GridRecursionOracle:
     """The grid-wide recursion engine, kept as the oracle: every V_k on the
     whole time grid at q, spatial Jacobians by central differences."""
