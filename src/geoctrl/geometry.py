@@ -21,8 +21,14 @@ Conventions
 
 ``sys.at(q)`` is the one per-point kernel and the only place M(q) is
 factored: a :class:`PointData` factors M(q) once (refusing a condition
-number above COND_LIMIT) and computes dM, Y, dY, Gamma and the symmetric
-products on first read.  Every consumer reads them there.
+number above COND_LIMIT) and computes dM, dF, Y, dY, Gamma and the
+symmetric products on first read.  Every consumer reads them there.  The
+products come from the covector identity
+
+    M <Y_a : Y_b> = dF_a . Y_b + dF_b . Y_a - dM(Y_a, Y_b),
+    dM(u, v)_i = dM_jk/dq^i u^j v^k,
+
+one solve for all pairs, with neither dY nor Gamma formed.
 
 All operations are pure functions of immutable inputs and safe to call
 from multiple threads (a PointData read by two threads at once at worst
@@ -82,6 +88,17 @@ class VectorField:
         )
 
 
+def takes_stacks(fn):
+    """Mark the model callable fn as also taking a (B, n) stack of points.
+
+    The mark is the attribute ``fn.takes_stacks``, so it travels with the
+    callable: a function swapped in by ``dataclasses.replace`` is called one
+    point at a time unless it is marked too, and ``functools.wraps`` copies it.
+    """
+    fn.takes_stacks = True
+    return fn
+
+
 @dataclass(frozen=True)
 class MechanicalSystem:
     """Forced mechanical system (n, m, M, V, k, F_a) with derivative access.
@@ -105,6 +122,10 @@ class MechanicalSystem:
         dM_ij/dq^k, dpotential(q) the gradient of V, and
         dinput_covectors[a](q)[i, j] is dF_a^i/dq^j.  Any that are omitted
         fall back to central finite differences with step DEFAULT_FD_STEP.
+
+    A model callable marked with :func:`takes_stacks` also accepts a (B, n)
+    stack of points and returns the B values stacked on a leading axis;
+    ``reconstruct_inputs`` then calls it once per block of samples.
     """
 
     n: int
@@ -150,6 +171,9 @@ class MechanicalSystem:
         if shape != (self.n, self.n):
             raise ValueError(f"inertia returned shape {shape}, expected {(self.n, self.n)}")
         MT = M.swapaxes(-1, -2)
+        if q.ndim == 1:  # one point: the same rule, on cheaper whole-array reductions
+            if not np.abs(M - MT).max() > SYMMETRY_TOL * max(np.abs(M).max(), 1.0):
+                return 0.5 * (M + MT)
         asym = np.abs(M - MT).max(axis=(-2, -1))
         bad = asym > SYMMETRY_TOL * np.maximum(np.abs(M).max(axis=(-2, -1)), 1.0)
         if bad.any():  # name the first point that fails
@@ -223,13 +247,15 @@ class PointData:
     failed factorization (M not positive definite) or dpocon's 1-norm
     estimate rcond with rcond * COND_LIMIT < 1 raises SingularInertiaError.
     Computed on first read, so ``Y`` and ``solve`` never evaluate dM:
-    ``dM`` (n, n, n), dM[i, j, k] = dM_ij/dq^k; ``Y`` (n, m), the input
-    fields as columns; ``JY`` (m, n, n), with JY[a, i, r] = dY_a^i/dq^r;
-    ``Gamma`` (n, n, n), the Christoffel symbols; ``products`` (m, m, n),
-    products[a, b] = <Y_a : Y_b>.
+    ``dM`` (n, n, n), dM[i, j, k] = dM_ij/dq^k; ``dF`` (m, n, n), with
+    dF[a, i, j] = dF_a^i/dq^j; ``Y`` (n, m), the input fields as columns;
+    ``JY`` (m, n, n), with JY[a, i, r] = dY_a^i/dq^r; ``Gamma`` (n, n, n),
+    the Christoffel symbols; ``products`` (m, m, n), products[a, b] =
+    <Y_a : Y_b>, from the covector identity M <Y_a : Y_b> = dF_a Y_b +
+    dF_b Y_a - dM(Y_a, Y_b) (one solve; JY and Gamma stay unread).
     """
 
-    __slots__ = ("sys", "q", "factor", "_dM", "_Y", "_JY", "_Gamma", "_products")
+    __slots__ = ("sys", "q", "factor", "_dM", "_dF", "_Y", "_JY", "_Gamma", "_products")
 
     def __init__(self, sys: MechanicalSystem, q):
         self.sys = sys
@@ -241,7 +267,7 @@ class PointData:
         rcond, _ = dpocon(self.factor, np.abs(M).sum(axis=0).max(), uplo="L")
         if not rcond * COND_LIMIT >= 1.0:  # also rejects a NaN estimate
             raise SingularInertiaError(q, np.inf if rcond == 0.0 else 1.0 / rcond)
-        self._dM = self._Y = self._JY = self._Gamma = self._products = None
+        self._dM = self._dF = self._Y = self._JY = self._Gamma = self._products = None
 
     def solve(self, b):
         """M(q)^-1 b for a vector or an (n, k) block b.
@@ -259,6 +285,18 @@ class PointData:
         return self._dM
 
     @property
+    def dF(self):
+        if self._dF is None:
+            sys, q = self.sys, self.q
+            if sys.dinput_covectors is not None:
+                self._dF = np.array([np.asarray(d(q), dtype=float) for d in sys.dinput_covectors])
+            else:
+                self._dF = np.array(
+                    [central_jacobian(F, q, DEFAULT_FD_STEP) for F in sys.input_covectors]
+                )
+        return self._dF
+
+    @property
     def Y(self):
         if self._Y is None:
             self._Y = self.solve(self.sys.input_matrix(self.q))
@@ -267,14 +305,10 @@ class PointData:
     @property
     def JY(self):
         if self._JY is None:
-            sys, q, n = self.sys, self.q, self.sys.n
-            if sys.dinput_covectors is not None:
-                dF = np.array([np.asarray(d(q), dtype=float) for d in sys.dinput_covectors])
-            else:
-                dF = np.array([central_jacobian(F, q, DEFAULT_FD_STEP) for F in sys.input_covectors])
+            n, m = self.sys.n, self.sys.m
             # chain rule dY_a = M^-1 (dF_a - dM . Y_a), the m blocks solved side by side
-            rhs = dF.transpose(1, 0, 2) - np.einsum("irj,ra->iaj", self.dM, self.Y)
-            self._JY = self.solve(rhs.reshape(n, -1)).reshape(n, sys.m, n).transpose(1, 0, 2)
+            rhs = self.dF.transpose(1, 0, 2) - np.einsum("irj,ra->iaj", self.dM, self.Y)
+            self._JY = self.solve(rhs.reshape(n, -1)).reshape(n, m, n).transpose(1, 0, 2)
         return self._JY
 
     @property
@@ -291,10 +325,12 @@ class PointData:
     @property
     def products(self):
         if self._products is None:
-            # P[a, b] = JY_b Y_a + Gamma(Y_a, Y_b); <Y_a : Y_b> = P[a, b] + P[b, a]
-            Y = self.Y
-            P = np.einsum("bir,ra->abi", self.JY, Y) + np.einsum("ijk,ja,kb->abi", self.Gamma, Y, Y)
-            self._products = P + P.transpose(1, 0, 2)
+            # P[:, a, b] = M^-1 (dF_a Y_b - dM(Y_a, Y_b) / 2), all m^2 right-hand
+            # sides in one solve; <Y_a : Y_b> = P[:, a, b] + P[:, b, a]
+            n, m, Y = self.sys.n, self.sys.m, self.Y
+            rhs = (self.dF @ Y).transpose(1, 0, 2) - 0.5 * (Y.T @ self.dM.transpose(2, 0, 1) @ Y)
+            P = self.solve(rhs.reshape(n, m * m)).reshape(n, m, m)
+            self._products = (P + P.transpose(0, 2, 1)).transpose(1, 2, 0)
         return self._products
 
 

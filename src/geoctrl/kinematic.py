@@ -15,6 +15,7 @@ with {c_l} an orthonormal basis of the orthogonal complement of the input
 span.  Solutions are projective directions in R^m.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Sequence
 
@@ -121,7 +122,7 @@ def _forms_and_fields(sys, q):
     """(B, Y): the quadratic forms at q and the input fields they came from."""
     pt = sys.at(q)
     _, C = _span_projector(pt.Y, pt.q)
-    return np.einsum("il,abi->lab", C, pt.products), pt.Y
+    return (pt.products @ C).transpose(2, 0, 1), pt.Y
 
 
 def find_decoupling_fields(sys: MechanicalSystem, q, seed: int = 0) -> DecouplingSolutions:
@@ -134,56 +135,81 @@ def find_decoupling_fields(sys: MechanicalSystem, q, seed: int = 0) -> Decouplin
     """
     m = sys.m
     B, Y = _forms_and_fields(sys, q)
-    if B.shape[0] == 0:
-        return DecouplingSolutions(directions=[], all_directions=True, fields=Y)
-    scale = float(np.max(np.abs(B)))
-    if scale <= ZERO_TOL:
-        return DecouplingSolutions(directions=[], all_directions=True, fields=Y)
-    live = [Bl for Bl in B if np.max(np.abs(Bl)) > ZERO_TOL * scale]
-
-    def satisfies(h):
-        return all(abs(h @ Bl @ h) <= ROOT_TOL * scale for Bl in live)
-
     if m == 2:
-        cands = []
-        Bl = live[0]
-        c, b, a = Bl[0, 0], 2.0 * Bl[0, 1], Bl[1, 1]  # a r^2 + b r + c, r = h2/h1
-        if abs(a) <= ZERO_TOL * scale:
-            if abs(b) > ZERO_TOL * scale:
-                cands.append(np.array([1.0, -c / b]))
-            cands.append(np.array([0.0, 1.0]))  # h1 = 0 annihilates when a ~ 0
-        else:
-            disc = b * b - 4.0 * a * c
-            if disc >= 0.0:
-                sq = np.sqrt(disc)
-                qq = -0.5 * (b + (np.copysign(sq, b) if b != 0.0 else sq))
-                r1 = qq / a
-                cands.append(np.array([1.0, r1]))
-                if qq != 0.0:
-                    cands.append(np.array([1.0, c / qq]))
-        sols = [h for h in map(_canonical, cands) if satisfies(h)]
+        directions = _two_input_directions(B.tolist())
     else:
-        rng = np.random.default_rng(seed)
+        directions = _root_search(B, m, seed)
+    if directions is None:  # identically zero forms: every direction decouples
+        return DecouplingSolutions(directions=[], all_directions=True, fields=Y)
+    return DecouplingSolutions(directions=directions, all_directions=False, fields=Y)
 
-        def resid(h):
-            hn = h / np.linalg.norm(h)
-            return np.array([hn @ Bl @ hn for Bl in live]) / scale
 
-        sols = []
-        for _ in range(N_STARTS):
-            h0 = rng.standard_normal(m)
-            h0 /= np.linalg.norm(h0)
-            res = least_squares(resid, h0, xtol=1e-14, ftol=1e-14, gtol=1e-14)
-            h = _canonical(res.x)
-            if satisfies(h):
-                sols.append(h)
-    # projective dedupe, deterministic order
+def _two_input_directions(forms):
+    """The m = 2 directions from B.tolist(), on Python floats; None if B ~ 0.
+
+    Each root of the first live form a r^2 + b r + c (r = h2/h1, or h1 = 0
+    when a ~ 0) is normalized, signed so its largest entry is positive, and
+    kept if it annihilates every live form; two kept roots that are one
+    projective direction count once.
+    """
+    scale = max([abs(x) for Bl in forms for row in Bl for x in row], default=0.0)
+    if scale <= ZERO_TOL:
+        return None
+    zero, root_tol = ZERO_TOL * scale, ROOT_TOL * scale
+    live = [Bl for Bl in forms if max(map(abs, Bl[0] + Bl[1])) > zero]
+    (c, b), (_, a) = live[0]
+    b = 2.0 * b
+    if abs(a) <= zero:
+        cands = [(1.0, -c / b)] if abs(b) > zero else []
+        cands.append((0.0, 1.0))  # h1 = 0 annihilates when a ~ 0
+    else:
+        disc = b * b - 4.0 * a * c
+        if not disc >= 0.0:
+            return []  # no real root
+        sq = math.sqrt(disc)
+        qq = -0.5 * (b + (math.copysign(sq, b) if b != 0.0 else sq))
+        cands = [(1.0, qq / a)] + ([(1.0, c / qq)] if qq != 0.0 else [])
+    unique = []
+    for h1, h2 in cands:
+        norm = math.sqrt(h1 * h1 + h2 * h2)
+        h1, h2 = h1 / norm, h2 / norm
+        if (h1 if abs(h1) >= abs(h2) else h2) < 0.0:
+            h1, h2 = -h1, -h2
+        if all(
+            abs((h1 * B1 + h2 * B3) * h1 + (h1 * B2 + h2 * B4) * h2) <= root_tol
+            for (B1, B2), (B3, B4) in live
+        ) and not any(abs(h1 * u1 + h2 * u2) > 1.0 - 0.5 * ANGLE_TOL**2 for u1, u2 in unique):
+            unique.append((h1, h2))
+    if len(unique) > 1:  # the order of np.round(h, 9), the m > 2 key
+        unique.sort(key=lambda h: (round(h[0] * 1e9) / 1e9, round(h[1] * 1e9) / 1e9))
+    return [np.array(h) for h in unique]
+
+
+def _root_search(B, m, seed):
+    """The m > 2 directions: seeded least-squares starts, deduplicated, sorted;
+    None if B ~ 0."""
+    scale = float(np.max(np.abs(B))) if B.size else 0.0
+    if scale <= ZERO_TOL:
+        return None
+    live = [Bl for Bl in B if np.max(np.abs(Bl)) > ZERO_TOL * scale]
+    rng = np.random.default_rng(seed)
+
+    def resid(h):
+        hn = h / np.linalg.norm(h)
+        return np.array([hn @ Bl @ hn for Bl in live]) / scale
+
     unique: List[np.ndarray] = []
-    for h in sols:
-        if not any(abs(h @ u) > 1.0 - 0.5 * ANGLE_TOL**2 for u in unique):
+    for _ in range(N_STARTS):
+        h0 = rng.standard_normal(m)
+        h0 /= np.linalg.norm(h0)
+        res = least_squares(resid, h0, xtol=1e-14, ftol=1e-14, gtol=1e-14)
+        h = _canonical(res.x)
+        if all(abs(h @ Bl @ h) <= ROOT_TOL * scale for Bl in live) and not any(
+            abs(h @ u) > 1.0 - 0.5 * ANGLE_TOL**2 for u in unique
+        ):
             unique.append(h)
     unique.sort(key=lambda h: tuple(np.round(h, 9)))
-    return DecouplingSolutions(directions=unique, all_directions=False, fields=Y)
+    return unique
 
 
 @dataclass(frozen=True)
@@ -215,14 +241,17 @@ def candidate_from_direction(
         # (e.g. for tracing) sees every re-solve
         sol = find_decoupling_fields(sys, q, seed=seed)
         if sol.all_directions:
-            h = ref[0]
-        else:
-            if not sol.directions:
-                raise BranchVanishedError(q)
-            h = max(sol.directions, key=lambda d: abs(d @ ref[0]))
-            if h @ ref[0] < 0:
-                h = -h
-            ref[0] = h
+            return sol, ref[0]
+        if not sol.directions:
+            raise BranchVanishedError(q)
+        h, dot = None, 0.0  # the first direction of largest |d . ref|
+        for d in sol.directions:
+            dd = float(d @ ref[0])
+            if h is None or abs(dd) > abs(dot):
+                h, dot = d, dd
+        if dot < 0:
+            h = -h
+        ref[0] = h
         return sol, h
 
     def coefficients(q):

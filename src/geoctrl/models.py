@@ -40,7 +40,9 @@ the constant weights W = A^T diag(m) A + diag(I) (the rod inertias sit
 on the diagonal, where C = 1) and WD_r[j, k] = -W[j, k] (L[j, r] -
 L[k, r]).  V(q) = gravity * sum_i m_i p_{i,y}.  The test suite
 cross-checks every analytic derivative against central finite
-differences.
+differences.  M, dM, the input covectors, their derivatives and dV/dq
+also take a (B, 3) stack of configurations (``geometry.takes_stacks``),
+so reconstructing inputs along a sampled plan calls each once per block.
 
 Parameters are unit values by default (masses 1 kg, lengths 1 m, derived
 rod inertias, offset/coupling 1 m).  Gravity defaults: 9.81 m/s^2 for the
@@ -54,7 +56,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ConfigError, UnknownModelError
-from .geometry import MechanicalSystem
+from .geometry import MechanicalSystem, takes_stacks
 
 _REGISTRY: Dict[str, dict] = {}
 
@@ -307,21 +309,28 @@ def _build_three_link(params, acts):
     WD = -W * (L.T[:, :, None] - L.T[:, None, :])  # WD[r] = WD_r
     mA = m @ A  # row vector: sum_i m_i A[i, j]
 
+    # a stacked call does the per-point arithmetic on every point, so it equals
+    # per-point calls bit for bit
+    @takes_stacks
     def inertia(q):
-        th = np.cumsum(q)
-        return L.T @ (W * np.cos(th[:, None] - th)) @ L
+        th = np.asarray(q).cumsum(-1)
+        return L.T @ (W * np.cos(th[..., None] - th[..., None, :])) @ L
 
+    @takes_stacks
     def dinertia(q):
-        th = np.cumsum(q)
-        return (L.T @ (WD * np.sin(th[:, None] - th)) @ L).transpose(1, 2, 0)
+        th = np.asarray(q).cumsum(-1)
+        D = L.T @ (WD * np.sin(th[..., None, :, None] - th[..., None, None, :])) @ L
+        return D.swapaxes(-3, -2).swapaxes(-2, -1)  # [..., r, j, k] -> [..., j, k, r]
 
-    covs = []
-    dcovs = []
-    for a in acts:
-        e = np.zeros(3)
-        e[a - 1] = 1.0
-        covs.append(lambda q, _e=e: _e.copy())
-        dcovs.append(lambda q: np.zeros((3, 3)))
+    @takes_stacks
+    def dcovector(q):
+        return np.zeros(np.shape(q) + (3,))
+
+    def covector(e):
+        return takes_stacks(lambda q: e.copy() if np.ndim(q) == 1 else np.tile(e, (len(q), 1)))
+
+    covs = [covector(np.eye(3)[a - 1]) for a in acts]
+    dcovs = [dcovector] * len(acts)
 
     potential = None
     dpotential = None
@@ -331,9 +340,10 @@ def _build_three_link(params, acts):
             s = np.sin(np.cumsum(q))
             return g * float(m @ (A @ s))
 
+        @takes_stacks
         def dpotential(q):
-            c = np.cos(np.cumsum(q))
-            return g * ((mA * c) @ L)
+            c = np.cos(np.asarray(q).cumsum(-1))
+            return g * ((mA * c)[..., None, :] @ L)[..., 0, :]
 
     return MechanicalSystem(
         n=3,

@@ -1,24 +1,29 @@
 """Small numerical helpers: finite differences, quadrature, slope fits."""
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, simpson
+
+# scipy.integrate is imported by the quadrature helpers on first use: it adds
+# about 3 MB to a process, and one that only plans never integrates
 
 
 def central_jacobian(f, x, h=1e-5):
     """Jacobian of ``f`` at ``x`` by second-order central differences.
 
     Returns an array of shape ``f(x).shape + x.shape`` with entries
-    d f_i / d x_j.  Step is absolute (coordinates here are O(1) angles and
-    positions, so no relative scaling is applied).
+    d f_i / d x_j, from 2 x.size evaluations of ``f`` (never at x itself;
+    the first probe gives the output shape).  Step is absolute
+    (coordinates here are O(1) angles and positions, so no relative
+    scaling is applied).
     """
     x = np.asarray(x, dtype=float)
-    f0 = np.asarray(f(x), dtype=float)
-    jac = np.empty(f0.shape + x.shape)
+    jac = None
     for j in range(x.size):
         dx = np.zeros_like(x)
         dx.flat[j] = h
         fp = np.asarray(f(x + dx), dtype=float)
         fm = np.asarray(f(x - dx), dtype=float)
+        if jac is None:
+            jac = np.empty(fp.shape + x.shape)
         jac[..., j] = (fp - fm) / (2.0 * h)
     return jac
 
@@ -31,6 +36,8 @@ def simpson_uniform(y, dx, axis=0):
     n = y.shape[axis] if isinstance(y, np.ndarray) else len(y)
     if n < 3 or n % 2 == 0:
         raise ValueError(f"composite Simpson needs an odd sample count, got {n}")
+    from scipy.integrate import simpson
+
     return simpson(y, dx=dx, axis=axis)
 
 
@@ -40,6 +47,8 @@ def cumulative_simpson_uniform(y, dx, axis=0):
     Output has the same shape as ``y``; entry ``i`` approximates the
     integral from sample 0 to sample ``i``.
     """
+    from scipy.integrate import cumulative_simpson
+
     y = np.asarray(y, dtype=float)
     return cumulative_simpson(y, dx=dx, axis=axis, initial=0.0)
 

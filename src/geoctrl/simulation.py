@@ -347,10 +347,11 @@ def reconstruct_inputs(sys: MechanicalSystem, traj: Trajectory) -> Reconstructio
     rank deficient (numpy lstsq's rank rule) get residual +inf and the
     minimum-norm u.  Endpoints are dropped.
 
-    Samples are processed in blocks of _RECONSTRUCT_BLOCK: only the model
-    callables run per sample; symmetry checks, the Coriolis term and the
-    least-squares solves (QR of F, rank from the singular values of R)
-    run on whole blocks, which bounds the memory they take.
+    Samples are processed in blocks of _RECONSTRUCT_BLOCK: a model
+    callable marked ``takes_stacks`` runs once per block, any other once
+    per sample; symmetry checks, the Coriolis term and the least-squares
+    solves (QR of F, rank from the singular values of R) run on whole
+    blocks, which bounds the memory they take.
     """
     N = traj.n_samples
     if N < 3:
@@ -372,17 +373,24 @@ def reconstruct_inputs(sys: MechanicalSystem, traj: Trajectory) -> Reconstructio
 _RECONSTRUCT_BLOCK = 512
 
 
+def _rows(fn, qs):
+    """fn at every row of qs: one call if fn takes stacks, else one call per row."""
+    if getattr(fn, "takes_stacks", False):
+        return np.asarray(fn(qs), dtype=float)
+    return np.array([np.asarray(fn(q), dtype=float) for q in qs])
+
+
 def _reconstruct_block(sys, qs, qds, qdds):
     """Inputs and residuals of reconstruct_inputs for one block of samples."""
     n, m = sys.n, sys.m
-    Ms = sys._symmetrized(qs, np.array([np.asarray(sys.inertia(q), dtype=float) for q in qs]))
-    Fs = np.array([sys.input_matrix(q) for q in qs])
-    f = coriolis_covector(np.array([sys.dmass(q) for q in qs]), qds)
+    Ms = sys._symmetrized(qs, _rows(sys.inertia, qs))
+    Fs = np.stack([_rows(F, qs) for F in sys.input_covectors], axis=-1)
+    f = coriolis_covector(_rows(sys.dmass if sys.dinertia is None else sys.dinertia, qs), qds)
     f += np.einsum("bij,bj->bi", Ms, qdds)
     if sys.potential is not None:
-        f += np.array([sys.grad_potential(q) for q in qs])
+        f += _rows(sys.grad_potential if sys.dpotential is None else sys.dpotential, qs)
     if sys.damping is not None:
-        kqd = np.einsum("bij,bj->bi", np.array([sys.damping_matrix(q) for q in qs]), qds)
+        kqd = np.einsum("bij,bj->bi", _rows(sys.damping, qs), qds)
         f -= np.einsum("bij,bj->bi", Ms, kqd)
     Q, R = np.linalg.qr(Fs)
     sv = np.linalg.svd(R, compute_uv=False)

@@ -417,11 +417,46 @@ def test_point_data_evaluates_the_model_once(reads):
     assert calls["inertia"] == 1
     assert calls["dinertia"] == (1 if needs_dM else 0)
     # the finite-difference twin takes dM from inertia on the first read that
-    # needs it: central_jacobian's base point and two calls per coordinate
+    # needs it: two central_jacobian calls per coordinate
     calls["inertia"] = 0
     twin = random_polynomial_system(analytic=False)
     pt = dataclasses.replace(twin, inertia=counted("inertia", twin.inertia)).at(kernel_points()[0])
     assert calls["inertia"] == 1
     for name in reads + reads:  # a second read computes nothing
         getattr(pt, name)
-    assert calls["inertia"] == 1 + (2 * twin.n + 1 if needs_dM else 0)
+    assert calls["inertia"] == 1 + (2 * twin.n if needs_dM else 0)
+
+
+def former_products(pt):
+    """The former products formula, kept as the oracle: P[a, b] = JY_b Y_a +
+    Gamma(Y_a, Y_b), summed as P + P^T."""
+    Y = pt.Y
+    P = np.einsum("bir,ra->abi", pt.JY, Y) + np.einsum("ijk,ja,kb->abi", pt.Gamma, Y, Y)
+    return P + P.transpose(1, 0, 2)
+
+
+SHIPPED = [
+    ("flat", (1, 2)),
+    ("planar-body", (1, 2, 4)),
+    ("blimp", (1, 3)),
+    ("pvtol", (1, 2)),
+    ("three-link", (1, 2)),
+    ("three-link", (1, 2, 3)),
+]
+
+
+@pytest.mark.parametrize(
+    "sys",
+    [make(name, acts) for name, acts in SHIPPED]
+    + [random_polynomial_system(), random_polynomial_system(analytic=False)],
+    ids=[f"{name}{list(acts)}" for name, acts in SHIPPED] + ["polynomial", "polynomial-fd"],
+)
+def test_products_match_former_formula(sys):
+    rng = np.random.default_rng(21)
+    for q in rng.uniform(-2.0, 2.0, (25, sys.n)):
+        pt = sys.at(q)
+        P = pt.products
+        assert pt._JY is None and pt._Gamma is None  # products read neither
+        want = former_products(pt)
+        assert np.max(np.abs(P - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+        assert np.array_equal(P, P.transpose(1, 0, 2))

@@ -219,26 +219,29 @@ def test_find_decoupling_deterministic():
         assert_allclose(x, y, atol=0)
 
 
-def synthetic_five_dof(B1, B2):
-    """M = I_5, Y_a = e_a + Q_a(q) e_4 + R_a(q) e_5 with linear Q, R chosen
-    so the complement forms at q = 0 are exactly (B1, B2)."""
+def synthetic_system(*forms):
+    """M = I_n, Y_a = e_a + sum_l Q_la(q) e_{m+l} with linear Q_la(q) =
+    B_l[a] . q[:m] / 2, so the complement forms at q = 0 are exactly the
+    given (m, m) forms B_l (up to sign); n = m + the number of forms."""
+    m = forms[0].shape[0]
+    n = m + len(forms)
 
     def cov(a):
         def F(q, _a=a):
-            e = np.zeros(5)
+            e = np.zeros(n)
             e[_a] = 1.0
-            e[3] = 0.5 * float(B1[_a] @ q[:3])
-            e[4] = 0.5 * float(B2[_a] @ q[:3])
+            for l, B in enumerate(forms):
+                e[m + l] = 0.5 * float(B[_a] @ q[:m])
             return e
 
         return F
 
     return MechanicalSystem(
-        n=5,
-        m=3,
-        inertia=lambda q: np.eye(5),
-        input_covectors=[cov(a) for a in range(3)],
-        dinertia=lambda q: np.zeros((5, 5, 5)),
+        n=n,
+        m=m,
+        inertia=lambda q: np.eye(n),
+        input_covectors=[cov(a) for a in range(m)],
+        dinertia=lambda q: np.zeros((n, n, n)),
     )
 
 
@@ -264,7 +267,7 @@ def test_general_m_root_finding_designed_roots():
 
     B1, B2 = constrained_form(), constrained_form()
     assert abs(h_star @ B1 @ h_star) < 1e-12 and abs(h_dagger @ B2 @ h_dagger) < 1e-12
-    sys = synthetic_five_dof(B1, B2)
+    sys = synthetic_system(B1, B2)
     sol = find_decoupling_fields(sys, np.zeros(5))
     assert not sol.all_directions
     found = np.array(sol.directions)
@@ -274,6 +277,86 @@ def test_general_m_root_finding_designed_roots():
     for h in sol.directions:
         V = VectorField(eval=lambda qq, _h=h: sys.at(qq).Y @ _h)
         assert decoupling_residual(sys, V, np.zeros(5)) < 1e-8
+
+
+def former_two_input_solve(B):
+    """The former m = 2 closed form on numpy arrays, kept as the oracle: the
+    directions solving the forms B, or None when B is identically zero."""
+    scale = float(np.max(np.abs(B)))
+    if scale <= kinematic.ZERO_TOL:
+        return None
+    live = [Bl for Bl in B if np.max(np.abs(Bl)) > kinematic.ZERO_TOL * scale]
+
+    def canonical(h):
+        h = h / np.linalg.norm(h)
+        k = int(np.argmax(np.abs(h)))
+        return -h if h[k] < 0 else h
+
+    cands = []
+    Bl = live[0]
+    c, b, a = Bl[0, 0], 2.0 * Bl[0, 1], Bl[1, 1]
+    if abs(a) <= kinematic.ZERO_TOL * scale:
+        if abs(b) > kinematic.ZERO_TOL * scale:
+            cands.append(np.array([1.0, -c / b]))
+        cands.append(np.array([0.0, 1.0]))
+    else:
+        disc = b * b - 4.0 * a * c
+        if disc >= 0.0:
+            sq = np.sqrt(disc)
+            qq = -0.5 * (b + (np.copysign(sq, b) if b != 0.0 else sq))
+            cands.append(np.array([1.0, qq / a]))
+            if qq != 0.0:
+                cands.append(np.array([1.0, c / qq]))
+    sols = [
+        h
+        for h in map(canonical, cands)
+        if all(abs(h @ Bl @ h) <= kinematic.ROOT_TOL * scale for Bl in live)
+    ]
+    unique = []
+    for h in sols:
+        if not any(abs(h @ u) > 1.0 - 0.5 * kinematic.ANGLE_TOL**2 for u in unique):
+            unique.append(h)
+    unique.sort(key=lambda h: tuple(np.round(h, 9)))
+    return unique
+
+
+def two_input_forms():
+    rng = np.random.default_rng(41)
+    arm = make("three-link")
+    yield from (quadratic_forms(arm, q) for q in rng.uniform(-np.pi, np.pi, (200, 3)))
+    for acts in ((1, 3), (2, 3)):
+        arm = make("three-link", acts, gravity=9.81)
+        yield from (quadratic_forms(arm, q) for q in rng.uniform(-np.pi, np.pi, (20, 3)))
+    blimp = make("blimp")  # a ~ 0: the root h1 = 0 and the root of the linear term
+    for q in rng.uniform(-np.pi, np.pi, (5, 3)):
+        B = quadratic_forms(blimp, q)
+        assert abs(B[0, 1, 1]) <= kinematic.ZERO_TOL * np.max(np.abs(B))
+        yield B
+    yield np.array([[[1.0, 0.2], [0.2, 0.5]]])  # positive definite: no real root
+    yield np.zeros((1, 2, 2))
+
+
+def test_two_input_solve_matches_former_closed_form():
+    counts = set()
+    for B in two_input_forms():
+        got = kinematic._two_input_directions(B.tolist())
+        want = former_two_input_solve(B)
+        if want is None:
+            assert got is None
+            continue
+        counts.add(len(want))
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert isinstance(g, np.ndarray) and g.shape == (2,)
+            assert np.max(np.abs(g - w)) <= 1e-15  # same order and sign
+    assert counts == {0, 2}
+
+
+def test_no_real_root_is_an_empty_answer():
+    sys = synthetic_system(np.array([[1.0, 0.2], [0.2, 0.5]]))
+    sol = find_decoupling_fields(sys, np.zeros(3))
+    assert sol.directions == [] and not sol.all_directions
+    assert_allclose(sol.fields, np.eye(3)[:, :2], atol=0)
 
 
 def test_candidate_branch_continuity():

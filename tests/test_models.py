@@ -159,6 +159,18 @@ def test_three_link_closed_form_matches_einsum_oracle():
         assert np.max(np.abs(sys.dinertia(q) - dinertia(q))) <= 1e-13
 
 
+@pytest.mark.parametrize("gravity", [0.0, 9.81])
+def test_three_link_callables_take_stacks_bit_for_bit(gravity):
+    sys = make("three-link", (1, 2, 3), gravity=gravity, **THREE_LINK_PARAMS)
+    fns = [sys.inertia, sys.dinertia, *sys.input_covectors, *sys.dinput_covectors]
+    fns += [sys.dpotential] if gravity else []
+    assert all(fn.takes_stacks for fn in fns)
+    for B, seed in ((1, 17), (2, 18), (33, 19)):
+        Q = random_configs(3, B, seed)
+        for fn in fns:
+            assert np.array_equal(fn(Q), np.array([fn(q) for q in Q]))
+
+
 def test_three_link_dinertia_matches_fd_of_inertia():
     sys = make("three-link", **THREE_LINK_PARAMS)
     for q in random_configs(3, 50, seed=16):

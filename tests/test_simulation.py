@@ -1,5 +1,8 @@
 """Fixed-step integration, energy behavior, input reconstruction, CSV I/O."""
 
+import dataclasses
+import functools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -236,6 +239,27 @@ def test_blocked_reconstruction_matches_per_sample_oracle(sys):
     assert np.all(want_r > 1e-3)  # the curve is not realizable: residuals count
     assert_allclose(rec.residuals, want_r, rtol=1e-12, atol=0)
     assert_allclose(rec.times, traj.times[1:-1], rtol=0, atol=0)
+
+
+@pytest.mark.parametrize("marked", [False, True], ids=["pointwise", "wrapped"])
+def test_stacks_are_a_property_of_the_callable(marked):
+    # a per-point inertia swapped in is called once per sample; functools.wraps
+    # carries the stack mark, so a wrapper of the stacked one runs once per block
+    arm = make("three-link", gravity=9.81)
+    shapes = []
+
+    def inertia(q):
+        shapes.append(np.shape(q))
+        return arm.inertia(q)
+
+    if marked:
+        inertia = functools.wraps(arm.inertia)(inertia)
+    copy = dataclasses.replace(arm, inertia=inertia)
+    traj = smooth_curve(3, 1203, 1e-3, seed=6)
+    got, want = reconstruct_inputs(copy, traj), reconstruct_inputs(arm, traj)
+    assert shapes == ([(512, 3), (512, 3), (177, 3)] if marked else [(3,)] * 1201)
+    assert np.array_equal(got.inputs, want.inputs)
+    assert np.array_equal(got.residuals, want.residuals)
 
 
 def test_reconstruction_names_the_first_asymmetric_sample():
