@@ -47,7 +47,7 @@ from .oscillatory import (
     synthesis_audit,
     synthesize_controls,
 )
-from .series import MAX_ORDER, ForcingField, truncation_errors
+from .series import MAX_ORDER, truncation_errors
 from .simulation import ControlLaw, IntegratorConfig, State, _write_rows, simulate
 from .numutil import loglog_slope
 
@@ -85,6 +85,23 @@ def _number(cfg, key, default=None, required=False, cast=float):
     return number
 
 
+def _keys(spec, what, known):
+    """spec, or ConfigError unless it is a mapping whose keys are all in known."""
+    _require(isinstance(spec, dict), f"'{what}' must be a mapping, got {spec!r}")
+    for key in spec:
+        _require(key in known, f"unknown '{what}' key {key!r} (known: {', '.join(known)})")
+    return spec
+
+
+def _section(cfg, name, known):
+    """The section cfg[name] ({} if absent or null), spelled with '-' or '_', checked by _keys;
+    ConfigError if both spellings are present."""
+    spellings = [s for s in dict.fromkeys((name, name.replace("-", "_"))) if s in cfg]
+    _require(len(spellings) < 2, f"config has both '{name}' and '{name.replace('-', '_')}'")
+    key = spellings[0] if spellings else name
+    return _keys({} if cfg.get(key) is None else cfg[key], key, known)
+
+
 def _list(cfg, key, default=None, required=False):
     value = _get(cfg, key, default, required)
     _require(isinstance(value, list), f"'{key}' must be a list, got {value!r}")
@@ -108,23 +125,29 @@ def _write_json(path, payload, **kwargs):
         fh.write(text + "\n")
 
 
+_SIGNAL_KEYS = {"const": ("value",), "sinusoid": ("amplitude", "omega", "phase")}
+
+
 def parse_signal(spec):
     """const(value) or sinusoid(amplitude, omega, phase) -> callable t."""
     _require(isinstance(spec, dict), f"signal spec must be a mapping, got {spec!r}")
     kind = spec.get("type")
+    _require(
+        isinstance(kind, str) and kind in _SIGNAL_KEYS,
+        f"unknown signal type {kind!r} (use 'const' or 'sinusoid')",
+    )
+    _keys(spec, "signal", ("type",) + _SIGNAL_KEYS[kind])
     if kind == "const":
         c = _number(spec, "value", 0.0)
         return lambda t, _c=c: _c
-    if kind == "sinusoid":
-        A = _number(spec, "amplitude", 1.0)
-        w = _number(spec, "omega", 1.0)
-        p = _number(spec, "phase", 0.0)
-        return lambda t, _A=A, _w=w, _p=p: _A * math.sin(_w * t + _p)
-    raise ConfigError(f"unknown signal type {kind!r} (use 'const' or 'sinusoid')")
+    A = _number(spec, "amplitude", 1.0)
+    w = _number(spec, "omega", 1.0)
+    p = _number(spec, "phase", 0.0)
+    return lambda t, _A=A, _w=w, _p=p: _A * math.sin(_w * t + _p)
 
 
 def parse_gains(spec, m):
-    _require(isinstance(spec, dict), "gains must be a mapping with keys z / pairs")
+    _keys(spec, "gains", ("z", "pairs"))
     zspecs = _list(spec, "z", [])
     _require(len(zspecs) <= m, f"too many z gains for m={m}")
     z = [parse_signal(s) for s in zspecs]
@@ -159,9 +182,11 @@ def parse_model(cfg):
 
 
 def parse_integrator(cfg):
-    spec = cfg.get("integrator") or {}
+    spec = _section(cfg, "integrator", ("method", "dt"))
+    method = _get(spec, "method", "rk4")
+    _require(method == "rk4", f"unknown integrator method {method!r} (only 'rk4')")
     try:
-        return IntegratorConfig(method=spec.get("method", "rk4"), dt=_number(spec, "dt", 1e-3))
+        return IntegratorConfig(dt=_number(spec, "dt", 1e-3))
     except ValueError as e:
         raise ConfigError(str(e))
 
@@ -203,7 +228,7 @@ def load_config(path):
 
 
 def _exp_simulate(cfg, sys, outdir):
-    spec = cfg.get("simulate") or {}
+    spec = _section(cfg, "simulate", ("t0", "t1", "q0", "qdot0", "controls"))
     t0 = _number(spec, "t0", 0.0)
     t1 = _number(spec, "t1", required=True)
     x0 = parse_state(spec, sys.n)
@@ -217,7 +242,10 @@ def _exp_simulate(cfg, sys, outdir):
 
 
 def _exp_series_check(cfg, sys, outdir):
-    spec = cfg.get("series_check") or cfg.get("series-check") or {}
+    spec = _section(
+        cfg, "series-check",
+        ("order", "epsilons", "horizon", "input", "signal", "q0", "predict_dt_ratio"),
+    )
     K = _number(spec, "order", 2, cast=int)
     _require(1 <= K <= MAX_ORDER, f"series order must be in 1..{MAX_ORDER}, got {K}")
     eps = parse_epsilons(spec)
@@ -232,12 +260,11 @@ def _exp_series_check(cfg, sys, outdir):
     _require(ratio >= 1, f"predict_dt_ratio must be a positive integer, got {ratio}")
     cfg_pred = IntegratorConfig(dt=cfg_ref.dt * ratio)
 
-    def make_forcing(e):
-        inputs = [
+    def make_inputs(e):
+        return [
             (lambda t, _e=e: _e * base(t)) if a == idx else (lambda t: 0.0)
             for a in range(sys.m)
         ]
-        return ForcingField.from_system(sys, inputs)
 
     def reference(e):
         law = ControlLaw.of_time(
@@ -245,14 +272,14 @@ def _exp_series_check(cfg, sys, outdir):
         )
         return simulate(sys, law, State(q=q0, qdot=np.zeros(sys.n)), 0.0, T, cfg_ref)
 
-    errs = truncation_errors(sys, make_forcing, K, q0, T, eps, cfg_pred, reference)
+    errs = truncation_errors(sys, make_inputs, K, q0, T, eps, cfg_pred, reference)
     _write_rows(outdir / "series_convergence.csv", ["epsilon", "err"], zip(eps, errs))
     slope = loglog_slope(eps, errs) if np.all(errs > 0) else None
     return ["series_convergence.csv"], {"order": K, "slope": slope}
 
 
 def _exp_decoupling(cfg, sys, outdir):
-    spec = cfg.get("decoupling") or {}
+    spec = _section(cfg, "decoupling", ("q", "depth", "tol", "seed"))
     q = _number(spec, "q", required=True, cast=_floats)
     _require(q.shape == (sys.n,), f"q must have length {sys.n}")
     depth = _number(spec, "depth", 2, cast=int)
@@ -272,7 +299,7 @@ def _exp_decoupling(cfg, sys, outdir):
 
 
 def _exp_larc(cfg, sys, outdir):
-    spec = cfg.get("larc") or {}
+    spec = _section(cfg, "larc", ("q", "depth", "tol"))
     q = _number(spec, "q", required=True, cast=_floats)
     _require(q.shape == (sys.n,), f"q must have length {sys.n}")
     fields = [sys.input_field(a) for a in range(sys.m)]
@@ -283,8 +310,11 @@ def _exp_larc(cfg, sys, outdir):
     return ["controllability.json"], {"rank": report.rank, "verdict": report.verdict}
 
 
+_AVERAGING_KEYS = ("t1", "gains", "q0", "qdot0", "dt_avg")
+
+
 def _exp_oscillatory_track(cfg, sys, outdir):
-    spec = cfg.get("oscillatory_track") or cfg.get("oscillatory-track") or {}
+    spec = _section(cfg, "oscillatory-track", _AVERAGING_KEYS + ("epsilon",))
     eps = _number(spec, "epsilon", required=True)
     _require(eps > 0, "epsilon must be positive")
     t1 = _number(spec, "t1", required=True)
@@ -316,7 +346,7 @@ def _exp_oscillatory_track(cfg, sys, outdir):
 
 
 def _exp_convergence(cfg, sys, outdir):
-    spec = cfg.get("convergence") or {}
+    spec = _section(cfg, "convergence", _AVERAGING_KEYS + ("epsilons",))
     eps = parse_epsilons(spec)
     t1 = _number(spec, "t1", required=True)
     _require(t1 > 0, f"'t1' must be positive, got {t1}")

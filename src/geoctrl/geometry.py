@@ -334,26 +334,9 @@ class PointData:
         return self._products
 
 
-@dataclass(frozen=True)
-class ChristoffelTensor:
-    """Christoffel symbols Gamma^i_jk at a fixed configuration point."""
-
-    q: np.ndarray
-    values: np.ndarray  # (n, n, n), symmetric in the last two indices
-
-    def bilinear(self, u, v):
-        """Gamma(u, v)^i = Gamma^i_jk u^j v^k."""
-        return np.einsum("ijk,j,k->i", self.values, u, v)
-
-    def quadratic(self, qdot):
-        """Gamma(qdot, qdot), the quadratic velocity (Coriolis) vector."""
-        return self.bilinear(qdot, qdot)
-
-
-def christoffel(sys: MechanicalSystem, q) -> ChristoffelTensor:
-    """Christoffel symbols of the inertia metric at q (``sys.at(q).Gamma``)."""
-    q = np.asarray(q, dtype=float)
-    return ChristoffelTensor(q=q, values=sys.at(q).Gamma)
+def christoffel(sys: MechanicalSystem, q) -> np.ndarray:
+    """Christoffel symbols Gamma[i, j, k] of the inertia metric at q (``sys.at(q).Gamma``)."""
+    return sys.at(q).Gamma
 
 
 def covariant_derivative(sys: MechanicalSystem, X: VectorField, Y: VectorField, q):
@@ -361,8 +344,7 @@ def covariant_derivative(sys: MechanicalSystem, X: VectorField, Y: VectorField, 
     q = np.asarray(q, dtype=float)
     x = X(q)
     y = Y(q)
-    gamma = christoffel(sys, q)
-    return Y.jacobian_at(q) @ x + gamma.bilinear(x, y)
+    return Y.jacobian_at(q) @ x + np.einsum("ijk,j,k->i", christoffel(sys, q), x, y)
 
 
 def lie_bracket(X: VectorField, Y: VectorField, q):
@@ -380,8 +362,7 @@ def _symmetric_product(a, b, Ja, Jb, G):
 def symmetric_product(sys: MechanicalSystem, Ya: VectorField, Yb: VectorField, q):
     """<Ya : Yb> = nabla_Ya Yb + nabla_Yb Ya at q (symmetric in Ya, Yb)."""
     q = np.asarray(q, dtype=float)
-    gamma = christoffel(sys, q).values
-    return _symmetric_product(Ya(q), Yb(q), Ya.jacobian_at(q), Yb.jacobian_at(q), gamma)
+    return _symmetric_product(Ya(q), Yb(q), Ya.jacobian_at(q), Yb.jacobian_at(q), christoffel(sys, q))
 
 
 # -- lifted (state-space) fields ------------------------------------------
@@ -414,7 +395,7 @@ def geodesic_spray(sys: MechanicalSystem) -> VectorField:
 
     def ev(x):
         q, qd = _split_state(x)
-        return np.concatenate([qd, -christoffel(sys, q).quadratic(qd)])
+        return np.concatenate([qd, -np.einsum("ijk,j,k->i", christoffel(sys, q), qd, qd)])
 
     def jac(x):
         q, qd = _split_state(x)
@@ -423,9 +404,9 @@ def geodesic_spray(sys: MechanicalSystem) -> VectorField:
         J[:n, n:] = np.eye(n)
         # d(-Gamma(q)(qd,qd))/dq by finite differences of the quadratic form
         J[n:, :n] = central_jacobian(
-            lambda qq: -christoffel(sys, qq).quadratic(qd), q, DEFAULT_FD_STEP
+            lambda qq: -np.einsum("ijk,j,k->i", christoffel(sys, qq), qd, qd), q, DEFAULT_FD_STEP
         )
-        J[n:, n:] = -2.0 * np.einsum("ijk,k->ij", christoffel(sys, q).values, qd)
+        J[n:, n:] = -2.0 * np.einsum("ijk,k->ij", christoffel(sys, q), qd)
         return J
 
     return VectorField(eval=ev, jacobian=jac, hclass=1)

@@ -1,14 +1,14 @@
 """Averaging of oscillatory inputs and the three-step inversion synthesis.
 
 High-frequency, high-amplitude inputs u_a = v_a(t, q) + (1/eps) *
-w_a(t/eps, t), with w T-periodic and zero-mean in its first argument,
+w_a(t/eps, t), with w 2 pi-periodic and zero-mean in its first argument,
 drive a mechanical system to track — to O(eps) in configuration — an
 averaged system whose extra forcing directions are symmetric products of
 the input fields.  The coefficients are averaged multinomial iterated
 integrals of the fast inputs:
 
-    Ubar_{k_1..k_m}(t) = (1/T) / (k_1! ... k_m!) *
-        int_0^T prod_a ( int_0^s w_a(tau, t) dtau )^{k_a} ds,
+    Ubar_{k_1..k_m}(t) = (1/2 pi) / (k_1! ... k_m!) *
+        int_0^{2 pi} prod_a ( int_0^s w_a(tau, t) dtau )^{k_a} ds,
 
 and the averaged dynamics reads
 
@@ -24,11 +24,17 @@ prescribed gains z_ab(t), and picks v_a to cancel the <Y_a : Y_a> drift
 coefficients alpha).  The averaged system is then forced by
 sum_a z_a Y_a + sum_{a<b} z_ab <Y_a : Y_b> — more directions than the
 original m inputs.
+
+The fast period is 2 pi, the period of every psi_N.  Every tau integral
+is composite Simpson on the one grid TAU of NODES_PER_PERIOD (odd) nodes
+over [0, 2 pi], and an epsilon member of a simulation takes
+member_substeps RK4 steps per averaged step, so that its fast period eps
+2 pi gets at least STEPS_PER_PERIOD of them.
 """
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -40,6 +46,12 @@ from .simulation import simulate, simulate_forced
 
 TWO_PI = 2.0 * math.pi
 NODES_PER_PERIOD = 2001
+TAU = np.linspace(0.0, TWO_PI, NODES_PER_PERIOD)
+TAU.flags.writeable = False  # handed to the caller's signals
+DTAU = TAU[1] - TAU[0]
+STEPS_PER_PERIOD = 100
+SPAN_TOL = 1e-6  # worst relative residual of <Y_a : Y_a> off the input span
+AUDIT_TIMES = np.sort(np.random.default_rng(0).uniform(0.0, 10.0, size=20))
 
 
 def psi(N: int):
@@ -48,12 +60,6 @@ def psi(N: int):
     if N < 1:
         raise ValueError("N must be a positive integer")
     return lambda tau: math.sqrt(2.0) * N * np.cos(N * np.asarray(tau, dtype=float))
-
-
-def _tau_grid(T, nodes=NODES_PER_PERIOD):
-    if nodes % 2 == 0:
-        nodes += 1
-    return np.linspace(0.0, T, nodes)
 
 
 def _eval_signal(u, tau, t):
@@ -75,23 +81,21 @@ def _eval_signal(u, tau, t):
     return out
 
 
-def averaged_iterated_integral(u, k, T, t=0.0, nodes=NODES_PER_PERIOD) -> float:
-    """Ubar_{k_1..k_m}(t) of the signals u by composite Simpson quadrature."""
+def averaged_iterated_integral(u, k, t=0.0) -> float:
+    """Ubar_{k_1..k_m}(t) of the 2 pi-periodic signals u by composite Simpson quadrature."""
     k = tuple(int(x) for x in k)
     if len(k) != len(u):
         raise ValueError("one multiplicity per input signal")
     if any(x < 0 for x in k) or sum(k) < 1:
         raise ValueError("multiplicities must be nonnegative with positive sum")
-    tau = _tau_grid(T, nodes)
-    dx = tau[1] - tau[0]
-    integrand = np.ones_like(tau)
+    integrand = np.ones_like(TAU)
     for a, ka in enumerate(k):
         if ka == 0:
             continue
-        W = cumulative_simpson_uniform(_eval_signal(u[a], tau, t), dx)
+        W = cumulative_simpson_uniform(_eval_signal(u[a], TAU, t), DTAU)
         integrand = integrand * W**ka
     fact = math.prod(math.factorial(x) for x in k)
-    return float(simpson_uniform(integrand, dx) / (T * fact))
+    return float(simpson_uniform(integrand, DTAU) / (TWO_PI * fact))
 
 
 # -- gains and synthesized controls -------------------------------------------
@@ -112,29 +116,16 @@ def lexicographic_enumeration(m: int) -> Dict[Tuple[int, int], int]:
 class AveragedGains:
     """Direct gains z_a(t) and pair gains z_ab(t) for a < b (0-based keys).
 
-    Missing pairs default to zero gain.  The enumeration assigns each pair
-    its oscillation frequency and must be injective.
+    Missing pairs default to zero gain.
     """
 
     z: Sequence[Callable[[float], float]]
     z_pairs: Dict[Tuple[int, int], Callable[[float], float]] = field(default_factory=dict)
-    enumeration: Optional[Dict[Tuple[int, int], int]] = None
 
     def __post_init__(self):
-        m = self.m
         for (a, b) in self.z_pairs:
-            if not (0 <= a < b < m):
-                raise ValueError(f"bad pair key {(a, b)} for m={m}")
-        enum = self.enumeration
-        if enum is None:
-            enum = lexicographic_enumeration(m)
-            object.__setattr__(self, "enumeration", enum)
-        pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
-        if sorted(enum.keys()) != pairs:
-            raise ValueError("enumeration must cover exactly the pairs a < b")
-        vals = list(enum.values())
-        if len(set(vals)) != len(vals) or any(v < 1 for v in vals):
-            raise ValueError("enumeration must be injective with frequencies >= 1")
+            if not (0 <= a < b < self.m):
+                raise ValueError(f"bad pair key {(a, b)} for m={self.m}")
 
     @property
     def m(self):
@@ -160,12 +151,13 @@ def fast_parts(gains: AveragedGains):
     """The synthesized w_a(tau, t) for the given gains.
 
     w_a = -sum_{c<a} psi_N(c,a) + sum_{c>a} z_ac(t) psi_N(a,c): each pair
-    (a, b) contributes its frequency positively (scaled by the gain) to
-    the lower index and negatively (unscaled) to the higher one, which
-    makes the pair's averaged cross integral exactly -z_ab(t).
+    (a, b) contributes its frequency N(a, b) from lexicographic_enumeration
+    positively (scaled by the gain) to the lower index and negatively
+    (unscaled) to the higher one, which makes the pair's averaged cross
+    integral exactly -z_ab(t).
     """
     m = gains.m
-    enum = gains.enumeration
+    enum = lexicographic_enumeration(m)
 
     def w(a):
         minus = [psi(enum[(c, a)]) for c in range(a)]
@@ -205,12 +197,11 @@ def _drift(gains: AveragedGains, t):
 class SpanCoefficients:
     """alpha(q) with <Y_a : Y_a>(q) = sum_b alpha[a, b] Y_b(q), by least squares.
 
-    ``check`` raises when the worst relative residual exceeds tol — the
-    standing assumption behind the drift cancellation fails there.
+    ``check`` raises when the worst relative residual exceeds SPAN_TOL —
+    the standing assumption behind the drift cancellation fails there.
     """
 
     sys: MechanicalSystem
-    tol: float = 1e-6
 
     def _solve(self, q):
         pt = self.sys.at(q)
@@ -227,14 +218,14 @@ class SpanCoefficients:
 
     def check(self, q):
         alpha, res = self._solve(q)
-        if res > self.tol:
-            raise SpanAssumptionError(np.asarray(q, dtype=float), res, self.tol)
+        if res > SPAN_TOL:
+            raise SpanAssumptionError(np.asarray(q, dtype=float), res, SPAN_TOL)
         return alpha
 
 
-def span_coefficients(sys: MechanicalSystem, q, tol: float = 1e-6) -> SpanCoefficients:
+def span_coefficients(sys: MechanicalSystem, q) -> SpanCoefficients:
     """Validated span coefficients at q (and lazily anywhere else)."""
-    coeffs = SpanCoefficients(sys=sys, tol=tol)
+    coeffs = SpanCoefficients(sys=sys)
     coeffs.check(q)
     return coeffs
 
@@ -246,12 +237,11 @@ class OscillatoryControl:
     slow: Callable[[float, np.ndarray], np.ndarray]
     fast: Callable[[float, float], np.ndarray]
     epsilon: float
-    period: float = TWO_PI
 
     @property
     def suggested_max_dt(self):
         # resolve the fast period with >= 50 steps
-        return self.epsilon * self.period / 50.0
+        return self.epsilon * TWO_PI / 50.0
 
     def as_control_law(self) -> ControlLaw:
         def ev(t, q, qd):
@@ -259,20 +249,9 @@ class OscillatoryControl:
 
         return ControlLaw(eval=ev, suggested_max_dt=self.suggested_max_dt)
 
-    def fast_mean_residual(self, t=0.0, nodes=NODES_PER_PERIOD) -> float:
-        """Worst |(1/T) int_0^T fast_a(tau, t) dtau| — should be ~0."""
-        tau = _tau_grid(self.period, nodes)
-        vals = np.array([self.fast(x, t) for x in tau])  # (nodes, m)
-        means = simpson_uniform(vals, tau[1] - tau[0], axis=0) / self.period
-        return float(np.max(np.abs(means)))
-
 
 def synthesize_controls(
-    sys: MechanicalSystem,
-    gains: AveragedGains,
-    epsilon: float,
-    T: float = TWO_PI,
-    span_tol: float = 1e-6,
+    sys: MechanicalSystem, gains: AveragedGains, epsilon: float
 ) -> OscillatoryControl:
     """Controls whose averaged effect is z_a Y_a + sum_{a<b} z_ab <Y_a:Y_b>.
 
@@ -285,13 +264,13 @@ def synthesize_controls(
         raise ValueError(f"gains are for m={gains.m}, system has m={sys.m}")
     if not 0.0 < epsilon:
         raise ValueError("epsilon must be positive")
-    coeffs = SpanCoefficients(sys=sys, tol=span_tol)
+    coeffs = SpanCoefficients(sys=sys)
 
     def slow(t, q):
         alpha = coeffs.check(q)
         return np.array([z(t) for z in gains.z]) + alpha.T @ _drift(gains, t)
 
-    return OscillatoryControl(slow=slow, fast=_stacked(fast_parts(gains)), epsilon=epsilon, period=T)
+    return OscillatoryControl(slow=slow, fast=_stacked(fast_parts(gains)), epsilon=epsilon)
 
 
 # -- the averaged system --------------------------------------------------------
@@ -330,12 +309,13 @@ class AveragedSystem:
             record=self.gain_vector,
         )
 
-    def input_distribution_rank(self, q, tol=1e-8) -> int:
-        """Rank of span{Y_a, <Y_b:Y_c>} — n means fully actuated on average."""
+    def input_distribution_rank(self, q) -> int:
+        """Rank of span{Y_a, <Y_b:Y_c>}, singular values below 1e-8 of the
+        largest dropped — n means fully actuated on average."""
         pt = self.sys.at(q)
         cols = [pt.Y] + [pt.products[a, b][:, None] for (a, b) in self.gains.pair_keys()]
         sv = np.linalg.svd(np.hstack(cols), compute_uv=False)
-        return int(np.sum(sv > tol * sv[0])) if sv[0] > 0 else 0
+        return int(np.sum(sv > 1e-8 * sv[0])) if sv[0] > 0 else 0
 
 
 def averaged_system(sys: MechanicalSystem, gains: AveragedGains) -> AveragedSystem:
@@ -344,22 +324,20 @@ def averaged_system(sys: MechanicalSystem, gains: AveragedGains) -> AveragedSyst
     return AveragedSystem(sys=sys, gains=gains)
 
 
-def _ubar_table(fast, T, t, nodes=NODES_PER_PERIOD):
+def _ubar_table(fast, t):
     """First- and second-order Ubar at time t of the fast parts fast(tau, t),
     an (m, len(tau)) array for array tau.
 
     Returns (U1, U2): U1[a] = Ubar_{e_a}, U2[a, b] = Ubar_{e_a + e_b}
     (with the 1/2! factor on the diagonal)."""
-    tau = _tau_grid(T, nodes)
-    dx = tau[1] - tau[0]
-    W = cumulative_simpson_uniform(fast(tau, t), dx, axis=1)
-    U1 = simpson_uniform(W, dx, axis=1) / T
-    U2 = simpson_uniform(W[:, None] * W[None], dx, axis=2) / T
+    W = cumulative_simpson_uniform(fast(TAU, t), DTAU, axis=1)
+    U1 = simpson_uniform(W, DTAU, axis=1) / TWO_PI
+    U2 = simpson_uniform(W[:, None] * W[None], DTAU, axis=2) / TWO_PI
     U2[np.diag_indices(len(W))] *= 0.5
     return U1, U2
 
 
-def general_averaged_forcing(sys: MechanicalSystem, control: OscillatoryControl, nodes=NODES_PER_PERIOD):
+def general_averaged_forcing(sys: MechanicalSystem, control: OscillatoryControl):
     """Acceleration forcing of the general averaged equation, term by term.
 
     Independent of the synthesis shortcuts: evaluates the Ubar integrals
@@ -371,7 +349,7 @@ def general_averaged_forcing(sys: MechanicalSystem, control: OscillatoryControl,
     m = sys.m
 
     def forcing(t, q, qd=None):
-        U1, U2 = _ubar_table(control.fast, control.period, t, nodes)
+        U1, U2 = _ubar_table(control.fast, t)
         pt = sys.at(q)
         S = pt.products
         out = pt.Y @ control.slow(t, q)
@@ -387,26 +365,18 @@ def general_averaged_forcing(sys: MechanicalSystem, control: OscillatoryControl,
 # -- audits and convergence studies ---------------------------------------------
 
 
-def synthesis_audit(
-    gains: AveragedGains,
-    T: float = TWO_PI,
-    times: Optional[Sequence[float]] = None,
-    nodes: int = NODES_PER_PERIOD,
-    seed: int = 0,
-) -> dict:
-    """Quadrature check of the synthesis identities at sampled times.
+def synthesis_audit(gains: AveragedGains) -> dict:
+    """Quadrature check of the synthesis identities at the AUDIT_TIMES
+    (20 times in [0, 10) drawn with seed 0).
 
     For the synthesized fast parts: the pair coefficient U1_a U1_b -
     U2_ab must equal -(-z_ab) ... i.e. z_ab(t); the diagonal integral
     U2_aa must equal the drift 1/2 (a + sum_{c>a} z_ac^2) that the slow
     part cancels; and the first-order means U1 must vanish.
     """
-    m = gains.m
-    if times is None:
-        rng = np.random.default_rng(seed)
-        times = np.sort(rng.uniform(0.0, 10.0, size=20))
+    m, times = gains.m, AUDIT_TIMES
     fast = _stacked(fast_parts(gains))
-    tables = [_ubar_table(fast, T, float(t), nodes) for t in times]
+    tables = [_ubar_table(fast, float(t)) for t in times]
     drifts = [_drift(gains, t) for t in times]
 
     def record(coefficient, target, **key):
@@ -432,7 +402,7 @@ def synthesis_audit(
     )
     return {
         "m": m,
-        "period": T,
+        "period": TWO_PI,
         "times": [float(t) for t in times],
         "pairs": pairs,
         "diagonal": diagonal,
@@ -458,10 +428,10 @@ class ConvergenceStudy:
         _write_rows(path_or_file, ["epsilon", "max_err", "slope_partial"], zip(eps, errs, parts))
 
 
-def member_substeps(dt_avg, eps, steps_per_period=100, T=TWO_PI):
-    """RK4 steps per dt_avg for an eps member: its fast period eps T gets at
-    least steps_per_period of them, and its samples land on the dt_avg grid."""
-    return max(1, math.ceil(dt_avg * steps_per_period / (eps * T)))
+def member_substeps(dt_avg, eps):
+    """RK4 steps per dt_avg for an eps member: its fast period eps 2 pi gets at
+    least STEPS_PER_PERIOD of them, and its samples land on the dt_avg grid."""
+    return max(1, math.ceil(dt_avg * STEPS_PER_PERIOD / (eps * TWO_PI)))
 
 
 def convergence_study(
@@ -471,16 +441,12 @@ def convergence_study(
     T_final: float,
     eps_list: Sequence[float],
     dt_avg: float = 1e-2,
-    steps_per_period: int = 100,
-    T: float = TWO_PI,
-    span_tol: float = 1e-6,
 ) -> ConvergenceStudy:
     """Tracking error of the true oscillatory system vs the averaged one.
 
     The averaged reference runs once at dt_avg; each epsilon member runs
-    at the nested step dt_avg / member_substeps(dt_avg, eps,
-    steps_per_period, T), which resolves the fast period and keeps the
-    sample grids aligned.
+    at the nested step dt_avg / member_substeps(dt_avg, eps), which
+    resolves the fast period and keeps the sample grids aligned.
     Members run one after the other in the given epsilon order.  The
     slope is NaN when fewer than 2 epsilons are given or an error is not
     positive.
@@ -490,8 +456,8 @@ def convergence_study(
     )
 
     def member(eps):
-        control = synthesize_controls(sys, gains, eps, T, span_tol)
-        sub = member_substeps(dt_avg, eps, steps_per_period, T)
+        control = synthesize_controls(sys, gains, eps)
+        sub = member_substeps(dt_avg, eps)
         cfg = IntegratorConfig(dt=dt_avg / sub)
         traj = simulate(sys, control.as_control_law(), x0, 0.0, T_final, cfg)
         qeps = traj.qs[::sub]

@@ -1,7 +1,8 @@
 """Velocity series expansion for motion from rest under small forcing.
 
 For a system with no potential or damping, forced by the time-varying
-field Y(q, t) = sum_a Y_a(q) u_a(t), the trajectory from rest satisfies
+field Y(q, t) = sum_a Y_a(q) u_a(t) with the m input signals u_a given
+as a list of callables t -> u_a(t), the trajectory from rest satisfies
 qdot(t) = sum_k V_k(q(t), t) where the terms are built recursively from
 time integrals and symmetric products:
 
@@ -22,16 +23,16 @@ and generally V_k = sum_w c_w(t) P_w(q) over the words w of order k: a
 leaf a (c = U_a, P = Y_a) or an unordered pair (u, v) of words of orders
 j + (k - j) = k, with P = <P_u : P_v> and c = -1/2 int_0^t c_u c_v summed
 over both orders and every split.  The c_w are integrated once per engine
-on one uniform grid (cumulative Simpson, >= NODES_PER_UNIT nodes per unit
-time by default).  P_w is evaluated lazily at the caller's q through a
-private per-call memo, a composite word's Jacobian by central differences
-with step WORD_FD_STEP.  The leaves Y_a, their Jacobians and Gamma all
-come from one kernel ``sys.at(q)`` per point, so M(q) is factored once.
+on one uniform grid (cumulative Simpson; predict_from_rest's is
+uniform_grid, >= NODES_PER_UNIT nodes per unit time).  P_w is evaluated
+lazily at the caller's q through a private per-call memo, a composite
+word's Jacobian by central differences with step WORD_FD_STEP.  The
+leaves Y_a, their Jacobians and Gamma all come from one kernel
+``sys.at(q)`` per point, so M(q) is factored once.
 """
 
 import math
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Sequence
 
 import numpy as np
 
@@ -52,66 +53,32 @@ def uniform_grid(T):
     return np.linspace(0.0, T, N)
 
 
-@dataclass(frozen=True)
-class ForcingField:
-    """Y(q, t) = sum_a Y_a(q) * inputs[a](t) along a system's input fields Y_a."""
-
-    inputs: Sequence[Callable[[float], float]]
-
-    def __post_init__(self):
-        if not self.inputs:
-            raise ValueError("forcing needs at least one input signal")
-
-    @property
-    def m(self):
-        return len(self.inputs)
-
-    @staticmethod
-    def from_system(sys: MechanicalSystem, inputs) -> "ForcingField":
-        """Forcing along the system's input fields Y_a = M^-1 F_a."""
-        inputs = list(inputs)
-        if len(inputs) != sys.m:
-            raise ValueError(f"expected {sys.m} input signals, got {len(inputs)}")
-        return ForcingField(inputs=inputs)
-
-
-@dataclass(frozen=True)
-class SeriesTerm:
-    """Series term of a fixed order; eval(q, t) interpolates on the grid."""
-
-    order: int
-    eval: Callable[[np.ndarray, float], np.ndarray]
-
-    def __call__(self, q, t):
-        return self.eval(q, t)
-
-
 class _Engine:
     """Word coefficients c_w on the grid; word values P_w at a given q."""
 
-    def __init__(self, sys: MechanicalSystem, forcing: ForcingField, K, grid):
+    def __init__(self, sys: MechanicalSystem, inputs, K, grid):
         if not 1 <= K <= MAX_ORDER:
             raise ValueError(f"series order must be in 1..{MAX_ORDER}, got K={K}")
         if sys.potential is not None or sys.damping is not None:
             raise ValueError(
                 "the from-rest series requires a system without potential or damping"
             )
-        if forcing.m != sys.m:
-            raise ValueError(f"expected {sys.m} input signals, got {forcing.m}")
+        if len(inputs) != sys.m:
+            raise ValueError(f"expected {sys.m} input signals, got {len(inputs)}")
         grid = np.asarray(grid, dtype=float)
         if grid.ndim != 1 or grid.size < 4 or grid[0] != 0.0:
             raise ValueError("grid must be a 1-D array of times starting at 0")
         steps = np.diff(grid)
         if np.max(np.abs(steps - steps[0])) > 1e-12 * max(1.0, steps[0]):
             raise ValueError("grid must be uniform")
-        self.sys, self.forcing, self.K, self.grid = sys, forcing, K, grid
+        self.sys, self.K, self.grid = sys, K, grid
         dx = float(steps[0])
         # words[w] is an input index (leaf) or a pair (u, v) of word ids, u <= v;
         # ids are grouped by order, words of order k being ends[k-1]:ends[k]
-        U = np.array([[forcing.inputs[a](t) for t in grid] for a in range(forcing.m)])
-        self.words = list(range(forcing.m))
+        U = np.array([[u(t) for t in grid] for u in inputs])
+        self.words = list(range(sys.m))
         coefs = list(cumulative_simpson_uniform(U, dx, axis=1))
-        self.ends = [0, forcing.m]
+        self.ends = [0, sys.m]
         for k in range(2, K + 1):
             integrands = {}
             for j in range(1, k):
@@ -171,48 +138,40 @@ class _Engine:
         return self._sum(q, t, 0, self.ends[self.K if upto is None else upto])
 
 
-def series_terms(
-    sys: MechanicalSystem, forcing: ForcingField, K: int, grid
-) -> List[SeriesTerm]:
-    """The terms V_1 .. V_K as evaluatable fields over the given time grid."""
-    e = _Engine(sys, forcing, K, grid)
-    return [
-        SeriesTerm(order=k, eval=lambda q, t, _k=k: e._sum(q, t, e.ends[_k - 1], e.ends[_k]))
-        for k in range(1, K + 1)
-    ]
+def series_terms(sys: MechanicalSystem, inputs, K: int, grid) -> List[Callable]:
+    """The terms V_1 .. V_K, as callables (q, t) -> V_k(q, t), over the given time grid."""
+    e = _Engine(sys, inputs, K, grid)
+    return [lambda q, t, _k=k: e._sum(q, t, e.ends[_k - 1], e.ends[_k]) for k in range(1, K + 1)]
 
 
 def predict_from_rest(
     sys: MechanicalSystem,
-    forcing: ForcingField,
+    inputs: Sequence[Callable[[float], float]],
     K: int,
     q0,
     T: float,
     cfg: IntegratorConfig,
-    grid: Optional[np.ndarray] = None,
 ) -> Trajectory:
     """Integrate qdot = sum_k V_k(q, t) from rest and return the prediction.
 
-    Velocities are filled from the series; recorded inputs are the forcing
-    signals at the sample times.
+    The word coefficients live on uniform_grid(T).  Velocities are filled
+    from the series; recorded inputs are the signals at the sample times.
     """
     q0 = np.asarray(q0, dtype=float)
-    if grid is None:
-        grid = uniform_grid(T)
-    engine = _Engine(sys, forcing, K, grid)
+    engine = _Engine(sys, inputs, K, uniform_grid(T))
     steps = _check_grid(0.0, T, cfg.dt)
     qds = np.empty((steps + 1, sys.n))
     rhs = _record_stage_one(lambda t, q: engine.velocity(q, t), qds)
     qs = _rk4(rhs, q0, 0.0, cfg.dt, steps)
     ts = cfg.dt * np.arange(steps + 1)
     qds[steps] = engine.velocity(qs[steps], ts[steps])
-    us = np.array([[forcing.inputs[a](t) for a in range(forcing.m)] for t in ts])
+    us = np.array([[u(t) for u in inputs] for t in ts])
     return Trajectory(t0=0.0, t1=T, dt=cfg.dt, qs=qs, qds=qds, us=us)
 
 
 def truncation_errors(
     sys: MechanicalSystem,
-    make_forcing: Callable[[float], ForcingField],
+    make_inputs: Callable[[float], Sequence[Callable[[float], float]]],
     K: int,
     q0,
     T: float,
@@ -222,14 +181,14 @@ def truncation_errors(
 ) -> np.ndarray:
     """Max configuration error of the order-K prediction per amplitude.
 
-    ``make_forcing(eps)`` builds the forcing at amplitude eps and
+    ``make_inputs(eps)`` builds the m input signals at amplitude eps and
     ``simulate_trajectory(eps)`` supplies the reference trajectory (its
     grid must contain the prediction grid).  Returns max_t ||q_pred -
     q_ref|| for each eps, the raw data behind convergence-order fits.
     """
     errs = []
     for eps in epsilons:
-        pred = predict_from_rest(sys, make_forcing(eps), K, q0, T, cfg_predict)
+        pred = predict_from_rest(sys, make_inputs(eps), K, q0, T, cfg_predict)
         ref = simulate_trajectory(eps)
         stride = int(round(pred.dt / ref.dt))
         if abs(pred.dt - stride * ref.dt) > 1e-12:

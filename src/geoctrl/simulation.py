@@ -77,12 +77,11 @@ class ControlLaw:
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    method: str = "rk4"
+    """Fixed-step classical RK4 with step dt."""
+
     dt: float = 1e-3
 
     def __post_init__(self):
-        if self.method != "rk4":
-            raise ValueError(f"unknown integrator method '{self.method}'")
         if not self.dt > 0.0:
             raise ValueError("dt must be positive")
 

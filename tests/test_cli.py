@@ -226,6 +226,9 @@ def test_oscillatory_track_run(tmp_path, capsys):
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert manifest["results"]["audit_max_difference"] < 1e-6
     assert manifest["results"]["max_tracking_err"] < 0.5
+    audit = json.loads((out / "synthesis_audit.json").read_text())
+    assert audit["period"] == 2.0 * np.pi
+    assert len(audit["times"]) == 20
 
 
 def test_convergence_run_writes_csv(tmp_path, capsys):
@@ -407,6 +410,27 @@ BAD_CONFIG = {
     ),
     "other-experiment-section": (
         FLAT_SIM, "integrator:", "larc: {q: [0.3, -0.2, 0.9]}\nintegrator:", "larc", ("run", "validate"),
+    ),
+    "section-not-mapping": (
+        FLAT_SIM, FLAT_SIM[FLAT_SIM.index("simulate:"):], "simulate: 5\n", "simulate", ("run",),
+    ),
+    "integrator-not-mapping": (FLAT_SIM, "{dt: 0.001}", "5", "integrator", ("run",)),
+    "unknown-section-key": (FLAT_SIM, "q0:", "qdot_0: [1.0, 0.0]\n  q0:", "qdot_0", ("run",)),
+    "unknown-integrator-key": (
+        FLAT_SIM, "{dt: 0.001}", "{dt: 0.001, metod: euler}", "metod", ("run",),
+    ),
+    "integrator-method": (
+        FLAT_SIM, "{dt: 0.001}", "{dt: 0.001, method: euler}", "method", ("run",),
+    ),
+    "unknown-signal-key": (FLAT_SIM, "amplitude: 0.5", "amplitud: 0.5", "amplitud", ("run",)),
+    "unknown-pair-key": (
+        OSC_TRACK, "type: const, value: 0.5", "type: const, valu: 0.5", "valu", ("run",),
+    ),
+    "unknown-gains-key": (OSC_TRACK, "    pairs:", "    paris:", "paris", ("run",)),
+    "both-section-spellings": (
+        "experiment: series-check\nmodel: {name: flat}\nseries-check: {epsilons: [0.02, 0.01]}\n",
+        "series-check:", "series_check: {epsilons: [0.02, 0.01]}\nseries-check:",
+        "series_check", ("run",),
     ),
 }
 

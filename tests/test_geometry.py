@@ -55,7 +55,7 @@ def test_christoffel_hand_values_analytic():
     rng = np.random.default_rng(0)
     for _ in range(10):
         q = rng.uniform(-2.0, 2.0, 2)
-        got = christoffel(sys, q).values
+        got = christoffel(sys, q)
         assert_allclose(got, warped_gamma(q), atol=1e-13)
 
 
@@ -63,7 +63,7 @@ def test_christoffel_hand_values_fd():
     sys = warped_plane(analytic=False)
     assert sys.derivative_provider.startswith("central-finite-difference")
     q = np.array([1.0, 0.0])
-    got = christoffel(sys, q).values
+    got = christoffel(sys, q)
     assert abs(got[0, 1, 1] - (-1.0)) < 1e-5
     assert abs(got[1, 0, 1] - 0.5) < 1e-5
     assert_allclose(got, warped_gamma(q), atol=1e-5)
@@ -74,7 +74,7 @@ def test_christoffel_symmetric_lower_indices():
     rng = np.random.default_rng(1)
     for _ in range(5):
         q = rng.uniform(-np.pi, np.pi, 3)
-        G = christoffel(sys, q).values
+        G = christoffel(sys, q)
         assert_allclose(G, G.transpose(0, 2, 1), atol=1e-14)
 
 
@@ -86,19 +86,9 @@ def test_christoffel_metric_compatibility():
         q = rng.uniform(-np.pi, np.pi, 3)
         M = sys.mass(q)
         dM = sys.dmass(q)
-        G = christoffel(sys, q).values
+        G = christoffel(sys, q)
         recon = np.einsum("lj,lik->ijk", M, G) + np.einsum("il,ljk->ijk", M, G)
         assert_allclose(dM, recon, atol=1e-10)
-
-
-def test_christoffel_bilinear_quadratic():
-    sys = warped_plane()
-    q = np.array([1.3, 0.2])
-    G = christoffel(sys, q)
-    u = np.array([0.5, -1.1])
-    v = np.array([2.0, 0.7])
-    assert_allclose(G.bilinear(u, v), np.einsum("ijk,j,k->i", G.values, u, v))
-    assert_allclose(G.quadratic(u), G.bilinear(u, u))
 
 
 def test_covariant_derivative_flat_is_directional():
@@ -168,7 +158,7 @@ def test_point_data_consistency():
     pt = sys.at(q)
     Y, JY, Gam = pt.Y, pt.JY, pt.Gamma
     assert_allclose(Y, np.linalg.solve(sys.mass(q), sys.input_matrix(q)), atol=1e-14)
-    assert_allclose(Gam, christoffel(sys, q).values, atol=1e-14)
+    assert_allclose(Gam, christoffel(sys, q), atol=1e-14)
     for a in range(sys.m):
         assert_allclose(JY[a], sys.input_field(a).jacobian_at(q), atol=1e-14)
 
@@ -251,7 +241,7 @@ def test_geodesic_spray_structure():
     qd = np.array([1.2, 0.7])
     out = Z(np.concatenate([q, qd]))
     assert_allclose(out[:2], qd)
-    assert_allclose(out[2:], -christoffel(sys, q).quadratic(qd), atol=1e-13)
+    assert_allclose(out[2:], -np.einsum("ijk,j,k->i", christoffel(sys, q), qd, qd), atol=1e-13)
 
 
 def test_lift_structure():
@@ -387,7 +377,7 @@ def test_christoffel_and_input_jacobians_read_the_kernel(analytic):
     sys = random_polynomial_system(analytic)
     for q in kernel_points(9):
         pt = sys.at(q)
-        assert np.array_equal(christoffel(sys, q).values, pt.Gamma)
+        assert np.array_equal(christoffel(sys, q), pt.Gamma)
         for a in range(sys.m):
             assert np.array_equal(sys.input_field(a)(q), pt.Y[:, a])
             assert np.array_equal(sys.input_field(a).jacobian_at(q), pt.JY[a])

@@ -8,7 +8,6 @@ from numpy.testing import assert_allclose
 
 from geoctrl import (
     ControlLaw,
-    ForcingField,
     IntegratorConfig,
     State,
     make,
@@ -42,7 +41,7 @@ def test_first_order_constant_field():
     # flat system, constant input: V1 = eps * t * e1 and V2 = V3 = 0
     sys = make("flat")
     eps = 0.3
-    forcing = ForcingField.from_system(sys, [lambda t: eps])
+    forcing = [lambda t: eps]
     terms = series_terms(sys, forcing, 3, uniform_grid(1.0))
     q = np.array([0.4, -0.2])
     for t in (0.25, 0.5, 1.0):
@@ -55,7 +54,7 @@ def test_second_order_hand_oracle():
     # constant input eps on a single field: V2(q, t) = -(eps^2 t^3 / 6) <Y:Y>(q)
     sys = offset_body()
     eps = 0.2
-    forcing = ForcingField.from_system(sys, [lambda t: eps])
+    forcing = [lambda t: eps]
     terms = series_terms(sys, forcing, 2, uniform_grid(1.0))
     Y = sys.input_field(0)
     rng = np.random.default_rng(30)
@@ -73,7 +72,7 @@ def test_amplitude_scaling_by_order():
     grid = uniform_grid(1.0)
 
     def terms_at(eps):
-        f = ForcingField.from_system(sys, [lambda t, _e=eps: _e * np.sin(t)])
+        f = [lambda t, _e=eps: _e * np.sin(t)]
         return series_terms(sys, f, 4, grid)
 
     lo, hi = terms_at(0.05), terms_at(0.10)
@@ -87,17 +86,15 @@ def test_amplitude_scaling_by_order():
 def test_rejects_potential_and_damping():
     grid = uniform_grid(1.0)
     with pytest.raises(ValueError, match="potential or damping"):
-        series_terms(
-            make("pvtol"), ForcingField.from_system(make("pvtol"), [lambda t: 0.0] * 2), 2, grid
-        )
+        series_terms(make("pvtol"), [lambda t: 0.0] * 2, 2, grid)
     blimp = make("blimp")
     with pytest.raises(ValueError, match="potential or damping"):
-        series_terms(blimp, ForcingField.from_system(blimp, [lambda t: 0.0] * 2), 2, grid)
+        series_terms(blimp, [lambda t: 0.0] * 2, 2, grid)
 
 
 def test_order_bounds():
     sys = make("flat")
-    forcing = ForcingField.from_system(sys, [lambda t: 1.0])
+    forcing = [lambda t: 1.0]
     for K in (0, 5):
         with pytest.raises(ValueError, match="order"):
             series_terms(sys, forcing, K, uniform_grid(1.0))
@@ -105,7 +102,7 @@ def test_order_bounds():
 
 def test_grid_must_be_uniform_from_zero():
     sys = make("flat")
-    forcing = ForcingField.from_system(sys, [lambda t: 1.0])
+    forcing = [lambda t: 1.0]
     with pytest.raises(ValueError):
         series_terms(sys, forcing, 2, np.array([0.0, 0.1, 0.3, 0.6]))
     with pytest.raises(ValueError):
@@ -114,7 +111,7 @@ def test_grid_must_be_uniform_from_zero():
 
 def test_zero_forcing_is_stationary():
     sys = offset_body()
-    forcing = ForcingField.from_system(sys, [lambda t: 0.0])
+    forcing = [lambda t: 0.0]
     q0 = np.array([0.3, 0.3, -0.5])
     traj = predict_from_rest(sys, forcing, 3, q0, 1.0, IntegratorConfig(dt=1e-2))
     assert np.max(np.abs(traj.qs - q0)) < 1e-14
@@ -130,7 +127,7 @@ def test_prediction_improves_with_order():
     ref = simulate(sys, law, State(q=q0, qdot=np.zeros(3)), 0.0, T, IntegratorConfig(dt=1e-3))
     errs = []
     for K in (1, 2, 3):
-        forcing = ForcingField.from_system(sys, [lambda t: eps * np.sin(t)])
+        forcing = [lambda t: eps * np.sin(t)]
         pred = predict_from_rest(sys, forcing, K, q0, T, IntegratorConfig(dt=5e-3))
         errs.append(np.max(np.linalg.norm(pred.qs - ref.qs[::5], axis=1)))
     assert errs[0] > errs[1] > errs[2]
@@ -141,7 +138,7 @@ def test_truncation_errors_decrease_with_amplitude():
     epsilons = [0.08, 0.04]
 
     def make_forcing(e):
-        return ForcingField.from_system(sys, [lambda t, _e=e: _e * np.sin(t)])
+        return [lambda t, _e=e: _e * np.sin(t)]
 
     def reference(e):
         law = ControlLaw.of_time(lambda t: np.array([e * np.sin(t)]))
@@ -155,14 +152,16 @@ def test_truncation_errors_decrease_with_amplitude():
     assert errs[0] > errs[1] > 0.0
 
 
-def test_forcing_field_validation():
-    sys = make("flat")
-    with pytest.raises(ValueError):
-        ForcingField.from_system(sys, [lambda t: 0.0, lambda t: 0.0])
-    with pytest.raises(ValueError):
-        ForcingField(inputs=[])
-    with pytest.raises(ValueError):  # two signals for a one-input system
-        series_terms(offset_body(), ForcingField(inputs=[lambda t: 0.0] * 2), 2, uniform_grid(1.0))
+def test_wrong_signal_count():
+    sys, cfg = offset_body(), IntegratorConfig(dt=1e-2)  # one input
+    for count in (0, 2):
+        signals, match = [lambda t: 0.0] * count, f"expected 1 input signals, got {count}"
+        with pytest.raises(ValueError, match=match):
+            series_terms(sys, signals, 2, uniform_grid(1.0))
+        with pytest.raises(ValueError, match=match):
+            predict_from_rest(sys, signals, 2, np.zeros(3), 1.0, cfg)
+        with pytest.raises(ValueError, match=match):
+            truncation_errors(sys, lambda e: signals, 2, np.zeros(3), 1.0, [0.1], cfg, None)
 
 
 def test_words_read_one_kernel_per_point():
@@ -216,17 +215,17 @@ class GridRecursionOracle:
     """The grid-wide recursion engine, kept as the oracle: every V_k on the
     whole time grid at q, spatial Jacobians by central differences."""
 
-    def __init__(self, sys, forcing, grid, h=1e-6):
-        self.sys, self.forcing, self.grid, self.h = sys, forcing, grid, h
+    def __init__(self, sys, inputs, grid, h=1e-6):
+        self.sys, self.m, self.grid, self.h = sys, len(inputs), grid, h
         self.dx = grid[1] - grid[0]
-        U = np.array([[forcing.inputs[a](t) for t in grid] for a in range(forcing.m)])
+        U = np.array([[u(t) for t in grid] for u in inputs])
         self.cumU = cumulative_simpson_uniform(U, self.dx, axis=1)
 
     def values(self, k, q, cache):
         key = (k, q.tobytes())
         if key not in cache:
             if k == 1:
-                Ys = np.array([self.sys.input_field(a)(q) for a in range(self.forcing.m)])
+                Ys = np.array([self.sys.input_field(a)(q) for a in range(self.m)])
                 cache[key] = np.einsum("ag,an->gn", self.cumU, Ys)
             else:
                 S = sum(self.sym_grid(j, k - j, q, cache) for j in range(1, k))
@@ -235,7 +234,7 @@ class GridRecursionOracle:
 
     def jacobian(self, k, q, cache):
         if k == 1:
-            JYs = np.array([self.sys.input_field(a).jacobian_at(q) for a in range(self.forcing.m)])
+            JYs = np.array([self.sys.input_field(a).jacobian_at(q) for a in range(self.m)])
             return np.einsum("ag,air->gir", self.cumU, JYs)
         J = np.empty((self.grid.size, q.size, q.size))
         for r in range(q.size):
@@ -248,7 +247,7 @@ class GridRecursionOracle:
     def sym_grid(self, j, l, q, cache):
         vj, vl = self.values(j, q, cache), self.values(l, q, cache)
         Jj, Jl = self.jacobian(j, q, cache), self.jacobian(l, q, cache)
-        G = christoffel(self.sys, q).values
+        G = christoffel(self.sys, q)
         out = np.einsum("gir,gr->gi", Jl, vj) + np.einsum("gir,gr->gi", Jj, vl)
         out += np.einsum("ijk,gj,gk->gi", G, vj, vl)
         out += np.einsum("ijk,gj,gk->gi", G, vl, vj)
@@ -267,9 +266,7 @@ class GridRecursionOracle:
 
 
 def sine_forcing(sys, amps):
-    return ForcingField.from_system(
-        sys, [lambda t, _a=a, _w=w: _a * np.sin(_w * t + 0.3) for w, a in enumerate(amps, 1)]
-    )
+    return [lambda t, _a=a, _w=w: _a * np.sin(_w * t + 0.3) for w, a in enumerate(amps, 1)]
 
 
 @pytest.mark.parametrize(
