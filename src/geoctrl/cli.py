@@ -43,12 +43,12 @@ from .oscillatory import (
     AveragedGains,
     averaged_system,
     convergence_study,
-    member_substeps,
+    member_config,
     synthesis_audit,
     synthesize_controls,
 )
 from .series import MAX_ORDER, truncation_errors
-from .simulation import ControlLaw, IntegratorConfig, State, _write_rows, simulate
+from .simulation import ControlLaw, IntegratorConfig, State, _write_rows, check_grid, simulate
 from .numutil import loglog_slope
 
 EXPERIMENTS = (
@@ -225,9 +225,14 @@ def load_config(path):
 
 
 # -- experiments -----------------------------------------------------------------
+#
+# Each experiment has a parse step, (cfg, sys) -> settings, that checks its
+# whole section, and a runner, (settings, sys, outdir) -> (artifacts,
+# results), that only executes.  validate and run share the parse steps, so
+# validate rejects every config that run rejects.
 
 
-def _exp_simulate(cfg, sys, outdir):
+def _parse_simulate(cfg, sys):
     spec = _section(cfg, "simulate", ("t0", "t1", "q0", "qdot0", "controls"))
     t0 = _number(spec, "t0", 0.0)
     t1 = _number(spec, "t1", required=True)
@@ -235,13 +240,19 @@ def _exp_simulate(cfg, sys, outdir):
     specs = _list(spec, "controls", required=True)
     _require(len(specs) == sys.m, f"need {sys.m} control specs, got {len(specs)}")
     signals = [parse_signal(s) for s in specs]
+    integrator = parse_integrator(cfg)
+    check_grid(t0, t1, integrator.dt)
     law = ControlLaw.of_time(lambda t: np.array([s(t) for s in signals]))
-    traj = simulate(sys, law, x0, t0, t1, parse_integrator(cfg))
+    return {"law": law, "x0": x0, "t0": t0, "t1": t1, "integrator": integrator}
+
+
+def _exp_simulate(s, sys, outdir):
+    traj = simulate(sys, s["law"], s["x0"], s["t0"], s["t1"], s["integrator"])
     traj.write_csv(outdir / "trajectory.csv")
     return ["trajectory.csv"], {"samples": traj.n_samples}
 
 
-def _exp_series_check(cfg, sys, outdir):
+def _parse_series_check(cfg, sys):
     spec = _section(
         cfg, "series-check",
         ("order", "epsilons", "horizon", "input", "signal", "q0", "predict_dt_ratio"),
@@ -255,10 +266,19 @@ def _exp_series_check(cfg, sys, outdir):
     _require(0 <= idx < sys.m, f"input index out of range 1..{sys.m}")
     base = parse_signal(spec.get("signal", {"type": "sinusoid"}))
     q0 = _number(spec, "q0", [0.0] * sys.n, cast=_floats)
+    _require(q0.shape == (sys.n,), f"q0 must have length {sys.n}")
     cfg_ref = parse_integrator(cfg)
     ratio = _number(spec, "predict_dt_ratio", 5, cast=int)
     _require(ratio >= 1, f"predict_dt_ratio must be a positive integer, got {ratio}")
     cfg_pred = IntegratorConfig(dt=cfg_ref.dt * ratio)
+    for dt in (cfg_ref.dt, cfg_pred.dt):
+        check_grid(0.0, T, dt)
+    return {"K": K, "eps": eps, "T": T, "idx": idx, "base": base, "q0": q0,
+            "cfg_ref": cfg_ref, "cfg_pred": cfg_pred}
+
+
+def _exp_series_check(s, sys, outdir):
+    idx, base, q0 = s["idx"], s["base"], s["q0"]
 
     def make_inputs(e):
         return [
@@ -270,26 +290,33 @@ def _exp_series_check(cfg, sys, outdir):
         law = ControlLaw.of_time(
             lambda t: np.array([e * base(t) if a == idx else 0.0 for a in range(sys.m)])
         )
-        return simulate(sys, law, State(q=q0, qdot=np.zeros(sys.n)), 0.0, T, cfg_ref)
+        return simulate(sys, law, State(q=q0, qdot=np.zeros(sys.n)), 0.0, s["T"], s["cfg_ref"])
 
-    errs = truncation_errors(sys, make_inputs, K, q0, T, eps, cfg_pred, reference)
+    eps = s["eps"]
+    errs = truncation_errors(sys, make_inputs, s["K"], q0, s["T"], eps, s["cfg_pred"], reference)
     _write_rows(outdir / "series_convergence.csv", ["epsilon", "err"], zip(eps, errs))
     slope = loglog_slope(eps, errs) if np.all(errs > 0) else None
-    return ["series_convergence.csv"], {"order": K, "slope": slope}
+    return ["series_convergence.csv"], {"order": s["K"], "slope": slope}
 
 
-def _exp_decoupling(cfg, sys, outdir):
-    spec = _section(cfg, "decoupling", ("q", "depth", "tol", "seed"))
+def _parse_point_search(cfg, sys, name, known):
+    """The q and depth of a decoupling or larc section, and the section itself."""
+    spec = _section(cfg, name, known)
     q = _number(spec, "q", required=True, cast=_floats)
     _require(q.shape == (sys.n,), f"q must have length {sys.n}")
     depth = _number(spec, "depth", 2, cast=int)
     _require(depth >= 1, f"'depth' must be >= 1, got {depth}")
+    return spec, {"q": q, "depth": depth, "tol": _number(spec, "tol", 1e-8)}
+
+
+def _parse_decoupling(cfg, sys):
+    spec, s = _parse_point_search(cfg, sys, "decoupling", ("q", "depth", "tol", "seed"))
+    return {**s, "seed": _number(spec, "seed", 0, cast=int)}
+
+
+def _exp_decoupling(s, sys, outdir):
     report, cands = kinematic_controllability(
-        sys,
-        q,
-        max_depth=depth,
-        tol=_number(spec, "tol", 1e-8),
-        seed=_number(spec, "seed", 0, cast=int),
+        sys, s["q"], max_depth=s["depth"], tol=s["tol"], seed=s["seed"]
     )
     _write_json(outdir / "controllability.json", report.as_dict())
     return ["controllability.json"], {
@@ -298,14 +325,13 @@ def _exp_decoupling(cfg, sys, outdir):
     }
 
 
-def _exp_larc(cfg, sys, outdir):
-    spec = _section(cfg, "larc", ("q", "depth", "tol"))
-    q = _number(spec, "q", required=True, cast=_floats)
-    _require(q.shape == (sys.n,), f"q must have length {sys.n}")
+def _parse_larc(cfg, sys):
+    return _parse_point_search(cfg, sys, "larc", ("q", "depth", "tol"))[1]
+
+
+def _exp_larc(s, sys, outdir):
     fields = [sys.input_field(a) for a in range(sys.m)]
-    depth, tol = _number(spec, "depth", 2, cast=int), _number(spec, "tol", 1e-8)
-    _require(depth >= 1, f"'depth' must be >= 1, got {depth}")
-    report = larc_rank(fields, q, max_depth=depth, tol=tol, n=sys.n)
+    report = larc_rank(fields, s["q"], max_depth=s["depth"], tol=s["tol"], n=sys.n)
     _write_json(outdir / "controllability.json", report.as_dict())
     return ["controllability.json"], {"rank": report.rank, "verdict": report.verdict}
 
@@ -313,21 +339,31 @@ def _exp_larc(cfg, sys, outdir):
 _AVERAGING_KEYS = ("t1", "gains", "q0", "qdot0", "dt_avg")
 
 
-def _exp_oscillatory_track(cfg, sys, outdir):
-    spec = _section(cfg, "oscillatory-track", _AVERAGING_KEYS + ("epsilon",))
-    eps = _number(spec, "epsilon", required=True)
-    _require(eps > 0, "epsilon must be positive")
+def _parse_averaging(spec, sys, eps):
+    """The settings an averaging section shares, with each eps member's (sub,
+    integrator) from member_config, which checks the member's grid."""
     t1 = _number(spec, "t1", required=True)
     _require(t1 > 0, f"'t1' must be positive, got {t1}")
     gains = parse_gains(_get(spec, "gains", required=True), sys.m)
     x0 = parse_state(spec, sys.n)
     dt_avg = _number(spec, "dt_avg", 1e-2)
     _require(dt_avg > 0, f"'dt_avg' must be positive, got {dt_avg}")
-    sub = member_substeps(dt_avg, eps)
+    members = [member_config(dt_avg, e, t1) for e in eps]
+    return {"eps": eps, "t1": t1, "gains": gains, "x0": x0, "dt_avg": dt_avg, "members": members}
+
+
+def _parse_oscillatory_track(cfg, sys):
+    spec = _section(cfg, "oscillatory-track", _AVERAGING_KEYS + ("epsilon",))
+    eps = _number(spec, "epsilon", required=True)
+    _require(eps > 0, "epsilon must be positive")
+    return _parse_averaging(spec, sys, [eps])
+
+
+def _exp_oscillatory_track(s, sys, outdir):
+    (eps,), ((sub, member),) = s["eps"], s["members"]
+    t1, gains, x0, dt_avg = s["t1"], s["gains"], s["x0"], s["dt_avg"]
     control = synthesize_controls(sys, gains, eps)
-    true_traj = simulate(
-        sys, control.as_control_law(), x0, 0.0, t1, IntegratorConfig(dt=dt_avg / sub)
-    )
+    true_traj = simulate(sys, control.as_control_law(), x0, 0.0, t1, member)
     avg_traj = averaged_system(sys, gains).simulate(
         x0, 0.0, t1, IntegratorConfig(dt=dt_avg)
     )
@@ -345,21 +381,26 @@ def _exp_oscillatory_track(cfg, sys, outdir):
     }
 
 
-def _exp_convergence(cfg, sys, outdir):
+def _parse_convergence(cfg, sys):
     spec = _section(cfg, "convergence", _AVERAGING_KEYS + ("epsilons",))
-    eps = parse_epsilons(spec)
-    t1 = _number(spec, "t1", required=True)
-    _require(t1 > 0, f"'t1' must be positive, got {t1}")
-    gains = parse_gains(_get(spec, "gains", required=True), sys.m)
-    x0 = parse_state(spec, sys.n)
-    dt_avg = _number(spec, "dt_avg", 1e-2)
-    _require(dt_avg > 0, f"'dt_avg' must be positive, got {dt_avg}")
-    study = convergence_study(sys, gains, x0, t1, eps, dt_avg=dt_avg)
+    return _parse_averaging(spec, sys, parse_epsilons(spec))
+
+
+def _exp_convergence(s, sys, outdir):
+    study = convergence_study(sys, s["gains"], s["x0"], s["t1"], s["eps"], dt_avg=s["dt_avg"])
     study.write_csv(outdir / "convergence.csv")
     slope = study.slope if math.isfinite(study.slope) else None  # NaN: no slope (a zero error)
     return ["convergence.csv"], {"slope": slope, "errors": study.errors.tolist()}
 
 
+_PARSERS = {
+    "simulate": _parse_simulate,
+    "series-check": _parse_series_check,
+    "decoupling": _parse_decoupling,
+    "larc": _parse_larc,
+    "oscillatory-track": _parse_oscillatory_track,
+    "convergence": _parse_convergence,
+}
 _RUNNERS = {
     "simulate": _exp_simulate,
     "series-check": _exp_series_check,
@@ -370,6 +411,16 @@ _RUNNERS = {
 }
 
 
+def parse_config(path):
+    """The config at path, checked in full: (cfg, model descriptor, system,
+    output directory name, experiment settings); ConfigError on any problem."""
+    cfg = load_config(path)
+    desc, sysm = parse_model(cfg)
+    output = _get(cfg, "output", "geoctrl-out")
+    _require(isinstance(output, str), f"'output' must be a directory name, got {output!r}")
+    return cfg, desc, sysm, output, _PARSERS[cfg["experiment"]](cfg, sysm)
+
+
 # -- driver ----------------------------------------------------------------------
 
 
@@ -378,21 +429,29 @@ def _emit_error(exc, kind):
     print(json.dumps(payload), file=sys.stderr)
 
 
-def cmd_run(args):
+def _parsed(path):
+    """(parse_config(path), 0), or (None, exit code) after reporting why it failed."""
     try:
-        cfg = load_config(args.config)
-        desc, sysm = parse_model(cfg)
-        output = _get(cfg, "output", "geoctrl-out")
-        _require(isinstance(output, str), f"'output' must be a directory name, got {output!r}")
-        outdir = Path(args.out or output)
+        return parse_config(path), 0
     except (ConfigError, GeoctrlError) as e:
         _emit_error(e, "config")
-        return 2
+        return None, 2
+    except Exception as e:  # never a stack dump
+        _emit_error(e, "internal")
+        return None, 3
+
+
+def cmd_run(args):
+    parsed, rc = _parsed(args.config)
+    if parsed is None:
+        return rc
+    cfg, desc, sysm, output, settings = parsed
+    outdir = Path(args.out or output)
     tag = cfg["experiment"]
     started = time.time()
     try:
         outdir.mkdir(parents=True, exist_ok=True)
-        artifacts, results = _RUNNERS[tag](cfg, sysm, outdir)
+        artifacts, results = _RUNNERS[tag](settings, sysm, outdir)
         manifest = {
             "experiment": tag,
             "config": cfg,
@@ -422,12 +481,10 @@ def cmd_run(args):
 
 
 def cmd_validate(args):
-    try:
-        cfg = load_config(args.config)
-        desc, sysm = parse_model(cfg)
-    except (ConfigError, GeoctrlError) as e:
-        _emit_error(e, "config")
-        return 2
+    parsed, rc = _parsed(args.config)
+    if parsed is None:
+        return rc
+    cfg, desc, sysm, _, _ = parsed
     print(
         json.dumps(
             {

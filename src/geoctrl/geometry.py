@@ -229,7 +229,9 @@ class MechanicalSystem:
         return VectorField(eval=ev, jacobian=lambda q, _a=a: self.at(q).JY[_a])
 
     def at(self, q) -> "PointData":
-        """The per-point kernel at q (see :class:`PointData`)."""
+        """The per-point kernel at q (see :class:`PointData`); a point of this system is itself."""
+        if isinstance(q, PointData):
+            return q if q.sys is self else PointData(self, q.q)
         return PointData(self, q)
 
     def kinetic_energy(self, q, qdot):
@@ -246,16 +248,17 @@ class PointData:
     Construction evaluates M(q) once and factors it (LAPACK dpotrf); a
     failed factorization (M not positive definite) or dpocon's 1-norm
     estimate rcond with rcond * COND_LIMIT < 1 raises SingularInertiaError.
-    Computed on first read, so ``Y`` and ``solve`` never evaluate dM:
-    ``dM`` (n, n, n), dM[i, j, k] = dM_ij/dq^k; ``dF`` (m, n, n), with
-    dF[a, i, j] = dF_a^i/dq^j; ``Y`` (n, m), the input fields as columns;
+    Computed on first read, so ``F``, ``Y`` and ``solve`` never evaluate
+    dM: ``dM`` (n, n, n), dM[i, j, k] = dM_ij/dq^k; ``F`` (n, m), the input
+    co-vector fields F_a as columns (the applied force of inputs u is F @ u);
+    ``dF`` (m, n, n), with dF[a, i, j] = dF_a^i/dq^j; ``Y`` (n, m) = M^-1 F;
     ``JY`` (m, n, n), with JY[a, i, r] = dY_a^i/dq^r; ``Gamma`` (n, n, n),
     the Christoffel symbols; ``products`` (m, m, n), products[a, b] =
     <Y_a : Y_b>, from the covector identity M <Y_a : Y_b> = dF_a Y_b +
     dF_b Y_a - dM(Y_a, Y_b) (one solve; JY and Gamma stay unread).
     """
 
-    __slots__ = ("sys", "q", "factor", "_dM", "_dF", "_Y", "_JY", "_Gamma", "_products")
+    __slots__ = ("sys", "q", "factor", "_dM", "_F", "_dF", "_Y", "_JY", "_Gamma", "_products")
 
     def __init__(self, sys: MechanicalSystem, q):
         self.sys = sys
@@ -267,7 +270,7 @@ class PointData:
         rcond, _ = dpocon(self.factor, np.abs(M).sum(axis=0).max(), uplo="L")
         if not rcond * COND_LIMIT >= 1.0:  # also rejects a NaN estimate
             raise SingularInertiaError(q, np.inf if rcond == 0.0 else 1.0 / rcond)
-        self._dM = self._dF = self._Y = self._JY = self._Gamma = self._products = None
+        self._dM = self._F = self._dF = self._Y = self._JY = self._Gamma = self._products = None
 
     def solve(self, b):
         """M(q)^-1 b for a vector or an (n, k) block b.
@@ -285,6 +288,12 @@ class PointData:
         return self._dM
 
     @property
+    def F(self):
+        if self._F is None:
+            self._F = self.sys.input_matrix(self.q)
+        return self._F
+
+    @property
     def dF(self):
         if self._dF is None:
             sys, q = self.sys, self.q
@@ -299,7 +308,7 @@ class PointData:
     @property
     def Y(self):
         if self._Y is None:
-            self._Y = self.solve(self.sys.input_matrix(self.q))
+            self._Y = self.solve(self.F)
         return self._Y
 
     @property

@@ -39,7 +39,7 @@ from .geometry import (
 from .simulation import (
     IntegratorConfig,
     Trajectory,
-    _check_grid,
+    check_grid,
     _record_stage_one,
     _rk4,
     reconstruct_inputs,
@@ -457,7 +457,7 @@ def kinematic_plan(
     t_total = 0.0
     for si, seg in enumerate(segments):
         T = seg.scaling.T
-        steps = _check_grid(0.0, T, cfg.dt)
+        steps = check_grid(0.0, T, cfg.dt)
 
         vel = np.empty((_PATH_STEPS + 1, sys.n))  # dQ/ds at the arc nodes
         rhs = _record_stage_one(lambda s, x: seg.sign * seg.candidate.field(x), vel)

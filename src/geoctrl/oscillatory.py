@@ -27,9 +27,9 @@ original m inputs.
 
 The fast period is 2 pi, the period of every psi_N.  Every tau integral
 is composite Simpson on the one grid TAU of NODES_PER_PERIOD (odd) nodes
-over [0, 2 pi], and an epsilon member of a simulation takes
-member_substeps RK4 steps per averaged step, so that its fast period eps
-2 pi gets at least STEPS_PER_PERIOD of them.
+over [0, 2 pi], and an epsilon member of a simulation takes the RK4
+steps per averaged step that member_config gives it, so that its fast
+period eps 2 pi gets at least STEPS_PER_PERIOD of them.
 """
 
 import math
@@ -42,7 +42,7 @@ from .errors import SpanAssumptionError
 from .geometry import MechanicalSystem
 from .numutil import cumulative_simpson_uniform, loglog_slope, simpson_uniform
 from .simulation import ControlLaw, IntegratorConfig, State, Trajectory, _write_rows
-from .simulation import simulate, simulate_forced
+from .simulation import check_grid, simulate, simulate_forced
 
 TWO_PI = 2.0 * math.pi
 NODES_PER_PERIOD = 2001
@@ -195,31 +195,37 @@ def _drift(gains: AveragedGains, t):
 
 @dataclass(frozen=True)
 class SpanCoefficients:
-    """alpha(q) with <Y_a : Y_a>(q) = sum_b alpha[a, b] Y_b(q), by least squares.
+    """alpha(q) with <Y_a : Y_a>(q) = sum_b alpha[a, b] Y_b(q), by least squares
+    through the m x m normal equations (Y^T Y) alpha^T = Y^T <Y_a : Y_a>.
 
-    ``check`` raises when the worst relative residual exceeds SPAN_TOL —
-    the standing assumption behind the drift cancellation fails there.
+    q may be an array or a kernel point ``sys.at(q)``.  ``check`` raises when
+    the worst relative residual exceeds SPAN_TOL — the standing assumption
+    behind the drift cancellation fails there.
     """
 
     sys: MechanicalSystem
 
     def _solve(self, q):
+        """(q as an array, alpha, worst relative residual)."""
         pt = self.sys.at(q)
-        D = np.diagonal(pt.products, axis1=0, axis2=1)  # (n, m): column a is <Y_a : Y_a>
-        coef, _, _, _ = np.linalg.lstsq(pt.Y, D, rcond=None)
-        res = np.linalg.norm(D - pt.Y @ coef, axis=0) / np.maximum(1.0, np.linalg.norm(D, axis=0))
-        return coef.T, float(res.max())
+        Y, D = pt.Y, np.diagonal(pt.products, axis1=0, axis2=1)  # column a of D is <Y_a : Y_a>
+        try:
+            coef = np.linalg.solve(Y.T @ Y, Y.T @ D)
+        except np.linalg.LinAlgError:  # dependent input fields: the minimum-norm alpha
+            coef = np.linalg.lstsq(Y, D, rcond=None)[0]
+        res = np.linalg.norm(D - Y @ coef, axis=0) / np.maximum(1.0, np.linalg.norm(D, axis=0))
+        return pt.q, coef.T, float(res.max())
 
     def alpha(self, q):
-        return self._solve(q)[0]
-
-    def residual(self, q):
         return self._solve(q)[1]
 
+    def residual(self, q):
+        return self._solve(q)[2]
+
     def check(self, q):
-        alpha, res = self._solve(q)
+        q, alpha, res = self._solve(q)
         if res > SPAN_TOL:
-            raise SpanAssumptionError(np.asarray(q, dtype=float), res, SPAN_TOL)
+            raise SpanAssumptionError(q, res, SPAN_TOL)
         return alpha
 
 
@@ -232,7 +238,7 @@ def span_coefficients(sys: MechanicalSystem, q) -> SpanCoefficients:
 
 @dataclass(frozen=True)
 class OscillatoryControl:
-    """u_a(t, q) = slow_a(t, q) + (1/epsilon) fast_a(t/epsilon, t)."""
+    """u_a(t, q) = slow_a(t, q) + (1/epsilon) fast_a(t/epsilon, t); slow takes q or sys.at(q)."""
 
     slow: Callable[[float, np.ndarray], np.ndarray]
     fast: Callable[[float, float], np.ndarray]
@@ -247,7 +253,7 @@ class OscillatoryControl:
         def ev(t, q, qd):
             return self.slow(t, q) + self.fast(t / self.epsilon, t) / self.epsilon
 
-        return ControlLaw(eval=ev, suggested_max_dt=self.suggested_max_dt)
+        return ControlLaw(ev, suggested_max_dt=self.suggested_max_dt, reads_point=True)
 
 
 def synthesize_controls(
@@ -301,7 +307,7 @@ class AveragedSystem:
     def simulate(self, x0: State, t0, t1, cfg: IntegratorConfig) -> Trajectory:
         return simulate_forced(
             self.sys,
-            lambda t, q, qd: self.forcing(t, q),
+            lambda t, pt, qd: self.forcing(t, pt),
             x0,
             t0,
             t1,
@@ -352,7 +358,7 @@ def general_averaged_forcing(sys: MechanicalSystem, control: OscillatoryControl)
         U1, U2 = _ubar_table(control.fast, t)
         pt = sys.at(q)
         S = pt.products
-        out = pt.Y @ control.slow(t, q)
+        out = pt.Y @ control.slow(t, pt)
         for a in range(m):
             out = out + (0.5 * U1[a] ** 2 - U2[a, a]) * S[a, a]
             for b in range(a + 1, m):
@@ -428,10 +434,16 @@ class ConvergenceStudy:
         _write_rows(path_or_file, ["epsilon", "max_err", "slope_partial"], zip(eps, errs, parts))
 
 
-def member_substeps(dt_avg, eps):
-    """RK4 steps per dt_avg for an eps member: its fast period eps 2 pi gets at
-    least STEPS_PER_PERIOD of them, and its samples land on the dt_avg grid."""
-    return max(1, math.ceil(dt_avg * STEPS_PER_PERIOD / (eps * TWO_PI)))
+def member_config(dt_avg, eps, t1):
+    """(sub, cfg) for an eps member over [0, t1]: sub RK4 steps of cfg.dt per
+    dt_avg, so that its fast period eps 2 pi gets at least STEPS_PER_PERIOD of
+    them and every sub-th sample lands on the dt_avg grid.  ConfigError unless
+    both dt_avg and cfg.dt divide t1."""
+    sub = max(1, math.ceil(dt_avg * STEPS_PER_PERIOD / (eps * TWO_PI)))
+    cfg = IntegratorConfig(dt=dt_avg / sub)
+    for dt in (dt_avg, cfg.dt):
+        check_grid(0.0, t1, dt)
+    return sub, cfg
 
 
 def convergence_study(
@@ -445,7 +457,7 @@ def convergence_study(
     """Tracking error of the true oscillatory system vs the averaged one.
 
     The averaged reference runs once at dt_avg; each epsilon member runs
-    at the nested step dt_avg / member_substeps(dt_avg, eps), which
+    at the nested step of member_config(dt_avg, eps, T_final), which
     resolves the fast period and keeps the sample grids aligned.
     Members run one after the other in the given epsilon order.  The
     slope is NaN when fewer than 2 epsilons are given or an error is not
@@ -457,8 +469,7 @@ def convergence_study(
 
     def member(eps):
         control = synthesize_controls(sys, gains, eps)
-        sub = member_substeps(dt_avg, eps)
-        cfg = IntegratorConfig(dt=dt_avg / sub)
+        sub, cfg = member_config(dt_avg, eps, T_final)
         traj = simulate(sys, control.as_control_law(), x0, 0.0, T_final, cfg)
         qeps = traj.qs[::sub]
         return float(np.max(np.linalg.norm(qeps - ref.qs, axis=1)))

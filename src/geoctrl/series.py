@@ -38,7 +38,7 @@ import numpy as np
 
 from .geometry import MechanicalSystem, _symmetric_product
 from .numutil import central_jacobian, cumulative_simpson_uniform, lagrange4_interp
-from .simulation import IntegratorConfig, Trajectory, _check_grid, _record_stage_one, _rk4
+from .simulation import IntegratorConfig, Trajectory, check_grid, _record_stage_one, _rk4
 
 NODES_PER_UNIT = 201
 WORD_FD_STEP = 1e-6
@@ -159,7 +159,7 @@ def predict_from_rest(
     """
     q0 = np.asarray(q0, dtype=float)
     engine = _Engine(sys, inputs, K, uniform_grid(T))
-    steps = _check_grid(0.0, T, cfg.dt)
+    steps = check_grid(0.0, T, cfg.dt)
     qds = np.empty((steps + 1, sys.n))
     rhs = _record_stage_one(lambda t, q: engine.velocity(q, t), qds)
     qs = _rk4(rhs, q0, 0.0, cfg.dt, steps)

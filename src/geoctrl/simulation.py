@@ -51,10 +51,15 @@ class ControlLaw:
 
     ``suggested_max_dt``, when set (oscillatory controls), lets simulate
     warn if the integration step under-resolves the fast time scale.
+
+    ``reads_point`` declares a kernel-reading law: simulate hands it each RK4
+    stage's point ``pt = sys.at(q)`` (q is ``pt.q``) in the q slot, the point
+    the acceleration reads too.  It still gets an array q at the last sample.
     """
 
     eval: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
     suggested_max_dt: Optional[float] = None
+    reads_point: bool = False
 
     def __call__(self, t, q, qdot):
         return np.atleast_1d(np.asarray(self.eval(t, q, qdot), dtype=float))
@@ -180,12 +185,9 @@ def coriolis_covector(dM, qd):
     return np.einsum("...mjk,...j,...k->...m", C, qd, qd)
 
 
-def _acceleration(sys: MechanicalSystem, q, qd, applied):
-    """qddot given the generalized applied force (covector) `applied`.
-
-    One kernel point serves the Coriolis term and the force solve.
-    """
-    pt = sys.at(q)
+def _acceleration(pt, qd, applied):
+    """qddot at the kernel point pt given the generalized applied force (covector) `applied`."""
+    sys, q = pt.sys, pt.q
     acc = pt.solve(applied - coriolis_covector(pt.dM, qd) - sys.grad_potential(q))
     if sys.damping is not None:
         acc = acc + sys.damping_matrix(q) @ qd
@@ -194,13 +196,11 @@ def _acceleration(sys: MechanicalSystem, q, qd, applied):
 
 def dynamics_rhs(sys: MechanicalSystem, state: State, u) -> np.ndarray:
     """Time derivative of x = (q, qdot) under input u."""
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    q, qd = state.q, state.qdot
-    applied = sys.input_matrix(q) @ u
-    return np.concatenate([qd, _acceleration(sys, q, qd, applied)])
+    pt = sys.at(state.q)
+    return np.concatenate([state.qdot, _acceleration(pt, state.qdot, pt.F @ np.atleast_1d(u))])
 
 
-def _check_grid(t0, t1, dt):
+def check_grid(t0, t1, dt):
     """Number of dt steps in [t0, t1]; ConfigError unless it is finite, >= 0 and whole."""
     steps = (t1 - t0) / dt
     if not 0.0 <= steps < np.inf:
@@ -263,8 +263,9 @@ def simulate(
     t1: float,
     cfg: IntegratorConfig,
 ) -> Trajectory:
-    """Integrate the forced dynamics; deterministic for identical inputs."""
-    steps = _check_grid(t0, t1, cfg.dt)
+    """Integrate the forced dynamics; deterministic for identical inputs.
+    Each RK4 stage builds one kernel point (see ControlLaw.reads_point)."""
+    steps = check_grid(t0, t1, cfg.dt)
     if control.suggested_max_dt is not None and cfg.dt > control.suggested_max_dt:
         warnings.warn(
             f"dt={cfg.dt:g} under-resolves the oscillatory control "
@@ -277,8 +278,9 @@ def simulate(
 
     def rhs(t, x):
         q, qd = x[:n], x[n:]
-        applied = sys.input_matrix(q) @ law(t, q, qd)
-        return np.concatenate([qd, _acceleration(sys, q, qd, applied)])
+        pt = sys.at(q)
+        u = law(t, pt if control.reads_point else q, qd)
+        return np.concatenate([qd, _acceleration(pt, qd, pt.F @ u)])
 
     xs = _rk4(rhs, x0.as_vector(), t0, cfg.dt, steps)
     us[steps] = control(t0 + steps * cfg.dt, xs[steps, :n], xs[steps, n:])
@@ -296,19 +298,21 @@ def simulate_forced(
 ) -> Trajectory:
     """Like simulate, but with a direct acceleration-level forcing term.
 
-    ``forcing(t, q, qdot)`` is an n-vector added to the acceleration (the
-    potential, Coriolis and damping terms of sys still apply).  ``record``
-    optionally logs a vector per sample time into the trajectory's input
-    columns (e.g. gain values of an averaged system).
+    ``forcing(t, pt, qdot)`` is an n-vector added to the acceleration (the
+    potential, Coriolis and damping terms of sys still apply); ``pt`` is the
+    stage's kernel point ``sys.at(q)``, q is ``pt.q``.  ``record`` optionally
+    logs a vector per sample time into the trajectory's input columns (e.g.
+    gain values of an averaged system).
     """
-    steps = _check_grid(t0, t1, cfg.dt)
+    steps = check_grid(t0, t1, cfg.dt)
     n = sys.n
 
     zero = np.zeros(n)
 
     def rhs(t, x):
         q, qd = x[:n], x[n:]
-        acc = _acceleration(sys, q, qd, zero) + forcing(t, q, qd)
+        pt = sys.at(q)
+        acc = _acceleration(pt, qd, zero) + forcing(t, pt, qd)
         return np.concatenate([qd, acc])
 
     xs = _rk4(rhs, x0.as_vector(), t0, cfg.dt, steps)

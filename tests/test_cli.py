@@ -377,70 +377,77 @@ CONVERGENCE = dedent(
 LARC = "experiment: larc\nmodel: {name: three-link}\nlarc: {q: [0.3, -0.2, 0.9]}\n"
 DECOUPLING = LARC.replace("larc", "decoupling")
 
-# case: (base config, old text, new text, key the error names, commands)
+# case: (base config, old text, new text, key the error names).  run and validate
+# share one parse step, so each case must exit 2 from both
 BAD_CONFIG = {
     "too-many-actuators": (
         FLAT_SIM, "model: {name: flat}", "model: {name: blimp, actuators: [1, 2, 3, 4]}",
-        "actuators", ("run", "validate"),
+        "actuators",
     ),
-    "name-not-string": (FLAT_SIM, "{name: flat}", "{name: [flat]}", "name", ("run", "validate")),
-    "output-not-string": (FLAT_SIM, "experiment:", "output: 5\nexperiment:", "output", ("run",)),
+    "name-not-string": (FLAT_SIM, "{name: flat}", "{name: [flat]}", "name"),
+    "output-not-string": (FLAT_SIM, "experiment:", "output: 5\nexperiment:", "output"),
     "unknown-model-key": (
-        FLAT_SIM, "{name: flat}", "{name: flat, gravity: 0.0}", "gravity", ("run", "validate"),
+        FLAT_SIM, "{name: flat}", "{name: flat, gravity: 0.0}", "gravity",
     ),
     "controls-not-list": (
         FLAT_SIM, "controls: [{type: sinusoid, amplitude: 0.5, omega: 2.0}]", "controls: 5",
-        "controls", ("run",),
+        "controls",
     ),
-    "pair-of-three": (OSC_TRACK, "pair: [1, 2]", "pair: [1, 2, 3]", "pair", ("run",)),
-    "z-not-list": (OSC_TRACK, "z: [{type: const, value: 0.2}]", "z: 0.3", "z", ("run",)),
-    "larc-depth-0": (LARC, "0.9]}", "0.9], depth: 0}", "depth", ("run",)),
-    "decoupling-depth-0": (DECOUPLING, "0.9]}", "0.9], depth: 0}", "depth", ("run",)),
-    "track-dt-avg-negative": (OSC_TRACK, "t1: 0.3", "t1: 0.3\n  dt_avg: -0.01", "dt_avg", ("run",)),
+    "pair-of-three": (OSC_TRACK, "pair: [1, 2]", "pair: [1, 2, 3]", "pair"),
+    "z-not-list": (OSC_TRACK, "z: [{type: const, value: 0.2}]", "z: 0.3", "z"),
+    "larc-depth-0": (LARC, "0.9]}", "0.9], depth: 0}", "depth"),
+    "decoupling-depth-0": (DECOUPLING, "0.9]}", "0.9], depth: 0}", "depth"),
+    "track-dt-avg-negative": (OSC_TRACK, "t1: 0.3", "t1: 0.3\n  dt_avg: -0.01", "dt_avg"),
     "convergence-dt-avg-negative": (
-        CONVERGENCE, "t1: 0.5", "t1: 0.5, dt_avg: -0.01", "dt_avg", ("run",),
+        CONVERGENCE, "t1: 0.5", "t1: 0.5, dt_avg: -0.01", "dt_avg",
     ),
-    "t1-negative": (FLAT_SIM, "t1: 1.0", "t1: -1.0", "t1", ("run",)),
-    "t1-nan": (FLAT_SIM, "t1: 1.0", "t1: .nan", "t1", ("run",)),
-    "track-t1-zero": (OSC_TRACK, "t1: 0.3", "t1: 0.0", "t1", ("run",)),
-    "convergence-t1-zero": (CONVERGENCE, "t1: 0.5", "t1: 0.0", "t1", ("run",)),
-    "epsilon-inf": (OSC_TRACK, "epsilon: 0.1", "epsilon: .inf", "epsilon", ("run",)),
+    "t1-negative": (FLAT_SIM, "t1: 1.0", "t1: -1.0", "t1"),
+    "t1-nan": (FLAT_SIM, "t1: 1.0", "t1: .nan", "t1"),
+    "track-t1-zero": (OSC_TRACK, "t1: 0.3", "t1: 0.0", "t1"),
+    "convergence-t1-zero": (CONVERGENCE, "t1: 0.5", "t1: 0.0", "t1"),
+    "epsilon-inf": (OSC_TRACK, "epsilon: 0.1", "epsilon: .inf", "epsilon"),
     "unknown-root-key": (
-        FLAT_SIM, "experiment:", "extra: .nan\nexperiment:", "extra", ("run", "validate"),
+        FLAT_SIM, "experiment:", "extra: .nan\nexperiment:", "extra",
     ),
     "other-experiment-section": (
-        FLAT_SIM, "integrator:", "larc: {q: [0.3, -0.2, 0.9]}\nintegrator:", "larc", ("run", "validate"),
+        FLAT_SIM, "integrator:", "larc: {q: [0.3, -0.2, 0.9]}\nintegrator:", "larc",
     ),
     "section-not-mapping": (
-        FLAT_SIM, FLAT_SIM[FLAT_SIM.index("simulate:"):], "simulate: 5\n", "simulate", ("run",),
+        FLAT_SIM, FLAT_SIM[FLAT_SIM.index("simulate:"):], "simulate: 5\n", "simulate",
     ),
-    "integrator-not-mapping": (FLAT_SIM, "{dt: 0.001}", "5", "integrator", ("run",)),
-    "unknown-section-key": (FLAT_SIM, "q0:", "qdot_0: [1.0, 0.0]\n  q0:", "qdot_0", ("run",)),
+    "integrator-not-mapping": (FLAT_SIM, "{dt: 0.001}", "5", "integrator"),
+    "unknown-section-key": (FLAT_SIM, "q0:", "qdot_0: [1.0, 0.0]\n  q0:", "qdot_0"),
     "unknown-integrator-key": (
-        FLAT_SIM, "{dt: 0.001}", "{dt: 0.001, metod: euler}", "metod", ("run",),
+        FLAT_SIM, "{dt: 0.001}", "{dt: 0.001, metod: euler}", "metod",
     ),
     "integrator-method": (
-        FLAT_SIM, "{dt: 0.001}", "{dt: 0.001, method: euler}", "method", ("run",),
+        FLAT_SIM, "{dt: 0.001}", "{dt: 0.001, method: euler}", "method",
     ),
-    "unknown-signal-key": (FLAT_SIM, "amplitude: 0.5", "amplitud: 0.5", "amplitud", ("run",)),
+    "unknown-signal-key": (FLAT_SIM, "amplitude: 0.5", "amplitud: 0.5", "amplitud"),
     "unknown-pair-key": (
-        OSC_TRACK, "type: const, value: 0.5", "type: const, valu: 0.5", "valu", ("run",),
+        OSC_TRACK, "type: const, value: 0.5", "type: const, valu: 0.5", "valu",
     ),
-    "unknown-gains-key": (OSC_TRACK, "    pairs:", "    paris:", "paris", ("run",)),
+    "unknown-gains-key": (OSC_TRACK, "    pairs:", "    paris:", "paris"),
+    "dt-not-dividing": (FLAT_SIM, "{dt: 0.001}", "{dt: 0.003}", "dt=0.003"),
+    "track-dt-avg-not-dividing": (OSC_TRACK, "t1: 0.3", "t1: 0.3\n  dt_avg: 0.07", "dt=0.07"),
+    "series-q0-length": (
+        "experiment: series-check\nmodel: {name: flat}\nseries-check: {epsilons: [0.02, 0.01]}\n",
+        "0.01]}", "0.01], q0: [0.0]}", "q0",
+    ),
     "both-section-spellings": (
         "experiment: series-check\nmodel: {name: flat}\nseries-check: {epsilons: [0.02, 0.01]}\n",
         "series-check:", "series_check: {epsilons: [0.02, 0.01]}\nseries-check:",
-        "series_check", ("run",),
+        "series_check",
     ),
 }
 
 
 @pytest.mark.parametrize(
     "case, command",
-    [(case, command) for case, spec in BAD_CONFIG.items() for command in spec[-1]],
+    [(case, command) for case in BAD_CONFIG for command in ("run", "validate")],
 )
 def test_bad_config_shape_or_range_is_config_error(tmp_path, capsys, monkeypatch, case, command):
-    base, old, new, key, _ = BAD_CONFIG[case]
+    base, old, new, key = BAD_CONFIG[case]
     assert old in base
     monkeypatch.chdir(tmp_path)  # the output-not-string case writes nowhere else
     rc = main([command, write(tmp_path, base.replace(old, new, 1))])
@@ -454,7 +461,7 @@ def test_bad_config_shape_or_range_is_config_error(tmp_path, capsys, monkeypatch
 
 @pytest.mark.parametrize("case", ["unknown-root-key", "other-experiment-section"])
 def test_unknown_root_key_writes_no_artifact(tmp_path, capsys, case):
-    base, old, new, _, _ = BAD_CONFIG[case]
+    base, old, new, _ = BAD_CONFIG[case]
     out = tmp_path / "out"
     assert main(["run", write(tmp_path, base.replace(old, new, 1)), "--out", str(out)]) == 2
     assert not out.exists()

@@ -417,6 +417,16 @@ def test_point_data_evaluates_the_model_once(reads):
     assert calls["inertia"] == 1 + (2 * twin.n if needs_dM else 0)
 
 
+def test_at_returns_a_point_of_the_same_system_as_is():
+    sys = random_polynomial_system()
+    pt = sys.at(kernel_points()[0])
+    assert sys.at(pt) is pt
+    twin = dataclasses.replace(sys)  # another system: a fresh point at the same q
+    other = twin.at(pt)
+    assert other is not pt and other.sys is twin and np.array_equal(other.q, pt.q)
+    assert np.array_equal(pt.F, sys.input_matrix(pt.q)) and np.array_equal(pt.Y, pt.solve(pt.F))
+
+
 def former_products(pt):
     """The former products formula, kept as the oracle: P[a, b] = JY_b Y_a +
     Gamma(Y_a, Y_b), summed as P + P^T."""

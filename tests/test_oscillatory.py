@@ -12,6 +12,7 @@ from numpy.testing import assert_allclose
 from geoctrl import (
     AveragedGains,
     IntegratorConfig,
+    MechanicalSystem,
     State,
     averaged_iterated_integral,
     averaged_system,
@@ -28,7 +29,14 @@ from geoctrl import (
 )
 from geoctrl.errors import SpanAssumptionError
 from geoctrl.numutil import cumulative_simpson_uniform, simpson_uniform
-from geoctrl.oscillatory import TWO_PI, _eval_signal, _stacked, _ubar_table
+from geoctrl.oscillatory import (
+    TWO_PI,
+    SpanCoefficients,
+    _eval_signal,
+    _stacked,
+    _ubar_table,
+    member_config,
+)
 
 
 # -- basis oscillations and averaged iterated integrals ------------------------
@@ -176,9 +184,32 @@ def test_span_alpha_pvtol_closed_form():
 def test_span_violation_raises():
     # offset thruster: <Y:Y> points along the unactuated sway direction
     sys = make("planar-body", actuators=(1, 4))
+    q = np.array([0.2, -0.1, 0.4])
     with pytest.raises(SpanAssumptionError) as ei:
-        span_coefficients(sys, np.array([0.2, -0.1, 0.4]))
+        span_coefficients(sys, q)
     assert ei.value.residual > 0.1
+    assert isinstance(ei.value.q, np.ndarray) and np.array_equal(ei.value.q, q)
+    # handed a kernel point, the error still carries q as an array
+    with pytest.raises(SpanAssumptionError) as ei:
+        SpanCoefficients(sys).check(sys.at(q))
+    assert isinstance(ei.value.q, np.ndarray) and np.array_equal(ei.value.q, q)
+
+
+@pytest.mark.parametrize(
+    "sys", [make("pvtol", gravity=0.0), make("blimp"), make("flat", actuators=(1, 2))],
+    ids=["pvtol", "blimp", "flat"],
+)
+def test_span_normal_equations_match_lstsq(sys):
+    coeffs = SpanCoefficients(sys)
+    for q in np.random.default_rng(11).uniform(-1.5, 1.5, size=(20, sys.n)):
+        pt = sys.at(q)
+        D = np.diagonal(pt.products, axis1=0, axis2=1)
+        want = np.linalg.lstsq(pt.Y, D, rcond=None)[0].T
+        got = coeffs.alpha(pt)
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+        assert np.array_equal(got, coeffs.alpha(q))  # a point and its q give one answer
+        res = np.linalg.norm(D - pt.Y @ want.T, axis=0) / np.maximum(1.0, np.linalg.norm(D, axis=0))
+        assert abs(coeffs.residual(q) - res.max()) <= 1e-12
 
 
 # -- synthesized controls --------------------------------------------------------
@@ -229,6 +260,64 @@ def test_control_law_combines_slow_and_scaled_fast():
     expected = control.slow(t, q) + control.fast(t / eps, t) / eps
     assert_allclose(law.eval(t, q, np.zeros(3)), expected, atol=1e-13)
     assert abs(law.suggested_max_dt - eps * TWO_PI / 50.0) < 1e-15
+
+
+def test_span_solve_with_dependent_input_fields():
+    # equal input fields make Y^T Y exactly singular; alpha falls back to
+    # the minimum-norm least-squares solution
+    def F(q):
+        return np.array([1.0, 0.0])
+
+    sys = MechanicalSystem(n=2, m=2, inertia=lambda q: np.eye(2), input_covectors=[F, F])
+    assert_allclose(SpanCoefficients(sys).check(np.zeros(2)), 0.0, atol=1e-15)
+
+
+def counting_model(sys):
+    """sys with inertia and dinertia counting their calls in the returned dict."""
+    calls = {"inertia": 0, "dinertia": 0}
+
+    def counted(name, fn):
+        def wrapper(q):
+            calls[name] += 1
+            return fn(q)
+
+        return wrapper
+
+    sys = dataclasses.replace(
+        sys, inertia=counted("inertia", sys.inertia), dinertia=counted("dinertia", sys.dinertia)
+    )
+    return sys, calls
+
+
+def test_one_model_evaluation_per_rk4_stage():
+    # the law, the span solve, the averaged forcing and the acceleration all
+    # read the stage's one kernel point
+    sys, calls = counting_model(make("pvtol", gravity=0.0))
+    gains = AveragedGains.constant([0.3, -0.2], {(0, 1): 0.5})
+    x0 = State(q=np.zeros(3), qdot=np.zeros(3))
+    dt, steps, eps = 1e-2, 20, [0.2, 0.1]
+    averaged_system(sys, gains).simulate(x0, 0.0, steps * dt, IntegratorConfig(dt=dt))
+    assert calls == {"inertia": 4 * steps, "dinertia": 4 * steps}
+    calls.update(inertia=0, dinertia=0)
+    convergence_study(sys, gains, x0, steps * dt, eps, dt_avg=dt)
+    stages = 4 * steps * (1 + sum(member_config(dt, e, steps * dt)[0] for e in eps))
+    # the one constant: each member's control recorded at its last sample,
+    # outside the RK4 stages, builds one point of its own
+    assert calls == {"inertia": stages + len(eps), "dinertia": stages + len(eps)}
+
+
+def test_laws_and_forcings_take_a_point_or_an_array():
+    sys = make("pvtol", gravity=0.0)
+    gains = AveragedGains.constant([0.2, -0.1], {(0, 1): 0.6})
+    control = synthesize_controls(sys, gains, 0.05)
+    law, forcing = control.as_control_law(), general_averaged_forcing(sys, control)
+    avg = averaged_system(sys, gains)
+    assert law.reads_point
+    for q in np.random.default_rng(4).uniform(-1.0, 1.0, size=(3, 3)):
+        pt = sys.at(q)
+        assert np.array_equal(law.eval(0.3, pt, np.zeros(3)), law.eval(0.3, q, np.zeros(3)))
+        assert np.array_equal(forcing(0.3, pt), forcing(0.3, q))
+        assert np.array_equal(avg.forcing(0.3, pt), avg.forcing(0.3, q))
 
 
 # -- synthesis audit --------------------------------------------------------------

@@ -18,8 +18,10 @@ from geoctrl import (
     read_trajectory_csv,
     reconstruct_inputs,
     simulate,
+    simulate_forced,
 )
 from geoctrl.errors import ConfigError, NonFiniteStateError
+from geoctrl.geometry import PointData
 from geoctrl.numutil import loglog_slope
 
 
@@ -32,6 +34,35 @@ def test_state_rejects_nonfinite():
         State(q=np.array([np.nan, 0.0]), qdot=np.zeros(2))
     with pytest.raises(ValueError):
         State(q=np.zeros(2), qdot=np.zeros(3))
+
+
+def test_kernel_reading_law_gets_the_stage_point():
+    sys = make("pvtol")
+    cfg = IntegratorConfig(dt=1e-2)
+    x0 = State(q=np.array([0.1, -0.2, 0.3]), qdot=np.array([0.0, 0.4, -0.1]))
+    seen = []
+
+    def ev(t, q, qd):
+        seen.append(q)
+        q = q.q if isinstance(q, PointData) else q
+        return np.array([9.0 + np.sin(q[2]), 0.1 * t])
+
+    plain = simulate(sys, ControlLaw(eval=ev), x0, 0.0, 0.2, cfg)
+    assert not any(isinstance(q, PointData) for q in seen)
+    seen.clear()
+    traj = simulate(sys, ControlLaw(eval=ev, reads_point=True), x0, 0.0, 0.2, cfg)
+    # every RK4 stage hands over its point; the last sample's control gets q
+    assert all(isinstance(q, PointData) and q.sys is sys for q in seen[:-1])
+    assert len(seen) == 4 * 20 + 1 and isinstance(seen[-1], np.ndarray)
+    assert np.array_equal(traj.qs, plain.qs) and np.array_equal(traj.us, plain.us)
+
+    def push(t, pt, qd):  # an acceleration-level forcing always gets the stage's point
+        seen.append(pt)
+        return np.array([0.1, 0.0, 0.2]) * (9.0 + np.sin(pt.q[2]))
+
+    seen.clear()
+    simulate_forced(sys, push, x0, 0.0, 0.2, cfg)
+    assert len(seen) == 4 * 20 and all(isinstance(pt, PointData) and pt.sys is sys for pt in seen)
 
 
 def test_equilibrium_stays_put():
