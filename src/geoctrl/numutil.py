@@ -2,8 +2,9 @@
 
 import numpy as np
 
-# scipy.integrate is imported by the quadrature helpers on first use: it adds
-# about 3 MB to a process, and one that only plans never integrates
+# scipy.integrate is imported by the quadrature helpers on first use: it pulls
+# in scipy.optimize and adds about 22 MB to a process, and one that only plans
+# never integrates
 
 
 def central_jacobian(f, x, h=1e-5):

@@ -38,11 +38,11 @@ from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 
-from .errors import SpanAssumptionError
+from .errors import ConfigError, SpanAssumptionError
 from .geometry import MechanicalSystem
 from .numutil import cumulative_simpson_uniform, loglog_slope, simpson_uniform
 from .simulation import ControlLaw, IntegratorConfig, State, Trajectory, _write_rows
-from .simulation import check_grid, simulate, simulate_forced
+from .simulation import MAX_STEPS, check_grid, simulate, simulate_forced
 
 TWO_PI = 2.0 * math.pi
 NODES_PER_PERIOD = 2001
@@ -438,11 +438,17 @@ def member_config(dt_avg, eps, t1):
     """(sub, cfg) for an eps member over [0, t1]: sub RK4 steps of cfg.dt per
     dt_avg, so that its fast period eps 2 pi gets at least STEPS_PER_PERIOD of
     them and every sub-th sample lands on the dt_avg grid.  ConfigError unless
-    both dt_avg and cfg.dt divide t1."""
-    sub = max(1, math.ceil(dt_avg * STEPS_PER_PERIOD / (eps * TWO_PI)))
+    dt_avg divides t1, the member takes at most MAX_STEPS steps and cfg.dt
+    divides t1."""
+    sub = dt_avg * STEPS_PER_PERIOD / (eps * TWO_PI)
+    if not sub * check_grid(0.0, t1, dt_avg) <= MAX_STEPS:  # inf * 0 is nan: refused
+        raise ConfigError(
+            f"dt_avg={dt_avg} and epsilon={eps} give {sub:.3g} member steps per dt_avg,"
+            f" more than {MAX_STEPS} over [0, {t1}]"
+        )
+    sub = max(1, math.ceil(sub))
     cfg = IntegratorConfig(dt=dt_avg / sub)
-    for dt in (dt_avg, cfg.dt):
-        check_grid(0.0, t1, dt)
+    check_grid(0.0, t1, cfg.dt)
     return sub, cfg
 
 

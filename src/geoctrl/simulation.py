@@ -200,11 +200,21 @@ def dynamics_rhs(sys: MechanicalSystem, state: State, u) -> np.ndarray:
     return np.concatenate([state.qdot, _acceleration(pt, state.qdot, pt.F @ np.atleast_1d(u))])
 
 
+# the most steps a grid may take: its state array alone is then gigabytes,
+# and past 2**53 every float step count reads as whole
+MAX_STEPS = 10**8
+
+
 def check_grid(t0, t1, dt):
-    """Number of dt steps in [t0, t1]; ConfigError unless it is finite, >= 0 and whole."""
+    """Number of dt steps in [t0, t1]; ConfigError unless it is finite, >= 0,
+    whole and at most MAX_STEPS."""
     steps = (t1 - t0) / dt
     if not 0.0 <= steps < np.inf:
         raise ConfigError(f"t1={t1} must be finite and not before t0={t0}")
+    if steps > MAX_STEPS:
+        raise ConfigError(
+            f"dt={dt} gives {steps:.3g} steps over [{t0}, {t1}], more than {MAX_STEPS}"
+        )
     if abs(steps - round(steps)) > 1e-12 * max(1.0, abs(steps)):
         raise ConfigError(f"dt={dt} does not divide the horizon {t1 - t0}")
     return int(round(steps))

@@ -405,6 +405,16 @@ BAD_CONFIG = {
     "t1-nan": (FLAT_SIM, "t1: 1.0", "t1: .nan", "t1"),
     "track-t1-zero": (OSC_TRACK, "t1: 0.3", "t1: 0.0", "t1"),
     "convergence-t1-zero": (CONVERGENCE, "t1: 0.5", "t1: 0.0", "t1"),
+    "convergence-dt-avg-overflow": (
+        CONVERGENCE, "t1: 0.5", "t1: 0.5, dt_avg: 1.0e+308", "dt_avg",
+    ),
+    "convergence-epsilon-subnormal": (
+        CONVERGENCE, "epsilons: [0.2, 0.1]", "epsilons: [1.0e-320, 0.1]", "epsilon",
+    ),
+    "convergence-epsilon-tiny": (
+        CONVERGENCE, "epsilons: [0.2, 0.1]", "epsilons: [1.0e-300, 0.1]", "epsilon",
+    ),
+    "dt-too-fine": (FLAT_SIM, "{dt: 0.001}", "{dt: 1.0e-300}", "dt"),
     "epsilon-inf": (OSC_TRACK, "epsilon: 0.1", "epsilon: .inf", "epsilon"),
     "unknown-root-key": (
         FLAT_SIM, "experiment:", "extra: .nan\nexperiment:", "extra",

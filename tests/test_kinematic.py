@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as P
 from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
 
@@ -22,6 +23,7 @@ from geoctrl import (
     larc_rank,
     make,
     quadratic_forms,
+    reconstruct_inputs,
 )
 from geoctrl import kinematic
 from geoctrl.errors import (
@@ -574,3 +576,90 @@ def test_path_ode_nan_field_reports_a_time_inside_its_segment():
     # inside the second segment, at its arc midpoint s = 1/2 (t = 1 of its 2 s)
     assert 1.0 < ei.value.t < 3.0
     assert abs(ei.value.t - 2.0) < 0.01
+
+
+def test_three_link_segment_solves_once_per_rk4_stage(monkeypatch):
+    sys = make("three-link", actuators=(1, 2))
+    q0 = np.array([0.4, 0.9, -1.3])
+    seg = PlanSegment(
+        candidate=two_candidates(sys, q0)[0], sign=1.0, scaling=TimeScaling.cubic(2.0)
+    )
+    real = kinematic.find_decoupling_fields
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(kinematic, "find_decoupling_fields", counted)
+    kinematic_plan(sys, [seg], q0, IntegratorConfig(dt=1e-3))  # validating solves nothing
+    assert len(calls) == 4 * _PATH_STEPS + 1 == 4001
+
+
+@pytest.mark.parametrize("degree", range(7))
+def test_path_interpolant_reproduces_polynomials_to_degree_five(monkeypatch, degree):
+    # eight arc steps: the two intervals at each end take the shifted stencil
+    monkeypatch.setattr(kinematic, "_PATH_STEPS", 8)
+    rng = np.random.default_rng(degree)
+    coef = rng.standard_normal((degree + 1, 3))
+    q0 = rng.standard_normal(3)
+    s = np.linspace(0.0, 1.0, 97)  # 12 samples per interval and both ends
+    q, v = kinematic._path_interpolant(q0, P.polyval(np.linspace(0.0, 1.0, 9), coef).T, s)
+    err = max(
+        np.max(np.abs(v - P.polyval(s, coef).T)),
+        np.max(np.abs(q - q0 - P.polyval(s, P.polyint(coef)).T)),
+    )
+    if degree <= 5:
+        assert err < 1e-13
+    else:
+        assert err > 1e-7
+
+
+README_Q0 = np.array([0.4, 0.9, -1.3])
+
+
+def readme_plan(branch, sign, dt, validate):
+    """One cubic 2 s segment from the README q0 along a decoupling branch."""
+    sys = make("three-link", actuators=(1, 2))
+    h = find_decoupling_fields(sys, README_Q0).directions[branch]
+    seg = PlanSegment(
+        candidate=candidate_from_direction(sys, README_Q0, h),
+        sign=sign,
+        scaling=TimeScaling.cubic(2.0),
+    )
+    return sys, kinematic_plan(sys, [seg], README_Q0, IntegratorConfig(dt=dt), validate=validate)
+
+
+@pytest.mark.parametrize(
+    "branch, sign",
+    [
+        (0, 1.0),
+        pytest.param(
+            0, -1.0,
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="passes within 6.4e-5 of the straight elbow; no fixed arc grid "
+                "up to 6400 steps resolves it (residual 1.8e-4 to 1.4e-3)",
+            ),
+        ),
+        (1, 1.0),  # straightens the elbow (q2 within 1.2e-5 of 0): sizes _PATH_STEPS
+        (1, -1.0),
+    ],
+)
+def test_plan_matches_a_finer_arc_grid(monkeypatch, branch, sign):
+    def plan():
+        sys, traj = readme_plan(branch, sign, 2e-4, validate=False)
+        return traj.qs, reconstruct_inputs(sys, traj).max_residual
+
+    qs, residual = plan()
+    monkeypatch.setattr(kinematic, "_PATH_STEPS", 3200)
+    fine_qs, fine_residual = plan()
+    assert np.max(np.abs(qs - fine_qs)) <= 1e-9
+    assert residual <= 1.1 * fine_residual
+
+
+def test_plan_that_straightens_the_elbow_validates_at_fine_dt():
+    # 3.9e-7 on the 1000-step grid; 1.2e-5 on a 400-step one
+    sys, traj = readme_plan(1, 1.0, 1e-4, validate=True)
+    assert np.min(np.abs(traj.qs[:, 1])) < 1e-4
+    assert reconstruct_inputs(sys, traj).max_residual < 5e-7

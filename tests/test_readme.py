@@ -1,13 +1,18 @@
 """The README's examples run as written."""
 
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from geoctrl.cli import main
 
-README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+ROOT = Path(__file__).resolve().parent.parent
+README = (ROOT / "README.md").read_text()
 
 
 def blocks(lang):
@@ -45,3 +50,30 @@ def test_cli_example_config_validates(tmp_path, capsys):
     path.write_text(config)
     assert main(["validate", str(path)]) == 0
     assert '"ok": true' in capsys.readouterr().out
+
+
+def test_cli_and_quick_start_plan_load_no_scipy_solvers(python_blocks):
+    """A fresh process that imports the CLI, then plans and validates the
+    quick start, never loads scipy's interpolation, optimization or
+    integration packages (about 22 MB of memory in all)."""
+    script = """
+import json, sys
+heavy = ("scipy.interpolate", "scipy.optimize", "scipy.integrate")
+import geoctrl.cli
+after_import = [m for m in heavy if m in sys.modules]
+exec(compile(sys.stdin.read(), "README.md", "exec"), {})
+print(json.dumps([after_import, [m for m in heavy if m in sys.modules]]))
+"""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", script],
+        input=python_blocks[0],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+        check=True,
+    )
+    after_import, after_plan = json.loads(run.stdout.splitlines()[-1])
+    assert after_import == []
+    assert after_plan == []
