@@ -51,15 +51,6 @@ from .series import MAX_ORDER, truncation_errors
 from .simulation import ControlLaw, IntegratorConfig, State, _write_rows, check_grid, simulate
 from .numutil import loglog_slope
 
-EXPERIMENTS = (
-    "simulate",
-    "series-check",
-    "decoupling",
-    "larc",
-    "oscillatory-track",
-    "convergence",
-)
-
 
 def _require(cond, msg):
     if not cond:
@@ -167,10 +158,8 @@ def parse_gains(spec, m):
 
 
 def parse_model(cfg):
-    spec = _get(cfg, "model", required=True)
-    _require(isinstance(spec, dict) and isinstance(spec.get("name"), str), "model needs a 'name' string")
-    for key in spec:
-        _require(key in ("name", "parameters", "actuators"), f"unknown model key {key!r}")
+    spec = _keys(_get(cfg, "model", required=True), "model", ("name", "parameters", "actuators"))
+    _require(isinstance(spec.get("name"), str), "model needs a 'name' string")
     params = spec.get("parameters") or {}
     _require(isinstance(params, dict), "model parameters must be a mapping")
     desc = ModelDescriptor(
@@ -216,12 +205,11 @@ def load_config(path):
         raise ConfigError(f"could not parse {path}: {e}")
     _require(isinstance(cfg, dict), "config root must be a mapping")
     tag = _get(cfg, "experiment", required=True)
-    _require(tag in EXPERIMENTS, f"unknown experiment {tag!r} (known: {', '.join(EXPERIMENTS)})")
+    known = ", ".join(EXPERIMENTS)
+    _require(isinstance(tag, str) and tag in EXPERIMENTS, f"unknown experiment {tag!r} (known: {known})")
     # the experiment's own section, spelled with '-' or '_'
-    known = {"experiment", "model", "integrator", "output", tag, tag.replace("-", "_")}
-    for key in cfg:
-        _require(key in known, f"unknown config key {key!r}")
-    return cfg
+    sections = dict.fromkeys((tag, tag.replace("-", "_")))
+    return _keys(cfg, "config", ("experiment", "model", "integrator", "output", *sections))
 
 
 # -- experiments -----------------------------------------------------------------
@@ -287,9 +275,8 @@ def _exp_series_check(s, sys, outdir):
         ]
 
     def reference(e):
-        law = ControlLaw.of_time(
-            lambda t: np.array([e * base(t) if a == idx else 0.0 for a in range(sys.m)])
-        )
+        inputs = make_inputs(e)
+        law = ControlLaw.of_time(lambda t: np.array([u(t) for u in inputs]))
         return simulate(sys, law, State(q=q0, qdot=np.zeros(sys.n)), 0.0, s["T"], s["cfg_ref"])
 
     eps = s["eps"]
@@ -393,21 +380,14 @@ def _exp_convergence(s, sys, outdir):
     return ["convergence.csv"], {"slope": slope, "errors": study.errors.tolist()}
 
 
-_PARSERS = {
-    "simulate": _parse_simulate,
-    "series-check": _parse_series_check,
-    "decoupling": _parse_decoupling,
-    "larc": _parse_larc,
-    "oscillatory-track": _parse_oscillatory_track,
-    "convergence": _parse_convergence,
-}
-_RUNNERS = {
-    "simulate": _exp_simulate,
-    "series-check": _exp_series_check,
-    "decoupling": _exp_decoupling,
-    "larc": _exp_larc,
-    "oscillatory-track": _exp_oscillatory_track,
-    "convergence": _exp_convergence,
+# tag: (parse step, runner)
+EXPERIMENTS = {
+    "simulate": (_parse_simulate, _exp_simulate),
+    "series-check": (_parse_series_check, _exp_series_check),
+    "decoupling": (_parse_decoupling, _exp_decoupling),
+    "larc": (_parse_larc, _exp_larc),
+    "oscillatory-track": (_parse_oscillatory_track, _exp_oscillatory_track),
+    "convergence": (_parse_convergence, _exp_convergence),
 }
 
 
@@ -418,27 +398,30 @@ def parse_config(path):
     desc, sysm = parse_model(cfg)
     output = _get(cfg, "output", "geoctrl-out")
     _require(isinstance(output, str), f"'output' must be a directory name, got {output!r}")
-    return cfg, desc, sysm, output, _PARSERS[cfg["experiment"]](cfg, sysm)
+    return cfg, desc, sysm, output, EXPERIMENTS[cfg["experiment"]][0](cfg, sysm)
 
 
 # -- driver ----------------------------------------------------------------------
 
 
-def _emit_error(exc, kind):
+def _failed(exc):
+    """Report exc as one JSON line on stderr, never a stack dump; its exit code:
+    2 for a config problem, 3 for a numerical failure or any other exception."""
+    if isinstance(exc, ConfigError):
+        kind, rc = "config", 2
+    else:
+        kind, rc = ("numerical" if isinstance(exc, GeoctrlError) else "internal"), 3
     payload = {"error": {"type": type(exc).__name__, "kind": kind, "message": str(exc)}}
     print(json.dumps(payload), file=sys.stderr)
+    return rc
 
 
 def _parsed(path):
     """(parse_config(path), 0), or (None, exit code) after reporting why it failed."""
     try:
         return parse_config(path), 0
-    except (ConfigError, GeoctrlError) as e:
-        _emit_error(e, "config")
-        return None, 2
-    except Exception as e:  # never a stack dump
-        _emit_error(e, "internal")
-        return None, 3
+    except Exception as e:
+        return None, _failed(e)
 
 
 def cmd_run(args):
@@ -451,7 +434,7 @@ def cmd_run(args):
     started = time.time()
     try:
         outdir.mkdir(parents=True, exist_ok=True)
-        artifacts, results = _RUNNERS[tag](settings, sysm, outdir)
+        artifacts, results = EXPERIMENTS[tag][1](settings, sysm, outdir)
         manifest = {
             "experiment": tag,
             "config": cfg,
@@ -467,15 +450,8 @@ def cmd_run(args):
             "results": results,
         }
         _write_json(outdir / "run_manifest.json", manifest, default=float)
-    except ConfigError as e:
-        _emit_error(e, "config")
-        return 2
-    except GeoctrlError as e:
-        _emit_error(e, "numerical")
-        return 3
-    except Exception as e:  # never a stack dump
-        _emit_error(e, "internal")
-        return 3
+    except Exception as e:
+        return _failed(e)
     print(json.dumps({"ok": True, "out": str(outdir), "artifacts": artifacts}))
     return 0
 

@@ -87,19 +87,19 @@ class ResidualViolationError(GeoctrlError):
         )
 
 
-class UnknownModelError(GeoctrlError):
-    """Requested model name is not registered."""
-
-    def __init__(self, name, known):
-        self.name = name
-        super().__init__(
-            f"unknown model {name!r}; available models: {', '.join(sorted(known))}"
-        )
-
-
 class ConfigError(GeoctrlError, ValueError):
     """Experiment configuration failed to parse or validate.
 
     Also a ValueError: library arguments that a config supplies (such as a
     step that does not divide the horizon) raise it directly.
     """
+
+
+class UnknownModelError(ConfigError):
+    """Requested model name is not registered (a config problem)."""
+
+    def __init__(self, name, known):
+        self.name = name
+        super().__init__(
+            f"unknown model {name!r}; available models: {', '.join(sorted(known))}"
+        )

@@ -17,13 +17,15 @@ and the averaged dynamics reads
         + sum_{a<b} (Ubar_{e_a} Ubar_{e_b} - Ubar_{e_a + e_b}) <Y_a : Y_b>
         + sum_a v_a Y_a.
 
-The synthesis picks w_a as signed combinations of the basis oscillations
-psi_N(tau) = sqrt(2) N cos(N tau) so that the pair coefficients equal
+The synthesis picks the fast inputs as one matrix over the basis
+oscillations psi_N(tau) = sqrt(2) N cos(N tau), one frequency N per pair
+a < b: w(tau, t) = A(t) psi(tau), so that the pair coefficients equal
 prescribed gains z_ab(t), and picks v_a to cancel the <Y_a : Y_a> drift
 (possible whenever every <Y_a : Y_a> lies in the input span, with
 coefficients alpha).  The averaged system is then forced by
 sum_a z_a Y_a + sum_{a<b} z_ab <Y_a : Y_b> — more directions than the
-original m inputs.
+original m inputs.  Every consumer reads the gains once per t as arrays,
+(z, Z) = AveragedGains.at(t), with z_ab in the strict upper triangle of Z.
 
 The fast period is 2 pi, the period of every psi_N.  Every tau integral
 is composite Simpson on the one grid TAU of NODES_PER_PERIOD (odd) nodes
@@ -32,6 +34,7 @@ steps per averaged step that member_config gives it, so that its fast
 period eps 2 pi gets at least STEPS_PER_PERIOD of them.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Sequence, Tuple
@@ -54,46 +57,26 @@ SPAN_TOL = 1e-6  # worst relative residual of <Y_a : Y_a> off the input span
 AUDIT_TIMES = np.sort(np.random.default_rng(0).uniform(0.0, 10.0, size=20))
 
 
-def psi(N: int):
+def psi(N):
     """Basis oscillation psi_N(tau) = sqrt(2) N cos(N tau); zero mean,
-    antiderivative sqrt(2) sin(N tau) is also zero mean over a period."""
-    if N < 1:
+    antiderivative sqrt(2) sin(N tau) is also zero mean over a period.
+    N may be an array of frequencies, which broadcasts against tau."""
+    if np.any(np.asarray(N) < 1):
         raise ValueError("N must be a positive integer")
     return lambda tau: math.sqrt(2.0) * N * np.cos(N * np.asarray(tau, dtype=float))
 
 
-def _eval_signal(u, tau, t):
-    """Evaluate u on the tau array; accepts u(tau, t) or u(tau), vectorized
-    or scalar-only."""
-    for call in (lambda: u(tau, t), lambda: u(tau)):
-        try:
-            val = np.asarray(call(), dtype=float)
-        except TypeError:
-            continue
-        if val.shape == tau.shape:
-            return val
-    out = np.empty_like(tau)
-    for i, x in enumerate(tau):
-        try:
-            out[i] = float(u(x, t))
-        except TypeError:
-            out[i] = float(u(x))
-    return out
-
-
-def averaged_iterated_integral(u, k, t=0.0) -> float:
-    """Ubar_{k_1..k_m}(t) of the 2 pi-periodic signals u by composite Simpson quadrature."""
-    k = tuple(int(x) for x in k)
-    if len(k) != len(u):
-        raise ValueError("one multiplicity per input signal")
-    if any(x < 0 for x in k) or sum(k) < 1:
+def averaged_iterated_integral(fast, k, t=0.0) -> float:
+    """Ubar_{k_1..k_m}(t) of the stacked 2 pi-periodic inputs fast(tau, t), an
+    (m, len(tau)) array for array tau, by composite Simpson quadrature."""
+    k = np.array([int(x) for x in k])
+    if np.any(k < 0) or k.sum() < 1:
         raise ValueError("multiplicities must be nonnegative with positive sum")
-    integrand = np.ones_like(TAU)
-    for a, ka in enumerate(k):
-        if ka == 0:
-            continue
-        W = cumulative_simpson_uniform(_eval_signal(u[a], TAU, t), DTAU)
-        integrand = integrand * W**ka
+    w = np.asarray(fast(TAU, t), dtype=float)
+    if w.shape != (len(k), TAU.size):
+        raise ValueError("one multiplicity per input signal")
+    W = cumulative_simpson_uniform(w, DTAU, axis=1)
+    integrand = np.prod(W ** k[:, None], axis=0)
     fact = math.prod(math.factorial(x) for x in k)
     return float(simpson_uniform(integrand, DTAU) / (TWO_PI * fact))
 
@@ -102,14 +85,16 @@ def averaged_iterated_integral(u, k, t=0.0) -> float:
 
 
 def lexicographic_enumeration(m: int) -> Dict[Tuple[int, int], int]:
-    """Distinct frequencies for the pairs a < b (0-based), starting at 1."""
-    out = {}
-    N = 1
-    for a in range(m):
-        for b in range(a + 1, m):
-            out[(a, b)] = N
-            N += 1
-    return out
+    """Distinct frequencies N = 1, 2, ... for the pairs a < b (0-based), in
+    lexicographic order: the one pair order of the synthesis, the audit and
+    the recorded gain vector."""
+    return {pair: N for N, pair in enumerate(itertools.combinations(range(m), 2), start=1)}
+
+
+def _pair_index(m):
+    """The index arrays (a, b) of the pairs a < b, in lexicographic_enumeration's order."""
+    a, b = np.array(list(lexicographic_enumeration(m)), dtype=int).reshape(-1, 2).T
+    return a, b
 
 
 @dataclass(frozen=True)
@@ -131,12 +116,13 @@ class AveragedGains:
     def m(self):
         return len(self.z)
 
-    def pair_gain(self, a, b):
-        return self.z_pairs.get((a, b), lambda t: 0.0)
-
-    def pair_keys(self):
-        m = self.m
-        return [(a, b) for a in range(m) for b in range(a + 1, m)]
+    def at(self, t):
+        """(z, Z) at t: z[a] = z_a(t), shape (m,), and Z[a, b] = z_ab(t) in the
+        strict upper triangle of the (m, m) Z, zero elsewhere."""
+        Z = np.zeros((self.m, self.m))
+        for (a, b), g in self.z_pairs.items():
+            Z[a, b] = g(t)
+        return np.array([g(t) for g in self.z], dtype=float), Z
 
     @staticmethod
     def constant(z_values, pair_values=None) -> "AveragedGains":
@@ -148,49 +134,33 @@ class AveragedGains:
 
 
 def fast_parts(gains: AveragedGains):
-    """The synthesized w_a(tau, t) for the given gains.
+    """The synthesized fast inputs as one callable w(tau, t) = A(t) psi(tau).
 
-    w_a = -sum_{c<a} psi_N(c,a) + sum_{c>a} z_ac(t) psi_N(a,c): each pair
-    (a, b) contributes its frequency N(a, b) from lexicographic_enumeration
-    positively (scaled by the gain) to the lower index and negatively
-    (unscaled) to the higher one, which makes the pair's averaged cross
-    integral exactly -z_ab(t).
+    psi(tau) holds the basis oscillation of every pair frequency of
+    lexicographic_enumeration, and column (a, b) of A(t) is z_ab(t) in row a
+    and -1 in row b: each pair feeds its frequency positively (scaled by the
+    gain) into the lower index and negatively (unscaled) into the higher one,
+    which makes the pair's averaged cross integral exactly -z_ab(t).  Returns
+    (m,) for a scalar tau and (m, len(tau)) for an array tau.
     """
-    m = gains.m
-    enum = lexicographic_enumeration(m)
+    enum = lexicographic_enumeration(gains.m)
+    a, b = _pair_index(gains.m)
+    pairs = np.arange(len(enum))
+    signs = np.zeros((gains.m, len(enum)))
+    signs[b, pairs] = -1.0
+    basis = psi(np.array(list(enum.values()), dtype=int))
 
-    def w(a):
-        minus = [psi(enum[(c, a)]) for c in range(a)]
-        plus = [(gains.pair_gain(a, c), psi(enum[(a, c)])) for c in range(a + 1, m)]
-
-        def wa(tau, t):
-            tau = np.asarray(tau, dtype=float)
-            out = np.zeros_like(tau)
-            for p in minus:
-                out = out - p(tau)
-            for zg, p in plus:
-                out = out + zg(t) * p(tau)
-            return out
-
-        return wa
-
-    return [w(a) for a in range(m)]
-
-
-def _stacked(ws):
     def fast(tau, t):
-        # (m,) for scalar tau, (m, len(tau)) for array tau
-        return np.stack([np.asarray(w(tau, t), dtype=float) for w in ws])
+        A = signs.copy()
+        A[a, pairs] = gains.at(t)[1][a, b]
+        return A @ basis(np.asarray(tau, dtype=float)[..., None]).T
 
     return fast
 
 
-def _drift(gains: AveragedGains, t):
-    """The <Y_a : Y_a> drift 1/2 (a + sum_{c>a} z_ac(t)^2) of the fast parts, a 0-based."""
-    m = gains.m
-    return np.array(
-        [0.5 * (a + sum(gains.pair_gain(a, c)(t) ** 2 for c in range(a + 1, m))) for a in range(m)]
-    )
+def _drift(Z):
+    """The <Y_a : Y_a> drift 1/2 (a + sum_c Z_ac^2) of the fast parts, a 0-based."""
+    return 0.5 * (np.arange(len(Z)) + np.sum(Z**2, axis=1))
 
 
 @dataclass(frozen=True)
@@ -274,9 +244,10 @@ def synthesize_controls(
 
     def slow(t, q):
         alpha = coeffs.check(q)
-        return np.array([z(t) for z in gains.z]) + alpha.T @ _drift(gains, t)
+        z, Z = gains.at(t)
+        return z + alpha.T @ _drift(Z)
 
-    return OscillatoryControl(slow=slow, fast=_stacked(fast_parts(gains)), epsilon=epsilon)
+    return OscillatoryControl(slow=slow, fast=fast_parts(gains), epsilon=epsilon)
 
 
 # -- the averaged system --------------------------------------------------------
@@ -291,18 +262,13 @@ class AveragedSystem:
 
     def forcing(self, t, q):
         pt = self.sys.at(q)
-        z = np.array([g(t) for g in self.gains.z])
-        out = pt.Y @ z
-        for (a, b) in self.gains.pair_keys():
-            zab = self.gains.pair_gain(a, b)(t)
-            if zab != 0.0:
-                out = out + zab * pt.products[a, b]
-        return out
+        z, Z = self.gains.at(t)
+        return pt.Y @ z + np.einsum("ab,abi->i", Z, pt.products)
 
     def gain_vector(self, t):
-        z = [g(t) for g in self.gains.z]
-        z += [self.gains.pair_gain(a, b)(t) for (a, b) in self.gains.pair_keys()]
-        return np.array(z)
+        """(z_1 .. z_m, then z_ab in lexicographic_enumeration's order) at t."""
+        z, Z = self.gains.at(t)
+        return np.concatenate([z, Z[_pair_index(self.gains.m)]])
 
     def simulate(self, x0: State, t0, t1, cfg: IntegratorConfig) -> Trajectory:
         return simulate_forced(
@@ -319,8 +285,8 @@ class AveragedSystem:
         """Rank of span{Y_a, <Y_b:Y_c>}, singular values below 1e-8 of the
         largest dropped — n means fully actuated on average."""
         pt = self.sys.at(q)
-        cols = [pt.Y] + [pt.products[a, b][:, None] for (a, b) in self.gains.pair_keys()]
-        sv = np.linalg.svd(np.hstack(cols), compute_uv=False)
+        cols = np.hstack([pt.Y, pt.products[_pair_index(self.gains.m)].T])
+        sv = np.linalg.svd(cols, compute_uv=False)
         return int(np.sum(sv > 1e-8 * sv[0])) if sv[0] > 0 else 0
 
 
@@ -352,18 +318,13 @@ def general_averaged_forcing(sys: MechanicalSystem, control: OscillatoryControl)
     + sum_{a<b} (U1_a U1_b - U2_ab) <Y_a:Y_b>.  Use with simulate_forced;
     control.fast must accept an array tau, as synthesize_controls' does.
     """
-    m = sys.m
 
     def forcing(t, q, qd=None):
         U1, U2 = _ubar_table(control.fast, t)
+        C = np.triu(np.outer(U1, U1) - U2)  # the coefficients of <Y_a:Y_b>, a <= b
+        C[np.diag_indices(len(U1))] -= 0.5 * U1**2
         pt = sys.at(q)
-        S = pt.products
-        out = pt.Y @ control.slow(t, pt)
-        for a in range(m):
-            out = out + (0.5 * U1[a] ** 2 - U2[a, a]) * S[a, a]
-            for b in range(a + 1, m):
-                out = out + (U1[a] * U1[b] - U2[a, b]) * S[a, b]
-        return out
+        return pt.Y @ control.slow(t, pt) + np.einsum("ab,abi->i", C, pt.products)
 
     return forcing
 
@@ -375,15 +336,15 @@ def synthesis_audit(gains: AveragedGains) -> dict:
     """Quadrature check of the synthesis identities at the AUDIT_TIMES
     (20 times in [0, 10) drawn with seed 0).
 
-    For the synthesized fast parts: the pair coefficient U1_a U1_b -
-    U2_ab must equal -(-z_ab) ... i.e. z_ab(t); the diagonal integral
-    U2_aa must equal the drift 1/2 (a + sum_{c>a} z_ac^2) that the slow
-    part cancels; and the first-order means U1 must vanish.
+    For the synthesized fast parts: the pair coefficient U1_a U1_b - U2_ab
+    must equal z_ab(t); the diagonal integral U2_aa must equal the drift
+    1/2 (a + sum_c Z_ac^2) that the slow part cancels; and the first-order
+    means U1 must vanish.
     """
-    m, times = gains.m, AUDIT_TIMES
-    fast = _stacked(fast_parts(gains))
-    tables = [_ubar_table(fast, float(t)) for t in times]
-    drifts = [_drift(gains, t) for t in times]
+    m, fast = gains.m, fast_parts(gains)
+    U1, U2 = (np.array(u) for u in zip(*[_ubar_table(fast, float(t)) for t in AUDIT_TIMES]))
+    Z = np.array([gains.at(t)[1] for t in AUDIT_TIMES])  # (times, m, m), like U2
+    drift = np.array([_drift(Zt) for Zt in Z])
 
     def record(coefficient, target, **key):
         coefficient, target = [float(c) for c in coefficient], [float(x) for x in target]
@@ -391,28 +352,20 @@ def synthesis_audit(gains: AveragedGains) -> dict:
         return {**key, "coefficient": coefficient, "target": target, "difference": diff}
 
     pairs = [
-        record(
-            [U1[a] * U1[b] - U2[a, b] for U1, U2 in tables],
-            [gains.pair_gain(a, b)(t) for t in times],
-            pair=[a + 1, b + 1],
-        )
-        for (a, b) in gains.pair_keys()
+        record(U1[:, a] * U1[:, b] - U2[:, a, b], Z[:, a, b], pair=[a + 1, b + 1])
+        for (a, b) in lexicographic_enumeration(m)
     ]
-    diagonal = [
-        record([U2[a, a] for _, U2 in tables], [d[a] for d in drifts], input=a + 1)
-        for a in range(m)
-    ]
-    mean_worst = max([0.0] + [float(np.max(np.abs(U1))) for U1, _ in tables])
+    diagonal = [record(U2[:, a, a], drift[:, a], input=a + 1) for a in range(m)]
     worst = max(
         [p["difference"] for p in pairs] + [d["difference"] for d in diagonal] + [0.0]
     )
     return {
         "m": m,
         "period": TWO_PI,
-        "times": [float(t) for t in times],
+        "times": [float(t) for t in AUDIT_TIMES],
         "pairs": pairs,
         "diagonal": diagonal,
-        "fast_mean_worst": mean_worst,
+        "fast_mean_worst": float(np.max(np.abs(U1))),
         "max_difference": float(worst),
     }
 

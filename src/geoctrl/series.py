@@ -133,9 +133,9 @@ class _Engine:
         c = lagrange4_interp(self.grid, self.coefs[:, lo:hi], t)
         return c @ np.array([self._value(w, q, memo) for w in range(lo, hi)])
 
-    def velocity(self, q, t, upto=None):
-        """sum_{k<=upto} V_k(q, t), upto defaulting to K."""
-        return self._sum(q, t, 0, self.ends[self.K if upto is None else upto])
+    def velocity(self, q, t):
+        """sum_{k<=K} V_k(q, t)."""
+        return self._sum(q, t, 0, self.ends[self.K])
 
 
 def series_terms(sys: MechanicalSystem, inputs, K: int, grid) -> List[Callable]:

@@ -385,6 +385,8 @@ BAD_CONFIG = {
         "actuators",
     ),
     "name-not-string": (FLAT_SIM, "{name: flat}", "{name: [flat]}", "name"),
+    "unknown-model-name": (FLAT_SIM, "{name: flat}", "{name: flot}", "flot"),
+    "experiment-not-string": (FLAT_SIM, "experiment: simulate", "experiment: [simulate]", "experiment"),
     "output-not-string": (FLAT_SIM, "experiment:", "output: 5\nexperiment:", "output"),
     "unknown-model-key": (
         FLAT_SIM, "{name: flat}", "{name: flat, gravity: 0.0}", "gravity",
@@ -493,7 +495,9 @@ def test_experiment_section_takes_either_spelling(tmp_path, capsys, base, sectio
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_non_finite_result_is_json_exit_3(tmp_path, capsys, monkeypatch, value):
-    monkeypatch.setitem(cli._RUNNERS, "simulate", lambda cfg, sys, outdir: ([], {"x": value}))
+    parse = cli.EXPERIMENTS["simulate"][0]
+    runner = lambda settings, sys, outdir: ([], {"x": value})  # noqa: E731
+    monkeypatch.setitem(cli.EXPERIMENTS, "simulate", (parse, runner))
     out = tmp_path / "out"
     rc = main(["run", write(tmp_path, FLAT_SIM), "--out", str(out)])
     _, err = capsys.readouterr()

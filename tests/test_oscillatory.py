@@ -32,8 +32,6 @@ from geoctrl.numutil import cumulative_simpson_uniform, simpson_uniform
 from geoctrl.oscillatory import (
     TWO_PI,
     SpanCoefficients,
-    _eval_signal,
-    _stacked,
     _ubar_table,
     member_config,
 )
@@ -54,30 +52,35 @@ def test_psi_rejects_nonpositive_frequency():
         psi(0)
 
 
+def stacked(*N):
+    """The basis oscillations psi_N, one row each, as a stacked fast input w(tau, t)."""
+    return lambda tau, t: psi(np.array(N)[:, None])(tau)
+
+
 def test_first_order_average_of_psi_vanishes():
     for N in (1, 2, 5):
-        assert abs(averaged_iterated_integral([psi(N)], (1,))) < 1e-10
+        assert abs(averaged_iterated_integral(stacked(N), (1,))) < 1e-10
 
 
 def test_second_order_average_of_psi_is_half():
     # antiderivative W = sqrt(2) sin(N tau), so mean of W^2 / 2! is 1/2
     for N in (1, 3):
-        val = averaged_iterated_integral([psi(N)], (2,))
+        val = averaged_iterated_integral(stacked(N), (2,))
         assert abs(val - 0.5) < 1e-8
 
 
 def test_cross_average_of_distinct_frequencies_vanishes():
-    val = averaged_iterated_integral([psi(1), psi(2)], (1, 1))
+    val = averaged_iterated_integral(stacked(1, 2), (1, 1))
     assert abs(val) < 1e-10
 
 
 def test_averaged_integral_validates_multiplicities():
     with pytest.raises(ValueError):
-        averaged_iterated_integral([psi(1)], (1, 1))
+        averaged_iterated_integral(stacked(1), (1, 1))
     with pytest.raises(ValueError):
-        averaged_iterated_integral([psi(1)], (-1,))
+        averaged_iterated_integral(stacked(1), (-1,))
     with pytest.raises(ValueError):
-        averaged_iterated_integral([psi(1)], (0,))
+        averaged_iterated_integral(stacked(1), (0,))
 
 
 # -- gains and the synthesized fast parts --------------------------------------
@@ -97,16 +100,16 @@ def test_lexicographic_enumeration_is_injective():
 def test_fast_parts_have_zero_mean():
     gains = AveragedGains.constant([0.1, -0.2, 0.3], {(0, 1): 0.5, (1, 2): -0.4})
     tau = np.linspace(0.0, TWO_PI, 4096, endpoint=False)
-    for w in fast_parts(gains):
-        assert abs(np.mean(w(tau, 0.0))) < 1e-12
+    for w in fast_parts(gains)(tau, 0.0):
+        assert abs(np.mean(w)) < 1e-12
 
 
 def test_pair_cross_average_is_negated_gain():
     # Ubar_{e_a + e_b} = -z_ab for the synthesized fast parts
     gains = AveragedGains.constant([0.0, 0.0, 0.0], {(0, 1): 0.7, (0, 2): -0.3})
-    ws = fast_parts(gains)
+    fast = fast_parts(gains)
     for (a, b), target in (((0, 1), 0.7), ((0, 2), -0.3), ((1, 2), 0.0)):
-        val = averaged_iterated_integral([ws[a], ws[b]], (1, 1))
+        val = averaged_iterated_integral(fast, np.eye(3, dtype=int)[a] + np.eye(3, dtype=int)[b])
         assert abs(val + target) < 1e-8
 
 
@@ -114,19 +117,19 @@ def test_diagonal_average_counts_lower_pairs():
     # Ubar_{2 e_a} = (a + sum_{c>a} z_ac^2) / 2: each lower pair feeds an
     # unscaled oscillation into w_a, each higher pair a z_ac-scaled one
     gains = AveragedGains.constant([0.0, 0.0, 0.0], {(0, 1): 0.5})
-    ws = fast_parts(gains)
+    fast = fast_parts(gains)
     expected = [0.5 * 0.25, 0.5 * 1.0, 0.5 * 2.0]
     for a in range(3):
-        val = averaged_iterated_integral([ws[a]], (2,))
+        val = averaged_iterated_integral(fast, 2 * np.eye(3, dtype=int)[a])
         assert abs(val - expected[a]) < 1e-8
 
 
 def ubar_table_oracle(fast, m, t):
     """The per-input, per-pair Ubar table that preceded the one-pass table;
-    kept as an oracle.  ``fast`` is a list of m signals w_a(tau, t)."""
+    kept as an oracle.  ``fast`` is the stacked fast input w(tau, t)."""
     tau = np.linspace(0.0, TWO_PI, 2001)
     dx = tau[1] - tau[0]
-    W = np.array([cumulative_simpson_uniform(_eval_signal(fast[a], tau, t), dx) for a in range(m)])
+    W = np.array([cumulative_simpson_uniform(fast(tau, t)[a], dx) for a in range(m)])
     U1 = simpson_uniform(W, dx, axis=1) / TWO_PI
     U2 = np.empty((m, m))
     for a in range(m):
@@ -152,11 +155,63 @@ def ubar_table_oracle(fast, m, t):
     ids=["m2", "m3"],
 )
 def test_ubar_table_matches_per_pair_oracle_bitwise(gains):
-    ws = fast_parts(gains)
+    fast = fast_parts(gains)
     for t in (0.0, 0.4, 1.7, 3.0):
-        U1, U2 = _ubar_table(_stacked(ws), t)
-        want1, want2 = ubar_table_oracle(ws, gains.m, t)
+        U1, U2 = _ubar_table(fast, t)
+        want1, want2 = ubar_table_oracle(fast, gains.m, t)
         assert np.array_equal(U1, want1) and np.array_equal(U2, want2)
+
+
+M4_GAINS = AveragedGains(
+    z=[lambda t: 0.1, lambda t: -0.2, lambda t: 0.0, lambda t: 0.3 * t],
+    z_pairs={  # (0, 2) and (1, 3) left out: zero gain
+        (0, 1): lambda t: 0.5 * math.sin(t),
+        (0, 3): lambda t: 0.3 - 0.1 * t,
+        (1, 2): lambda t: -0.4 * math.cos(2.0 * t),
+        (2, 3): lambda t: 0.2 + 0.05 * t * t,
+    },
+)
+
+
+def per_pair_fast_input(gains, a, tau, t):
+    """w_a = -sum_{c<a} psi_N(c,a) + sum_{c>a} z_ac(t) psi_N(a,c), pair by pair."""
+    enum = lexicographic_enumeration(gains.m)
+    out = np.zeros(np.shape(tau))
+    for c in range(a):
+        out = out - psi(enum[(c, a)])(tau)
+    for c in range(a + 1, gains.m):
+        out = out + gains.z_pairs.get((a, c), lambda t: 0.0)(t) * psi(enum[(a, c)])(tau)
+    return out
+
+
+def test_fast_parts_matrix_form_matches_per_pair_closures_m4():
+    fast = fast_parts(M4_GAINS)
+    for t in (0.0, 0.7, 2.3):
+        for tau in (0.3, 5.1, np.linspace(0.0, TWO_PI, 101)):
+            want = np.array([per_pair_fast_input(M4_GAINS, a, tau, t) for a in range(4)])
+            got = fast(tau, t)
+            assert got.shape == want.shape == (4,) + np.shape(tau)
+            # relative: |w| reaches 20 here, where one ulp is 3.6e-15
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def test_gains_at_and_the_lexicographic_pair_order_m4():
+    enum = lexicographic_enumeration(4)
+    t = 0.7
+    z, Z = M4_GAINS.at(t)
+    assert_allclose(z, [0.1, -0.2, 0.0, 0.3 * t], rtol=0, atol=0)
+    assert np.array_equal(Z, np.triu(Z, 1))
+    pair_gains = [M4_GAINS.z_pairs.get(pair, lambda t: 0.0) for pair in enum]
+    assert np.array_equal(Z[tuple(np.array(list(enum)).T)], [g(t) for g in pair_gains])
+    sys = MechanicalSystem(
+        n=4, m=4, inertia=lambda q: np.eye(4), input_covectors=[lambda q, _e=e: _e for e in np.eye(4)]
+    )
+    avg = averaged_system(sys, M4_GAINS)
+    assert np.array_equal(avg.gain_vector(t), np.concatenate([z, [g(t) for g in pair_gains]]))
+    audit = synthesis_audit(M4_GAINS)
+    assert [p["pair"] for p in audit["pairs"]] == [[a + 1, b + 1] for (a, b) in enum]
+    for p, g in zip(audit["pairs"], pair_gains):
+        assert p["target"] == [g(s) for s in audit["times"]]
 
 
 # -- span coefficients ----------------------------------------------------------
@@ -398,6 +453,38 @@ def test_averaged_input_distribution_spans_blimp():
     sys = make("blimp")
     avg = averaged_system(sys, AveragedGains.constant([0.0, 0.0], {(0, 1): 1.0}))
     assert avg.input_distribution_rank(np.array([0.1, 0.2, -0.4])) == 3
+
+
+def test_array_forms_match_per_pair_loops_m3():
+    # the averaged forcing, the slow part's drift and the general forcing,
+    # each against the per-pair loop it replaced
+    sys = make("three-link", actuators=(1, 2, 3))  # fully actuated: alpha is not zero
+    gains = AveragedGains(
+        z=[lambda t: 0.1, lambda t: 0.2 * math.sin(t), lambda t: -0.2],
+        z_pairs={(0, 1): lambda t: 0.5 * math.sin(t), (1, 2): lambda t: 0.3 - 0.1 * t},
+    )
+    control = synthesize_controls(sys, gains, 0.05)
+    avg, general = averaged_system(sys, gains), general_averaged_forcing(sys, control)
+    pairs = lexicographic_enumeration(3)
+    tol = 8 * np.finfo(float).eps
+
+    def close(got, terms):
+        return np.max(np.abs(got - sum(terms))) <= tol * sum(np.max(np.abs(x)) for x in terms)
+
+    for t, q in zip((0.0, 0.9, 2.4), np.random.default_rng(5).uniform(-1.0, 1.0, size=(3, 3))):
+        pt = sys.at(q)
+        S = pt.products
+        z = np.array([g(t) for g in gains.z])
+        zp = {pair: gains.z_pairs.get(pair, lambda t: 0.0)(t) for pair in pairs}
+        assert close(avg.forcing(t, q), [pt.Y @ z] + [zp[(a, b)] * S[a, b] for (a, b) in pairs])
+        drift = [0.5 * (a + sum(zp[(a, c)] ** 2 for c in range(a + 1, 3))) for a in range(3)]
+        alpha = SpanCoefficients(sys).alpha(q)
+        assert close(control.slow(t, q), [z] + [alpha[a] * drift[a] for a in range(3)])
+        U1, U2 = _ubar_table(control.fast, t)
+        terms = [pt.Y @ control.slow(t, q)]
+        terms += [(0.5 * U1[a] ** 2 - U2[a, a]) * S[a, a] for a in range(3)]
+        terms += [(U1[a] * U1[b] - U2[a, b]) * S[a, b] for (a, b) in pairs]
+        assert close(general(t, q), terms)
 
 
 # -- convergence studies -------------------------------------------------------------
