@@ -74,7 +74,8 @@ class SpanAssumptionError(GeoctrlError):
 
 
 class ResidualViolationError(GeoctrlError):
-    """A planned kinematic segment fails its decoupling residual bound."""
+    """The inputs reconstructed for a planned kinematic segment leave a span
+    residual (the reconstruction residual) above the plan's bound."""
 
     def __init__(self, segment, t, residual, tol):
         self.segment = segment
@@ -82,7 +83,7 @@ class ResidualViolationError(GeoctrlError):
         self.residual = residual
         self.tol = tol
         super().__init__(
-            f"segment {segment}: decoupling residual {residual:.3e} exceeds "
+            f"segment {segment}: reconstruction residual {residual:.3e} exceeds "
             f"{tol:.3e} at t={t:.6g}"
         )
 

@@ -504,6 +504,8 @@ def kinematic_plan(
     checked against ``residual_tol``; otherwise the recorded inputs stay
     zero.
     """
+    if not segments:
+        raise ValueError("segments must hold at least one PlanSegment")
     q = np.asarray(q0, dtype=float)
     all_qs, all_qds, all_us = [], [], []
     t_total = 0.0

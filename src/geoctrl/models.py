@@ -181,7 +181,7 @@ _register(
 )
 
 
-# -- planar rigid body / blimp ---------------------------------------------
+# -- rigid bodies in the plane: planar-body, blimp, pvtol -------------------
 
 
 def _body_covector(bx, by, btau):
@@ -201,28 +201,37 @@ def _body_covector(bx, by, btau):
     return F, dF
 
 
-def _build_planar(params, acts, drag=0.0, name="planar-body"):
-    mass, J = params["mass"], params["inertia"]
-    M = np.diag([mass, mass, J])
+def _build_body(params, acts, forces, name, drag=0.0, gravity=0.0):
+    """Rigid body in the plane, M = diag(mass, mass, inertia), driven by the body-frame
+    forces (bx, by, btau) that acts picks; drag adds linear damping, gravity a potential."""
+    mass = params["mass"]
+    M = np.diag([mass, mass, params["inertia"]])
     zero3 = np.zeros((3, 3, 3))
-    forces = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (1.0, 0.0, -params["offset"]))
-    table = [_body_covector(*f) for f in forces]
-    covs = [table[a - 1][0] for a in acts]
-    dcovs = [table[a - 1][1] for a in acts]
-    damping = None
+    table = [_body_covector(*forces[a - 1]) for a in acts]
+    damping = potential = dpotential = None
     if drag > 0.0:
         K = -drag * np.eye(3)
         damping = lambda q: K.copy()
+    if gravity > 0.0:
+        grad = np.array([0.0, mass * gravity, 0.0])
+        potential = lambda q: mass * gravity * q[1]
+        dpotential = lambda q: grad.copy()
     return MechanicalSystem(
         n=3,
         m=len(acts),
         inertia=lambda q: M.copy(),
-        input_covectors=covs,
+        input_covectors=[F for F, _ in table],
         damping=damping,
+        potential=potential,
         dinertia=lambda q: zero3.copy(),
-        dinput_covectors=dcovs,
+        dpotential=dpotential,
+        dinput_covectors=[dF for _, dF in table],
         name=name,
     )
+
+
+def _planar_forces(params):
+    return (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (1.0, 0.0, -params["offset"])
 
 
 _register(
@@ -231,7 +240,7 @@ _register(
     input_names=("fx-body", "fy-body", "torque", "fx-offset"),
     defaults={"mass": 1.0, "inertia": 1.0, "offset": 1.0},
     default_actuators=(1, 2, 3),
-    builder=lambda p, a: _build_planar(p, a),
+    builder=lambda p, a: _build_body(p, a, _planar_forces(p), "planar-body"),
     doc="rigid body in the horizontal plane; body-frame forces, torque, offset force",
 )
 
@@ -241,40 +250,10 @@ _register(
     input_names=("fx-body", "fy-body", "torque", "fx-offset"),
     defaults={"mass": 1.0, "inertia": 1.0, "offset": 1.0, "drag": 0.1},
     default_actuators=(1, 3),
-    builder=lambda p, a: _build_planar(p, a, drag=p["drag"], name="blimp"),
+    builder=lambda p, a: _build_body(p, a, _planar_forces(p), "blimp", drag=p["drag"]),
     doc="planar body with isotropic linear hull drag; underactuated by default",
     nonneg=("drag",),
 )
-
-
-# -- pvtol -------------------------------------------------------------------
-
-
-def _build_pvtol(params, acts):
-    mass, J, eps0, g = params["mass"], params["inertia"], params["coupling"], params["gravity"]
-    M = np.diag([mass, mass, J])
-    zero3 = np.zeros((3, 3, 3))
-    table = [_body_covector(0.0, 1.0, 0.0), _body_covector(eps0, 0.0, 1.0)]
-    covs = [table[a - 1][0] for a in acts]
-    dcovs = [table[a - 1][1] for a in acts]
-    potential = None
-    dpotential = None
-    if g > 0.0:
-        grad = np.array([0.0, mass * g, 0.0])
-        potential = lambda q: mass * g * q[1]
-        dpotential = lambda q: grad.copy()
-    return MechanicalSystem(
-        n=3,
-        m=len(acts),
-        inertia=lambda q: M.copy(),
-        input_covectors=covs,
-        potential=potential,
-        dinertia=lambda q: zero3.copy(),
-        dpotential=dpotential,
-        dinput_covectors=dcovs,
-        name="pvtol",
-    )
-
 
 _register(
     "pvtol",
@@ -282,7 +261,9 @@ _register(
     input_names=("thrust", "roll"),
     defaults={"mass": 1.0, "inertia": 1.0, "coupling": 1.0, "gravity": 9.81},
     default_actuators=(1, 2),
-    builder=_build_pvtol,
+    builder=lambda p, a: _build_body(
+        p, a, ((0.0, 1.0, 0.0), (p["coupling"], 0.0, 1.0)), "pvtol", gravity=p["gravity"]
+    ),
     doc="planar VTOL aircraft: thrust along body axis, roll moment with lateral coupling",
     nonneg=("gravity",),
 )

@@ -24,11 +24,13 @@ leaf a (c = U_a, P = Y_a) or an unordered pair (u, v) of words of orders
 j + (k - j) = k, with P = <P_u : P_v> and c = -1/2 int_0^t c_u c_v summed
 over both orders and every split.  The c_w are integrated once per engine
 on one uniform grid (cumulative Simpson; predict_from_rest's is
-uniform_grid, >= NODES_PER_UNIT nodes per unit time).  P_w is evaluated
-lazily at the caller's q through a private per-call memo, a composite
-word's Jacobian by central differences with step WORD_FD_STEP.  The
-leaves Y_a, their Jacobians and Gamma all come from one kernel
-``sys.at(q)`` per point, so M(q) is factored once.
+uniform_grid, >= NODES_PER_UNIT nodes per unit time).  The P_w of every
+word of order <= k are evaluated in one forward pass over one kernel
+``sys.at(q)``: the leaves are its Y, the order-2 words its products, and
+from order 3 on <P_u : P_v> reads its JY and Gamma, with the Jacobians of
+all composite words of order < k from one central difference (step
+WORD_FD_STEP) of their stacked values.  A private per-call memo keyed by
+(k, q) evaluates each pass once per point.
 """
 
 import math
@@ -92,56 +94,39 @@ class _Engine:
             self.ends.append(len(self.words))
         self.coefs = np.array(coefs).T  # (G, W)
 
-    def _point(self, q, memo):
-        """The kernel sys.at(q), built once per point per call."""
-        key = ("point", q.tobytes())
+    def _values(self, q, k, memo):
+        """[P_w(q) for the words w of order <= k], in word-id order, from one sys.at(q)."""
+        key = (k, q.tobytes())
         if key not in memo:
-            memo[key] = self.sys.at(q)
+            pt, m, ends = self.sys.at(q), self.sys.m, self.ends
+            P = list(pt.Y.T)
+            if k >= 2:
+                P += [pt.products[u, v] for u, v in self.words[m:ends[2]]]
+            if k >= 3:
+                # d P_w / dq for every composite word of order < k, in one difference
+                J = list(pt.JY) + list(central_jacobian(
+                    lambda x: np.array(self._values(x, k - 1, memo)[m:]), q, WORD_FD_STEP
+                ))
+                for u, v in self.words[ends[2]:ends[k]]:
+                    P.append(_symmetric_product(P[u], P[v], J[u], J[v], pt.Gamma))
+            memo[key] = P
         return memo[key]
 
-    def _value(self, w, q, memo):
-        """P_w(q): a leaf a is Y_a, a pair (u, v) is <P_u : P_v>."""
-        word = self.words[w]
-        if isinstance(word, int):
-            return self._point(q, memo).Y[:, word]
-        key = ("P", w, q.tobytes())
-        if key not in memo:
-            u, v = word
-            memo[key] = _symmetric_product(
-                self._value(u, q, memo),
-                self._value(v, q, memo),
-                self._jacobian(u, q, memo),
-                self._jacobian(v, q, memo),
-                self._point(q, memo).Gamma,
-            )
-        return memo[key]
-
-    def _jacobian(self, w, q, memo):
-        """d P_w^i / d q^r, shape (n, n)."""
-        word = self.words[w]
-        if isinstance(word, int):
-            return self._point(q, memo).JY[word]
-        key = ("J", w, q.tobytes())
-        if key not in memo:
-            memo[key] = central_jacobian(lambda x: self._value(w, x, memo), q, WORD_FD_STEP)
-        return memo[key]
-
-    def _sum(self, q, t, lo, hi):
-        """sum_w c_w(t) P_w(q) over the word ids lo:hi."""
-        q = np.asarray(q, dtype=float)
-        memo = {}
+    def _sum(self, q, t, k, lo):
+        """sum_w c_w(t) P_w(q) over the word ids lo:ends[k]."""
+        hi = self.ends[k]
         c = lagrange4_interp(self.grid, self.coefs[:, lo:hi], t)
-        return c @ np.array([self._value(w, q, memo) for w in range(lo, hi)])
+        return c @ np.array(self._values(np.asarray(q, dtype=float), k, {})[lo:hi])
 
     def velocity(self, q, t):
         """sum_{k<=K} V_k(q, t)."""
-        return self._sum(q, t, 0, self.ends[self.K])
+        return self._sum(q, t, self.K, 0)
 
 
 def series_terms(sys: MechanicalSystem, inputs, K: int, grid) -> List[Callable]:
     """The terms V_1 .. V_K, as callables (q, t) -> V_k(q, t), over the given time grid."""
     e = _Engine(sys, inputs, K, grid)
-    return [lambda q, t, _k=k: e._sum(q, t, e.ends[_k - 1], e.ends[_k]) for k in range(1, K + 1)]
+    return [lambda q, t, _k=k: e._sum(q, t, _k, e.ends[_k - 1]) for k in range(1, K + 1)]
 
 
 def predict_from_rest(

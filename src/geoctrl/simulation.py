@@ -121,6 +121,8 @@ class Trajectory:
     us: np.ndarray  # (N, m); m may be 0
 
     def __post_init__(self):
+        if not self.dt > 0.0:
+            raise ValueError(f"dt must be positive, got {self.dt}")
         N = self.qs.shape[0]
         if self.qds.shape != self.qs.shape or self.us.shape[0] != N:
             raise ValueError("misaligned trajectory arrays")

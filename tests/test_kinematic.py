@@ -488,6 +488,12 @@ def test_plan_validates_span_residual():
     with pytest.raises(ResidualViolationError) as ei:
         kinematic_plan(sys, [seg], np.zeros(3), IntegratorConfig(dt=1e-3))
     assert ei.value.residual > 1e-3
+    assert str(ei.value).startswith("segment 0: reconstruction residual ")
+
+
+def test_plan_needs_a_segment():
+    with pytest.raises(ValueError, match="segments must hold at least one"):
+        kinematic_plan(make("three-link"), [], np.zeros(3), IntegratorConfig(dt=1e-3))
 
 
 def test_plan_reconstructed_inputs_recorded():

@@ -18,8 +18,8 @@ from geoctrl import (
     truncation_errors,
 )
 from geoctrl import series
-from geoctrl.geometry import christoffel
-from geoctrl.numutil import cumulative_simpson_uniform, lagrange4_interp
+from geoctrl.geometry import PointData, christoffel
+from geoctrl.numutil import central_jacobian, cumulative_simpson_uniform, lagrange4_interp
 from geoctrl.series import uniform_grid
 from geoctrl.simulation import _rk4
 
@@ -203,6 +203,59 @@ def test_first_order_never_evaluates_the_inertia_derivative():
     q0, T, dt = np.array([0.2, -0.1, 0.4]), 0.5, 1e-2
     predict_from_rest(sys, sine_forcing(sys, [0.1, 0.07]), 1, q0, T, IntegratorConfig(dt=dt))
     assert calls == {"inertia": 201, "dinertia": 0}
+
+
+def test_second_order_words_are_the_kernel_products(monkeypatch):
+    # <Y_a : Y_b> comes from PointData.products: K = 2 never forms JY or Gamma
+    reads = {"JY": 0, "Gamma": 0}
+    for name in reads:
+
+        def counted(pt, _name=name, _get=getattr(PointData, name).fget):
+            reads[_name] += 1
+            return _get(pt)
+
+        monkeypatch.setattr(PointData, name, property(counted))
+    sys = make("three-link", actuators=(1, 2))
+    forcing, q0 = sine_forcing(sys, [0.1, 0.07]), np.array([0.2, -0.1, 0.4])
+    cfg = IntegratorConfig(dt=1e-2)
+    predict_from_rest(sys, forcing, 2, q0, 0.5, cfg)
+    assert reads == {"JY": 0, "Gamma": 0}
+    predict_from_rest(sys, forcing, 3, q0, 0.5, cfg)  # order 3 reads both
+    assert reads["JY"] > 0 and reads["Gamma"] > 0
+
+
+def costs_per_evaluation(monkeypatch, K):
+    """Kernel builds and central_jacobian calls per velocity evaluation of one prediction."""
+    calls = {"kernels": 0, "jacobians": 0}
+    sys = make("three-link", actuators=(1, 2))
+    inertia = sys.inertia
+
+    def counted_inertia(q):
+        calls["kernels"] += 1  # one inertia evaluation per sys.at(q)
+        return inertia(q)
+
+    def counted_jacobian(*args):
+        calls["jacobians"] += 1
+        return central_jacobian(*args)
+
+    monkeypatch.setattr(series, "central_jacobian", counted_jacobian)
+    forcing = sine_forcing(sys, [0.1, 0.07])
+    sys = dataclasses.replace(sys, inertia=counted_inertia)
+    q0, T, dt = np.array([0.2, -0.1, 0.4]), 0.5, 1e-2
+    predict_from_rest(sys, forcing, K, q0, T, IntegratorConfig(dt=dt))
+    evaluations = 4 * int(round(T / dt)) + 1
+    return calls["kernels"] / evaluations, calls["jacobians"] / evaluations
+
+
+def test_third_order_differences_all_pair_words_at_once(monkeypatch):
+    # the point q and its 2n neighbours, and one stacked difference of the pair words
+    assert costs_per_evaluation(monkeypatch, 3) == (1 + 2 * 3, 1)
+
+
+def test_fourth_order_shares_points_through_the_memo(monkeypatch):
+    # without the per-call memo a pass builds 1 + 2n (1 + 2n) = 43 kernels
+    kernels, _ = costs_per_evaluation(monkeypatch, 4)
+    assert kernels <= 28
 
 
 def test_interpolation_needs_four_nodes():

@@ -324,6 +324,16 @@ def test_csv_roundtrip(tmp_path):
     assert back.dt == traj.dt
 
 
+def test_trajectory_needs_a_positive_step(tmp_path):
+    qs = np.zeros((2, 3))
+    with pytest.raises(ValueError, match="dt must be positive, got 0.0"):
+        Trajectory(t0=0.0, t1=0.0, dt=0.0, qs=qs, qds=qs, us=np.zeros((2, 0)))
+    path = tmp_path / "traj.csv"
+    path.write_text("t,q1,q2,q3,qd1,qd2,qd3\n" + "0.5,0,0,0,0,0,0\n" * 2)
+    with pytest.raises(ValueError, match="dt must be positive"):
+        read_trajectory_csv(path)
+
+
 def test_csv_header_layout(tmp_path):
     sys = make("three-link")
     traj = simulate(sys, ControlLaw.zero(2), rest(3), 0.0, 0.01, IntegratorConfig(dt=1e-2))
