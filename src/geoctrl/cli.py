@@ -39,14 +39,7 @@ from . import __version__
 from .errors import ConfigError, GeoctrlError
 from .kinematic import kinematic_controllability, larc_rank
 from .models import ModelDescriptor, build, list_models
-from .oscillatory import (
-    AveragedGains,
-    averaged_system,
-    convergence_study,
-    member_config,
-    synthesis_audit,
-    synthesize_controls,
-)
+from .oscillatory import AveragedGains, convergence_study, member_config, synthesis_audit
 from .series import MAX_ORDER, truncation_errors
 from .simulation import ControlLaw, IntegratorConfig, State, _write_rows, check_grid, simulate
 from .numutil import loglog_slope
@@ -266,7 +259,7 @@ def _parse_series_check(cfg, sys):
 
 
 def _exp_series_check(s, sys, outdir):
-    idx, base, q0 = s["idx"], s["base"], s["q0"]
+    idx, base, eps = s["idx"], s["base"], s["eps"]
 
     def make_inputs(e):
         return [
@@ -274,13 +267,9 @@ def _exp_series_check(s, sys, outdir):
             for a in range(sys.m)
         ]
 
-    def reference(e):
-        inputs = make_inputs(e)
-        law = ControlLaw.of_time(lambda t: np.array([u(t) for u in inputs]))
-        return simulate(sys, law, State(q=q0, qdot=np.zeros(sys.n)), 0.0, s["T"], s["cfg_ref"])
-
-    eps = s["eps"]
-    errs = truncation_errors(sys, make_inputs, s["K"], q0, s["T"], eps, s["cfg_pred"], reference)
+    (errs,) = truncation_errors(
+        sys, make_inputs, [s["K"]], s["q0"], s["T"], eps, s["cfg_pred"], s["cfg_ref"]
+    )
     _write_rows(outdir / "series_convergence.csv", ["epsilon", "err"], zip(eps, errs))
     slope = loglog_slope(eps, errs) if np.all(errs > 0) else None
     return ["series_convergence.csv"], {"order": s["K"], "slope": slope}
@@ -327,16 +316,16 @@ _AVERAGING_KEYS = ("t1", "gains", "q0", "qdot0", "dt_avg")
 
 
 def _parse_averaging(spec, sys, eps):
-    """The settings an averaging section shares, with each eps member's (sub,
-    integrator) from member_config, which checks the member's grid."""
+    """The settings an averaging section shares; member_config checks each eps member's grid."""
     t1 = _number(spec, "t1", required=True)
     _require(t1 > 0, f"'t1' must be positive, got {t1}")
     gains = parse_gains(_get(spec, "gains", required=True), sys.m)
     x0 = parse_state(spec, sys.n)
     dt_avg = _number(spec, "dt_avg", 1e-2)
     _require(dt_avg > 0, f"'dt_avg' must be positive, got {dt_avg}")
-    members = [member_config(dt_avg, e, t1) for e in eps]
-    return {"eps": eps, "t1": t1, "gains": gains, "x0": x0, "dt_avg": dt_avg, "members": members}
+    for e in eps:
+        member_config(dt_avg, e, t1)
+    return {"eps": eps, "t1": t1, "gains": gains, "x0": x0, "dt_avg": dt_avg}
 
 
 def _parse_oscillatory_track(cfg, sys):
@@ -347,23 +336,14 @@ def _parse_oscillatory_track(cfg, sys):
 
 
 def _exp_oscillatory_track(s, sys, outdir):
-    (eps,), ((sub, member),) = s["eps"], s["members"]
-    t1, gains, x0, dt_avg = s["t1"], s["gains"], s["x0"], s["dt_avg"]
-    control = synthesize_controls(sys, gains, eps)
-    true_traj = simulate(sys, control.as_control_law(), x0, 0.0, t1, member)
-    avg_traj = averaged_system(sys, gains).simulate(
-        x0, 0.0, t1, IntegratorConfig(dt=dt_avg)
-    )
-    true_traj.write_csv(outdir / "true.csv")
-    avg_traj.write_csv(outdir / "averaged.csv")
-    audit = synthesis_audit(gains)
+    study = convergence_study(sys, s["gains"], s["x0"], s["t1"], s["eps"], dt_avg=s["dt_avg"])
+    study.members[0].write_csv(outdir / "true.csv")
+    study.averaged.write_csv(outdir / "averaged.csv")
+    audit = synthesis_audit(s["gains"])
     _write_json(outdir / "synthesis_audit.json", audit)
-    err = float(
-        np.max(np.linalg.norm(true_traj.qs[::sub] - avg_traj.qs, axis=1))
-    )
     return ["true.csv", "averaged.csv", "synthesis_audit.json"], {
-        "epsilon": eps,
-        "max_tracking_err": err,
+        "epsilon": s["eps"][0],
+        "max_tracking_err": float(study.errors[0]),
         "audit_max_difference": audit["max_difference"],
     }
 

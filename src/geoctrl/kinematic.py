@@ -467,18 +467,6 @@ def _path_interpolant(q0, vel, s):
     return q, v
 
 
-def _time_of_arc(scaling: TimeScaling, s_target: float) -> float:
-    # invert the monotone s(t) by bisection; only used to stamp error times
-    lo, hi = 0.0, scaling.T
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if scaling.s(mid) < s_target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def kinematic_plan(
     sys: MechanicalSystem,
     segments: Sequence[PlanSegment],
@@ -511,20 +499,20 @@ def kinematic_plan(
     t_total = 0.0
     for si, seg in enumerate(segments):
         T = seg.scaling.T
-        steps = check_grid(0.0, T, cfg.dt)
+        ts = np.arange(check_grid(0.0, T, cfg.dt) + 1) * cfg.dt
+        arc = seg.scaling.s(ts)
 
         vel = np.empty((_PATH_STEPS + 1, sys.n))  # dQ/ds at the arc nodes
         rhs = _record_stage_one(lambda s, x: seg.sign * seg.candidate.field(x), vel)
         try:  # _rk4 stamps errors with the arc parameter s
             path = _rk4(rhs, q, 0.0, 1.0 / _PATH_STEPS, _PATH_STEPS)
         except NonFiniteStateError as e:
-            raise NonFiniteStateError(t_total + _time_of_arc(seg.scaling, e.t)) from None
+            raise NonFiniteStateError(t_total + float(np.interp(e.t, arc, ts))) from None
         vel[-1] = seg.sign * seg.candidate.field(path[-1])
 
-        ts = np.arange(steps + 1) * cfg.dt
-        qs, v = _path_interpolant(q, vel, seg.scaling.s(ts))
+        qs, v = _path_interpolant(q, vel, arc)
         qds = seg.scaling.sdot(ts)[:, None] * v
-        us = np.zeros((steps + 1, sys.m))
+        us = np.zeros((ts.size, sys.m))
         if validate:
             part = Trajectory(t0=0.0, t1=T, dt=cfg.dt, qs=qs, qds=qds, us=us)
             rec = reconstruct_inputs(sys, part)

@@ -372,10 +372,14 @@ def synthesis_audit(gains: AveragedGains) -> dict:
 
 @dataclass(frozen=True)
 class ConvergenceStudy:
+    """Tracking errors per epsilon and their log-log slope, with the averaged
+    reference (at dt_avg) and the member trajectories, one per epsilon."""
+
     epsilons: np.ndarray
     errors: np.ndarray
     slope: float
     averaged: Trajectory
+    members: Tuple[Trajectory, ...]
 
     def write_csv(self, path_or_file):
         eps, errs = self.epsilons, self.errors
@@ -426,16 +430,14 @@ def convergence_study(
         x0, 0.0, T_final, IntegratorConfig(dt=dt_avg)
     )
 
-    def member(eps):
+    eps_list, members, errors = list(eps_list), [], []
+    for eps in eps_list:
         control = synthesize_controls(sys, gains, eps)
         sub, cfg = member_config(dt_avg, eps, T_final)
-        traj = simulate(sys, control.as_control_law(), x0, 0.0, T_final, cfg)
-        qeps = traj.qs[::sub]
-        return float(np.max(np.linalg.norm(qeps - ref.qs, axis=1)))
-
-    eps_list = list(eps_list)
+        members.append(simulate(sys, control.as_control_law(), x0, 0.0, T_final, cfg))
+        errors.append(np.max(np.linalg.norm(members[-1].qs[::sub] - ref.qs, axis=1)))
     eps_arr = np.array(eps_list, dtype=float)
-    err_arr = np.array([member(eps) for eps in eps_list], dtype=float)
+    err_arr = np.array(errors, dtype=float)
     fit = eps_arr.size >= 2 and np.all(err_arr > 0)
     slope = loglog_slope(eps_arr, err_arr) if fit else float("nan")
-    return ConvergenceStudy(epsilons=eps_arr, errors=err_arr, slope=slope, averaged=ref)
+    return ConvergenceStudy(eps_arr, err_arr, slope, ref, tuple(members))

@@ -40,7 +40,8 @@ import numpy as np
 
 from .geometry import MechanicalSystem, _symmetric_product
 from .numutil import central_jacobian, cumulative_simpson_uniform, lagrange4_interp
-from .simulation import IntegratorConfig, Trajectory, check_grid, _record_stage_one, _rk4
+from .simulation import ControlLaw, IntegratorConfig, State, Trajectory, check_grid, simulate
+from .simulation import _record_stage_one, _rk4
 
 NODES_PER_UNIT = 201
 WORD_FD_STEP = 1e-6
@@ -157,29 +158,28 @@ def predict_from_rest(
 def truncation_errors(
     sys: MechanicalSystem,
     make_inputs: Callable[[float], Sequence[Callable[[float], float]]],
-    K: int,
+    orders: Sequence[int],
     q0,
     T: float,
     epsilons: Sequence[float],
     cfg_predict: IntegratorConfig,
-    simulate_trajectory: Callable[[float], Trajectory],
+    cfg_reference: IntegratorConfig,
 ) -> np.ndarray:
-    """Max configuration error of the order-K prediction per amplitude.
+    """max_t ||q_pred - q_ref|| per order and amplitude, shape (len(orders), len(epsilons)).
 
-    ``make_inputs(eps)`` builds the m input signals at amplitude eps and
-    ``simulate_trajectory(eps)`` supplies the reference trajectory (its
-    grid must contain the prediction grid).  Returns max_t ||q_pred -
-    q_ref|| for each eps, the raw data behind convergence-order fits.
+    Per eps, every order predicts the signals make_inputs(eps) at
+    cfg_predict.dt, and then one reference simulates them from rest at q0
+    over [0, T] at cfg_reference.dt, which must divide cfg_predict.dt.
     """
-    errs = []
-    for eps in epsilons:
-        pred = predict_from_rest(sys, make_inputs(eps), K, q0, T, cfg_predict)
-        ref = simulate_trajectory(eps)
-        stride = int(round(pred.dt / ref.dt))
-        if abs(pred.dt - stride * ref.dt) > 1e-12:
-            raise ValueError("reference dt must divide the prediction dt")
-        qref = ref.qs[::stride]
-        if qref.shape[0] != pred.qs.shape[0]:
-            raise ValueError("reference horizon does not match the prediction")
-        errs.append(float(np.max(np.linalg.norm(pred.qs - qref, axis=1))))
-    return np.array(errs)
+    stride = int(round(cfg_predict.dt / cfg_reference.dt))
+    if abs(cfg_predict.dt - stride * cfg_reference.dt) > 1e-12:
+        raise ValueError("reference dt must divide the prediction dt")
+    rest = State(q=np.asarray(q0, dtype=float), qdot=np.zeros(sys.n))
+    errs = np.empty((len(orders), len(epsilons)))
+    for j, eps in enumerate(epsilons):
+        inputs = make_inputs(eps)
+        preds = [predict_from_rest(sys, inputs, K, rest.q, T, cfg_predict).qs for K in orders]
+        law = ControlLaw.of_time(lambda t: np.array([u(t) for u in inputs]))
+        qref = simulate(sys, law, rest, 0.0, T, cfg_reference).qs[::stride]
+        errs[:, j] = [np.max(np.linalg.norm(qs - qref, axis=1)) for qs in preds]
+    return errs

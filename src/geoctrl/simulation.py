@@ -166,6 +166,10 @@ def read_trajectory_csv(path) -> Trajectory:
     m = sum(1 for h in header if h.startswith("u"))
     t = data[:, 0]
     dt = t[1] - t[0] if len(t) > 1 else 1.0
+    # write_csv's 17-digit times are t0 + k dt to roundoff
+    off = np.flatnonzero(~np.isclose(t, t[0] + dt * np.arange(len(t)), rtol=1e-9, atol=abs(dt) * 1e-9))
+    if off.size:
+        raise ValueError(f"{path}: time {float(t[off[0]])!r} is not t0 + k dt, dt = {float(dt)!r}")
     return Trajectory(
         t0=float(t[0]),
         t1=float(t[-1]),

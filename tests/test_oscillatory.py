@@ -3,6 +3,7 @@ the averaged system, and epsilon-convergence of the true dynamics."""
 
 import dataclasses
 import io
+import json
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from geoctrl import (
     lexicographic_enumeration,
     make,
     psi,
+    read_trajectory_csv,
     simulate_forced,
     span_coefficients,
     synthesis_audit,
@@ -526,40 +528,44 @@ def test_convergence_errors_shrink_with_epsilon():
 
 
 
-def test_cli_and_convergence_study_use_one_substep_rule(tmp_path, capsys, monkeypatch):
-    """An epsilon member is integrated at the same step by `geoctrl run`
-    (oscillatory-track) and by convergence_study."""
-    from geoctrl import cli, oscillatory
+def track_config(path, eps, dt_avg):
+    """An oscillatory-track config on the gravity-free pvtol over [0, 0.1]."""
+    path.write_text(
+        "experiment: oscillatory-track\n"
+        "model: {name: pvtol, parameters: {gravity: 0.0}}\n"
+        f"oscillatory_track:\n  epsilon: {eps!r}\n  t1: 0.1\n  dt_avg: {dt_avg!r}\n"
+        "  gains: {z: [{type: const, value: 0.2}, {type: const, value: -0.1}],"
+        " pairs: [{pair: [1, 2], type: const, value: 0.5}]}\n"
+    )
+    return path
 
-    class Stop(Exception):
-        pass
 
-    steps = {}
+def test_cli_and_convergence_study_use_one_substep_rule(tmp_path, capsys):
+    """An epsilon member of `geoctrl run` (oscillatory-track) is integrated
+    at the step member_config gives it."""
+    from geoctrl import cli
 
-    def recording(caller):
-        def simulate(sys, law, x0, t0, t1, cfg):
-            steps[caller] = cfg.dt
-            raise Stop
+    members = [(0.1, 0.01), (0.05, 0.01), (0.013, 0.02), (1.0 / TWO_PI, 0.01), (5.0, 0.01)]
+    for eps, dt_avg in members:
+        out = tmp_path / "o"
+        assert cli.main(["run", str(track_config(tmp_path / "track.yaml", eps, dt_avg)),
+                         "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert read_trajectory_csv(out / "true.csv").dt == member_config(dt_avg, eps, 0.1)[1].dt
 
-        return simulate
 
-    monkeypatch.setattr(cli, "simulate", recording("cli"))
-    monkeypatch.setattr(oscillatory, "simulate", recording("library"))
+def test_oscillatory_track_is_a_one_epsilon_convergence_study(tmp_path, capsys):
+    from geoctrl import cli
+
     sys = make("pvtol", gravity=0.0)
     gains = AveragedGains.constant([0.2, -0.1], {(0, 1): 0.5})
     x0 = State(q=np.zeros(3), qdot=np.zeros(3))
-    members = [(0.1, 0.01), (0.05, 0.01), (0.013, 0.02), (1.0 / TWO_PI, 0.01), (5.0, 0.01)]
-    for eps, dt_avg in members:
-        config = tmp_path / "track.yaml"
-        config.write_text(
-            "experiment: oscillatory-track\n"
-            "model: {name: pvtol, parameters: {gravity: 0.0}}\n"
-            f"oscillatory_track:\n  epsilon: {eps!r}\n  t1: 0.1\n  dt_avg: {dt_avg!r}\n"
-            "  gains: {z: [{type: const, value: 0.2}, {type: const, value: -0.1}],"
-            " pairs: [{pair: [1, 2], type: const, value: 0.5}]}\n"
-        )
-        cli.main(["run", str(config), "--out", str(tmp_path / "o")])
-        capsys.readouterr()
-        with pytest.raises(Stop):
-            convergence_study(sys, gains, x0, 0.1, [eps, eps / 2], dt_avg=dt_avg)
-        assert steps.pop("cli") == steps.pop("library")
+    out = tmp_path / "o"
+    assert cli.main(["run", str(track_config(tmp_path / "track.yaml", 0.05, 0.01)),
+                     "--out", str(out)]) == 0
+    capsys.readouterr()
+    study = convergence_study(sys, gains, x0, 0.1, [0.05], dt_avg=0.01)
+    results = json.loads((out / "run_manifest.json").read_text())["results"]
+    assert results["max_tracking_err"] == study.errors[0]
+    assert (out / "true.csv").read_text() == study.members[0].csv_text()
+    assert (out / "averaged.csv").read_text() == study.averaged.csv_text()

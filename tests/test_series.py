@@ -133,23 +133,51 @@ def test_prediction_improves_with_order():
     assert errs[0] > errs[1] > errs[2]
 
 
+def sine_inputs(e):
+    return [lambda t, _e=e: _e * np.sin(t)]
+
+
 def test_truncation_errors_decrease_with_amplitude():
     sys = offset_body()
-    epsilons = [0.08, 0.04]
-
-    def make_forcing(e):
-        return [lambda t, _e=e: _e * np.sin(t)]
-
-    def reference(e):
-        law = ControlLaw.of_time(lambda t: np.array([e * np.sin(t)]))
-        return simulate(
-            sys, law, State(q=np.zeros(3), qdot=np.zeros(3)), 0.0, 1.0, IntegratorConfig(dt=1e-3)
-        )
-
-    errs = truncation_errors(
-        sys, make_forcing, 2, np.zeros(3), 1.0, epsilons, IntegratorConfig(dt=5e-3), reference
+    (errs,) = truncation_errors(
+        sys, sine_inputs, [2], np.zeros(3), 1.0, [0.08, 0.04],
+        IntegratorConfig(dt=5e-3), IntegratorConfig(dt=1e-3),
     )
     assert errs[0] > errs[1] > 0.0
+
+
+def test_truncation_errors_simulate_one_reference_per_amplitude(monkeypatch):
+    calls = {"simulate": 0, "predict_from_rest": 0}
+
+    def counted(name):
+        real = getattr(series, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(series, name, wrapper)
+
+    counted("simulate")
+    counted("predict_from_rest")
+    errs = truncation_errors(
+        offset_body(), sine_inputs, (1, 2, 3), np.zeros(3), 0.5, [0.04, 0.02],
+        IntegratorConfig(dt=5e-3), IntegratorConfig(dt=1e-3),
+    )
+    assert calls == {"simulate": 2, "predict_from_rest": 6}
+    assert errs.shape == (3, 2)
+    assert np.all(errs[:, 0] > errs[:, 1])  # every order shrinks with the amplitude
+    assert np.all(errs[:-1] > errs[1:])  # and with the order
+
+
+def test_truncation_errors_need_a_reference_step_dividing_the_prediction_step(monkeypatch):
+    monkeypatch.setattr(series, "predict_from_rest", None)  # nothing may run before the check
+    for dt_ref in (3e-3, 1e-2):
+        with pytest.raises(ValueError, match="reference dt must divide the prediction dt"):
+            truncation_errors(
+                offset_body(), sine_inputs, [1], np.zeros(3), 1.0, [0.1],
+                IntegratorConfig(dt=5e-3), IntegratorConfig(dt=dt_ref),
+            )
 
 
 def test_wrong_signal_count():
@@ -161,7 +189,7 @@ def test_wrong_signal_count():
         with pytest.raises(ValueError, match=match):
             predict_from_rest(sys, signals, 2, np.zeros(3), 1.0, cfg)
         with pytest.raises(ValueError, match=match):
-            truncation_errors(sys, lambda e: signals, 2, np.zeros(3), 1.0, [0.1], cfg, None)
+            truncation_errors(sys, lambda e: signals, [2], np.zeros(3), 1.0, [0.1], cfg, cfg)
 
 
 def test_words_read_one_kernel_per_point():

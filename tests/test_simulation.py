@@ -324,6 +324,22 @@ def test_csv_roundtrip(tmp_path):
     assert back.dt == traj.dt
 
 
+def test_csv_with_non_uniform_times_is_rejected(tmp_path):
+    path = tmp_path / "traj.csv"
+    path.write_text("t,q1,qd1\n" + "".join(f"{t},{t},0\n" for t in (0.0, 0.1, 0.25, 0.3)))
+    with pytest.raises(ValueError, match=r"time 0\.25 is not t0 \+ k dt, dt = 0\.1"):
+        read_trajectory_csv(path)
+
+
+def test_csv_roundtrip_of_times_off_zero(tmp_path):
+    # t0 far from 0 in units of dt: t[1] - t[0] carries the roundoff of t0
+    qs = np.zeros((2001, 1))
+    traj = Trajectory(t0=-3.7, t1=-3.7 + 2000 * 1e-3, dt=1e-3, qs=qs, qds=qs, us=np.zeros((2001, 0)))
+    path = tmp_path / "traj.csv"
+    traj.write_csv(path)
+    assert read_trajectory_csv(path).n_samples == 2001
+
+
 def test_trajectory_needs_a_positive_step(tmp_path):
     qs = np.zeros((2, 3))
     with pytest.raises(ValueError, match="dt must be positive, got 0.0"):
