@@ -38,7 +38,7 @@ import yaml
 from . import __version__
 from .errors import ConfigError, GeoctrlError
 from .kinematic import kinematic_controllability, larc_rank
-from .models import ModelDescriptor, build, list_models
+from .models import ModelDescriptor, _whole, build, list_models
 from .oscillatory import AveragedGains, convergence_study, member_config, synthesis_audit
 from .series import MAX_ORDER, truncation_errors
 from .simulation import ControlLaw, IntegratorConfig, State, _write_rows, check_grid, simulate
@@ -58,13 +58,15 @@ def _get(cfg, key, default=None, required=False):
 
 
 def _number(cfg, key, default=None, required=False, cast=float):
-    """cfg[key] (or default) through cast; ConfigError naming key unless it is all finite numbers."""
+    """cfg[key] (or default) through cast; ConfigError naming key unless it is all finite numbers
+    (and whole numbers, for the casts _whole and _ints)."""
     value = _get(cfg, key, default, required)
     try:
         number = cast(value)
         finite = np.isfinite(number).all()
     except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"'{key}' must be numeric, got {value!r}") from None
+        whole = " and whole" if cast in (_whole, _ints) else ""
+        raise ConfigError(f"'{key}' must be numeric{whole}, got {value!r}") from None
     _require(finite, f"'{key}' must be finite, got {value!r}")
     return number
 
@@ -96,7 +98,7 @@ _floats = functools.partial(np.asarray, dtype=float)
 
 
 def _ints(value):
-    return tuple(int(x) for x in value)
+    return tuple(_whole(x) for x in value)
 
 
 def _write_json(path, payload, **kwargs):
@@ -178,6 +180,7 @@ def parse_epsilons(spec):
     eps = _number(spec, "epsilons", required=True, cast=lambda v: [float(e) for e in v])
     _require(len(eps) >= 2, f"epsilons needs at least 2 values to fit a slope, got {len(eps)}")
     _require(all(e > 0 for e in eps), "epsilons must be positive")
+    _require(len(set(eps)) == len(eps), f"epsilons must be distinct, got {eps}")
     return eps
 
 
@@ -238,18 +241,18 @@ def _parse_series_check(cfg, sys):
         cfg, "series-check",
         ("order", "epsilons", "horizon", "input", "signal", "q0", "predict_dt_ratio"),
     )
-    K = _number(spec, "order", 2, cast=int)
+    K = _number(spec, "order", 2, cast=_whole)
     _require(1 <= K <= MAX_ORDER, f"series order must be in 1..{MAX_ORDER}, got {K}")
     eps = parse_epsilons(spec)
     T = _number(spec, "horizon", 1.0)
     _require(T > 0, f"horizon must be positive, got {T}")
-    idx = _number(spec, "input", 1, cast=int) - 1
+    idx = _number(spec, "input", 1, cast=_whole) - 1
     _require(0 <= idx < sys.m, f"input index out of range 1..{sys.m}")
     base = parse_signal(spec.get("signal", {"type": "sinusoid"}))
     q0 = _number(spec, "q0", [0.0] * sys.n, cast=_floats)
     _require(q0.shape == (sys.n,), f"q0 must have length {sys.n}")
     cfg_ref = parse_integrator(cfg)
-    ratio = _number(spec, "predict_dt_ratio", 5, cast=int)
+    ratio = _number(spec, "predict_dt_ratio", 5, cast=_whole)
     _require(ratio >= 1, f"predict_dt_ratio must be a positive integer, got {ratio}")
     cfg_pred = IntegratorConfig(dt=cfg_ref.dt * ratio)
     for dt in (cfg_ref.dt, cfg_pred.dt):
@@ -280,14 +283,14 @@ def _parse_point_search(cfg, sys, name, known):
     spec = _section(cfg, name, known)
     q = _number(spec, "q", required=True, cast=_floats)
     _require(q.shape == (sys.n,), f"q must have length {sys.n}")
-    depth = _number(spec, "depth", 2, cast=int)
+    depth = _number(spec, "depth", 2, cast=_whole)
     _require(depth >= 1, f"'depth' must be >= 1, got {depth}")
     return spec, {"q": q, "depth": depth, "tol": _number(spec, "tol", 1e-8)}
 
 
 def _parse_decoupling(cfg, sys):
     spec, s = _parse_point_search(cfg, sys, "decoupling", ("q", "depth", "tol", "seed"))
-    return {**s, "seed": _number(spec, "seed", 0, cast=int)}
+    return {**s, "seed": _number(spec, "seed", 0, cast=_whole)}
 
 
 def _exp_decoupling(s, sys, outdir):

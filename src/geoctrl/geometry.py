@@ -149,15 +149,6 @@ class MechanicalSystem:
         if self.dinput_covectors is not None and len(self.dinput_covectors) != self.m:
             raise ValueError("dinput_covectors must have length m")
 
-    @property
-    def derivative_provider(self):
-        analytic = (
-            self.dinertia is not None
-            and (self.potential is None or self.dpotential is not None)
-            and self.dinput_covectors is not None
-        )
-        return "analytic" if analytic else f"central-finite-difference({DEFAULT_FD_STEP:g})"
-
     # -- inertia ---------------------------------------------------------
 
     def mass(self, q):

@@ -17,7 +17,7 @@ span.  Solutions are projective directions in R^m.
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -112,13 +112,9 @@ def _canonical(h):
     return -h if h[k] < 0 else h
 
 
-def quadratic_forms(sys: MechanicalSystem, q) -> np.ndarray:
-    """The forms B[l, a, b] tested against h at q; shape (n-m, m, m)."""
-    return _forms_and_fields(sys, q)[0]
-
-
-def _forms_and_fields(sys, q):
-    """(B, Y): the quadratic forms at q and the input fields they came from."""
+def quadratic_forms(sys: MechanicalSystem, q):
+    """(B, Y): the forms B[l, a, b] tested against h at q, shape (n-m, m, m),
+    and the (n, m) input fields Y they came from."""
     pt = sys.at(q)
     _, C = _span_projector(pt.Y, pt.q)
     return (pt.products @ C).transpose(2, 0, 1), pt.Y
@@ -133,7 +129,7 @@ def find_decoupling_fields(sys: MechanicalSystem, q, seed: int = 0) -> Decouplin
     An empty list is a valid outcome (no real solutions).
     """
     m = sys.m
-    B, Y = _forms_and_fields(sys, q)
+    B, Y = quadratic_forms(sys, q)
     if m == 2:
         directions = _two_input_directions(B.tolist())
     else:
@@ -215,9 +211,8 @@ def _root_search(B, m, seed):
 
 @dataclass(frozen=True)
 class DecouplingCandidate:
-    """A decoupling field V(q) = sum_a h_a(q) Y_a(q) with its coefficients."""
+    """A decoupling field V(q) = sum_a h_a(q) Y_a(q)."""
 
-    coefficients: Callable[[np.ndarray], np.ndarray]
     field: VectorField
 
 
@@ -237,12 +232,13 @@ def candidate_from_direction(
     h0 = _canonical(np.asarray(h0, dtype=float))
     ref = [h0]
 
-    def solve(q):
+    def ev(q):
+        q = np.asarray(q, dtype=float)
         # module-level name lookup, so wrapping find_decoupling_fields
         # (e.g. for tracing) sees every re-solve
         sol = find_decoupling_fields(sys, q, seed=seed)
         if sol.all_directions:
-            return sol, ref[0]
+            return sol.fields @ ref[0]
         if not sol.directions:
             raise BranchVanishedError(q)
         h, dot = None, 0.0  # the first direction of largest |d . ref|
@@ -253,16 +249,9 @@ def candidate_from_direction(
         if dot < 0:
             h = -h
         ref[0] = h
-        return sol, h
-
-    def coefficients(q):
-        return solve(q)[1]
-
-    def ev(q):
-        sol, h = solve(np.asarray(q, dtype=float))
         return sol.fields @ h
 
-    return DecouplingCandidate(coefficients=coefficients, field=VectorField(eval=ev))
+    return DecouplingCandidate(field=VectorField(eval=ev))
 
 
 # -- LARC ---------------------------------------------------------------------
@@ -337,13 +326,7 @@ def kinematic_controllability(
     q = np.asarray(q, dtype=float)
     sol = find_decoupling_fields(sys, q, seed=seed)
     if sol.all_directions:
-        cands = [
-            DecouplingCandidate(
-                coefficients=lambda qq, _a=a, _m=sys.m: np.eye(_m)[_a],
-                field=sys.input_field(a),
-            )
-            for a in range(sys.m)
-        ]
+        cands = [DecouplingCandidate(field=sys.input_field(a)) for a in range(sys.m)]
     else:
         cands = [candidate_from_direction(sys, q, h, seed=seed) for h in sol.directions]
     residuals = [decoupling_residual(sys, c.field, q) for c in cands]

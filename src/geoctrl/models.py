@@ -50,6 +50,7 @@ pvtol (set gravity 0 for the horizontal/series experiments), 0 for the
 three-link (a horizontal device; set 9.81 to add the potential).
 """
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -59,6 +60,13 @@ from .errors import ConfigError, UnknownModelError
 from .geometry import MechanicalSystem, takes_stacks
 
 _REGISTRY: Dict[str, dict] = {}
+
+
+def _whole(x):
+    """int(x) for a whole number x (2 or 2.0); ValueError for 2.5, True, "3" or inf."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real) or x % 1 != 0:
+        raise ValueError(f"{x!r} is not a whole number")
+    return int(x)
 
 
 @dataclass(frozen=True)
@@ -93,7 +101,10 @@ class ModelDescriptor:
             elif val <= 0.0:
                 raise ConfigError(f"parameter '{key}' must be > 0, got {val}")
         acts = self.actuators if self.actuators is not None else entry["default_actuators"]
-        acts = tuple(int(a) for a in acts)
+        try:
+            acts = tuple(_whole(a) for a in acts)
+        except ValueError:
+            raise ConfigError(f"'actuators' must be whole numbers, got {acts!r}") from None
         n_inputs = len(entry["input_names"])
         if not 1 <= len(acts) <= entry["n"]:
             raise ConfigError(

@@ -85,11 +85,11 @@ def lagrange4_interp(tgrid, values, t):
 
 
 def loglog_slope(x, y):
-    """Least-squares slope of log(y) against log(x); needs at least 2 points."""
+    """Least-squares slope of log(y) against log(x); needs at least 2 distinct x."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if x.size < 2:
-        raise ValueError(f"log-log slope needs at least 2 points, got {x.size}")
+    if np.unique(x).size < 2:
+        raise ValueError(f"log-log slope needs at least 2 distinct x, got {x.tolist()}")
     if np.any(x <= 0) or np.any(y <= 0):
         raise ValueError("log-log slope needs positive data")
     return float(np.polyfit(np.log(x), np.log(y), 1)[0])

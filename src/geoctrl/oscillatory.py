@@ -168,9 +168,9 @@ class SpanCoefficients:
     """alpha(q) with <Y_a : Y_a>(q) = sum_b alpha[a, b] Y_b(q), by least squares
     through the m x m normal equations (Y^T Y) alpha^T = Y^T <Y_a : Y_a>.
 
-    q may be an array or a kernel point ``sys.at(q)``.  ``check`` raises when
-    the worst relative residual exceeds SPAN_TOL — the standing assumption
-    behind the drift cancellation fails there.
+    q may be an array or a kernel point ``sys.at(q)``.  ``check(q)`` returns
+    alpha, and raises when the worst relative residual exceeds SPAN_TOL — the
+    standing assumption behind the drift cancellation fails there.
     """
 
     sys: MechanicalSystem
@@ -186,24 +186,11 @@ class SpanCoefficients:
         res = np.linalg.norm(D - Y @ coef, axis=0) / np.maximum(1.0, np.linalg.norm(D, axis=0))
         return pt.q, coef.T, float(res.max())
 
-    def alpha(self, q):
-        return self._solve(q)[1]
-
-    def residual(self, q):
-        return self._solve(q)[2]
-
     def check(self, q):
         q, alpha, res = self._solve(q)
         if res > SPAN_TOL:
             raise SpanAssumptionError(q, res, SPAN_TOL)
         return alpha
-
-
-def span_coefficients(sys: MechanicalSystem, q) -> SpanCoefficients:
-    """Validated span coefficients at q (and lazily anywhere else)."""
-    coeffs = SpanCoefficients(sys=sys)
-    coeffs.check(q)
-    return coeffs
 
 
 @dataclass(frozen=True)
@@ -260,6 +247,10 @@ class AveragedSystem:
     sys: MechanicalSystem
     gains: AveragedGains
 
+    def __post_init__(self):
+        if self.gains.m != self.sys.m:
+            raise ValueError(f"gains are for m={self.gains.m}, system has m={self.sys.m}")
+
     def forcing(self, t, q):
         pt = self.sys.at(q)
         z, Z = self.gains.at(t)
@@ -288,12 +279,6 @@ class AveragedSystem:
         cols = np.hstack([pt.Y, pt.products[_pair_index(self.gains.m)].T])
         sv = np.linalg.svd(cols, compute_uv=False)
         return int(np.sum(sv > 1e-8 * sv[0])) if sv[0] > 0 else 0
-
-
-def averaged_system(sys: MechanicalSystem, gains: AveragedGains) -> AveragedSystem:
-    if gains.m != sys.m:
-        raise ValueError(f"gains are for m={gains.m}, system has m={sys.m}")
-    return AveragedSystem(sys=sys, gains=gains)
 
 
 def _ubar_table(fast, t):
@@ -385,7 +370,7 @@ class ConvergenceStudy:
         eps, errs = self.epsilons, self.errors
         parts = [
             loglog_slope(eps[: i + 1], errs[: i + 1])
-            if i > 0 and np.all(errs[: i + 1] > 0) else float("nan")
+            if np.unique(eps[: i + 1]).size > 1 and np.all(errs[: i + 1] > 0) else float("nan")
             for i in range(len(eps))
         ]
         _write_rows(path_or_file, ["epsilon", "max_err", "slope_partial"], zip(eps, errs, parts))
@@ -423,12 +408,10 @@ def convergence_study(
     at the nested step of member_config(dt_avg, eps, T_final), which
     resolves the fast period and keeps the sample grids aligned.
     Members run one after the other in the given epsilon order.  The
-    slope is NaN when fewer than 2 epsilons are given or an error is not
-    positive.
+    slope is NaN when fewer than 2 distinct epsilons are given or an error
+    is not positive.
     """
-    ref = averaged_system(sys, gains).simulate(
-        x0, 0.0, T_final, IntegratorConfig(dt=dt_avg)
-    )
+    ref = AveragedSystem(sys, gains).simulate(x0, 0.0, T_final, IntegratorConfig(dt=dt_avg))
 
     eps_list, members, errors = list(eps_list), [], []
     for eps in eps_list:
@@ -438,6 +421,6 @@ def convergence_study(
         errors.append(np.max(np.linalg.norm(members[-1].qs[::sub] - ref.qs, axis=1)))
     eps_arr = np.array(eps_list, dtype=float)
     err_arr = np.array(errors, dtype=float)
-    fit = eps_arr.size >= 2 and np.all(err_arr > 0)
+    fit = np.unique(eps_arr).size >= 2 and np.all(err_arr > 0)
     slope = loglog_slope(eps_arr, err_arr) if fit else float("nan")
     return ConvergenceStudy(eps_arr, err_arr, slope, ref, tuple(members))

@@ -159,9 +159,13 @@ class Trajectory:
 
 
 def read_trajectory_csv(path) -> Trajectory:
+    """The Trajectory in a CSV that Trajectory.write_csv (so the CLI) wrote."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        rows = [line for line in fh if line.strip()]
+    if not rows:
+        raise ValueError(f"{path}: no samples after the header")
+    data = np.loadtxt(rows, delimiter=",", ndmin=2)
     n = sum(1 for h in header if h.startswith("q") and not h.startswith("qd"))
     m = sum(1 for h in header if h.startswith("u"))
     t = data[:, 0]
@@ -198,12 +202,6 @@ def _acceleration(pt, qd, applied):
     if sys.damping is not None:
         acc = acc + sys.damping_matrix(q) @ qd
     return acc
-
-
-def dynamics_rhs(sys: MechanicalSystem, state: State, u) -> np.ndarray:
-    """Time derivative of x = (q, qdot) under input u."""
-    pt = sys.at(state.q)
-    return np.concatenate([state.qdot, _acceleration(pt, state.qdot, pt.F @ np.atleast_1d(u))])
 
 
 # the most steps a grid may take: its state array alone is then gigabytes,

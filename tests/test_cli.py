@@ -375,6 +375,7 @@ CONVERGENCE = dedent(
     """
 )
 LARC = "experiment: larc\nmodel: {name: three-link}\nlarc: {q: [0.3, -0.2, 0.9]}\n"
+SERIES = "experiment: series-check\nmodel: {name: flat}\nseries-check: {epsilons: [0.02, 0.01]}\n"
 DECOUPLING = LARC.replace("larc", "decoupling")
 
 # case: (base config, old text, new text, key the error names).  run and validate
@@ -442,15 +443,30 @@ BAD_CONFIG = {
     "unknown-gains-key": (OSC_TRACK, "    pairs:", "    paris:", "paris"),
     "dt-not-dividing": (FLAT_SIM, "{dt: 0.001}", "{dt: 0.003}", "dt=0.003"),
     "track-dt-avg-not-dividing": (OSC_TRACK, "t1: 0.3", "t1: 0.3\n  dt_avg: 0.07", "dt=0.07"),
-    "series-q0-length": (
-        "experiment: series-check\nmodel: {name: flat}\nseries-check: {epsilons: [0.02, 0.01]}\n",
-        "0.01]}", "0.01], q0: [0.0]}", "q0",
-    ),
+    "series-q0-length": (SERIES, "0.01]}", "0.01], q0: [0.0]}", "q0"),
     "both-section-spellings": (
-        "experiment: series-check\nmodel: {name: flat}\nseries-check: {epsilons: [0.02, 0.01]}\n",
-        "series-check:", "series_check: {epsilons: [0.02, 0.01]}\nseries-check:",
+        SERIES, "series-check:", "series_check: {epsilons: [0.02, 0.01]}\nseries-check:",
         "series_check",
     ),
+    # a repeated amplitude leaves fewer than 2 distinct points to fit a slope to
+    "convergence-epsilons-repeated": (
+        CONVERGENCE, "epsilons: [0.2, 0.1]", "epsilons: [0.1, 0.1]", "epsilons",
+    ),
+    "series-epsilons-repeated": (SERIES, "[0.02, 0.01]", "[0.02, 0.02]", "epsilons"),
+    # integer settings take whole numbers only, never a truncated fraction
+    "actuators-fraction": (
+        FLAT_SIM, "{name: flat}", "{name: planar-body, actuators: [4.7]}", "actuators",
+    ),
+    "actuators-bool": (FLAT_SIM, "{name: flat}", "{name: flat, actuators: [true]}", "actuators"),
+    "pair-fraction": (OSC_TRACK, "pair: [1, 2]", "pair: [1, 2.5]", "pair"),
+    "series-order-fraction": (SERIES, "0.01]}", "0.01], order: 2.9}", "order"),
+    "series-input-fraction": (SERIES, "0.01]}", "0.01], input: 1.5}", "input"),
+    "series-ratio-fraction": (
+        SERIES, "0.01]}", "0.01], predict_dt_ratio: 5.5}", "predict_dt_ratio",
+    ),
+    "larc-depth-string": (LARC, "0.9]}", "0.9], depth: '3'}", "depth"),
+    "decoupling-depth-fraction": (DECOUPLING, "0.9]}", "0.9], depth: 2.5}", "depth"),
+    "decoupling-seed-bool": (DECOUPLING, "0.9]}", "0.9], seed: true}", "seed"),
 }
 
 
@@ -469,6 +485,18 @@ def test_bad_config_shape_or_range_is_config_error(tmp_path, capsys, monkeypatch
     assert error["error"]["kind"] == "config"
     assert key in error["error"]["message"]
     assert not list(tmp_path.rglob("run_manifest.json"))
+
+
+def test_whole_number_floats_load_as_ints(tmp_path):
+    series = SERIES.replace("{name: flat}", "{name: planar-body, actuators: [4.0]}").replace(
+        "0.01]}", "0.01], order: 2.0, input: 1.0, predict_dt_ratio: 5.0}"
+    )
+    _, desc, sysm, _, s = cli.parse_config(write(tmp_path, series))
+    assert desc.actuators == (4,) and sysm.m == 1
+    assert (s["K"], s["idx"], s["cfg_pred"].dt) == (2, 0, 5 * s["cfg_ref"].dt)
+    decoupling = DECOUPLING.replace("0.9]}", "0.9], depth: 2.0, seed: 0.0}")
+    s = cli.parse_config(write(tmp_path, decoupling))[-1]
+    assert all(type(s[key]) is int for key in ("depth", "seed"))
 
 
 @pytest.mark.parametrize("case", ["unknown-root-key", "other-experiment-section"])

@@ -198,8 +198,9 @@ def test_blimp_pure_inputs_decouple():
 def test_three_link_roots_annihilate_forms():
     sys = make("three-link")  # default torques (1, 2)
     q = np.array([0.4, 0.9, -1.3])
-    B = quadratic_forms(sys, q)
+    B, Y = quadratic_forms(sys, q)
     assert B.shape == (1, 2, 2)
+    assert np.array_equal(Y, sys.at(q).Y)
     assert_allclose(B[0], B[0].T, atol=1e-12)
     sol = find_decoupling_fields(sys, q)
     assert len(sol.directions) >= 1
@@ -325,13 +326,13 @@ def former_two_input_solve(B):
 def two_input_forms():
     rng = np.random.default_rng(41)
     arm = make("three-link")
-    yield from (quadratic_forms(arm, q) for q in rng.uniform(-np.pi, np.pi, (200, 3)))
+    yield from (quadratic_forms(arm, q)[0] for q in rng.uniform(-np.pi, np.pi, (200, 3)))
     for acts in ((1, 3), (2, 3)):
         arm = make("three-link", acts, gravity=9.81)
-        yield from (quadratic_forms(arm, q) for q in rng.uniform(-np.pi, np.pi, (20, 3)))
+        yield from (quadratic_forms(arm, q)[0] for q in rng.uniform(-np.pi, np.pi, (20, 3)))
     blimp = make("blimp")  # a ~ 0: the root h1 = 0 and the root of the linear term
     for q in rng.uniform(-np.pi, np.pi, (5, 3)):
-        B = quadratic_forms(blimp, q)
+        B = quadratic_forms(blimp, q)[0]
         assert abs(B[0, 1, 1]) <= kinematic.ZERO_TOL * np.max(np.abs(B))
         yield B
     yield np.array([[[1.0, 0.2], [0.2, 0.5]]])  # positive definite: no real root
@@ -366,9 +367,13 @@ def test_candidate_branch_continuity():
     q0 = np.array([0.4, 0.9, -1.3])
     h0 = find_decoupling_fields(sys, q0).directions[0]
     cand = candidate_from_direction(sys, q0, h0)
-    prev = cand.coefficients(q0)
+
+    def direction(q):  # h with V(q) = Y(q) h
+        return np.linalg.lstsq(sys.at(q).Y, cand.field(q), rcond=None)[0]
+
+    prev = direction(q0)
     for step in np.linspace(0.0, 0.3, 31)[1:]:
-        h = cand.coefficients(q0 + step * np.array([1.0, -0.5, 0.2]))
+        h = direction(q0 + step * np.array([1.0, -0.5, 0.2]))
         assert h @ prev > 0.9  # no jumps, no sign flips
         prev = h
 
@@ -429,8 +434,8 @@ def test_candidate_field_evaluates_inertia_once_per_point():
     calls.clear()
     v = cand.field(q0 + 0.01)
     assert len(calls) == 1  # the decoupling solve's fields are reused
-    h = cand.coefficients(q0 + 0.01)
-    assert_allclose(v, sys.at(q0 + 0.01).Y @ h, rtol=0, atol=0)
+    sol = find_decoupling_fields(sys, q0 + 0.01)  # v is Y times a signed solved direction
+    assert any(np.array_equal(v, s * (sol.fields @ h)) for h in sol.directions for s in (1, -1))
 
 
 def test_plan_single_segment_matches_kinematic_ode():
@@ -442,7 +447,7 @@ def test_plan_single_segment_matches_kinematic_ode():
         sys, [PlanSegment(candidate=cand, sign=1.0, scaling=sc)], q0, IntegratorConfig(dt=1e-3)
     )
     # independent Runge-Kutta-Fehlberg integration of qdot = sdot V(q)
-    ref_cand = candidate_from_direction(sys, q0, cand.coefficients(q0))
+    ref_cand = two_candidates(sys, q0)[0]
     sol = solve_ivp(
         lambda t, q: sc.sdot(t) * ref_cand.field(q),
         (0.0, 2.0),
@@ -479,10 +484,7 @@ def test_plan_validates_span_residual():
     # drifts sideways, which the chosen actuators cannot realize
     sys = make("planar-body", actuators=(1, 3))
     bad = DecouplingCandidate(
-        coefficients=lambda q: np.array([1.0, 1.0]) / np.sqrt(2),
-        field=VectorField(
-            eval=lambda q: sys.at(q).Y @ (np.array([1.0, 1.0]) / np.sqrt(2))
-        ),
+        field=VectorField(eval=lambda q: sys.at(q).Y @ (np.array([1.0, 1.0]) / np.sqrt(2)))
     )
     seg = PlanSegment(candidate=bad, sign=1.0, scaling=TimeScaling.cubic(1.0))
     with pytest.raises(ResidualViolationError) as ei:
@@ -551,7 +553,7 @@ def constant_segment(v, T, calls, nan_after=None):
             return np.full(3, np.nan)
         return np.array(v, dtype=float)
 
-    cand = DecouplingCandidate(coefficients=lambda q: np.ones(1), field=VectorField(eval=ev))
+    cand = DecouplingCandidate(field=VectorField(eval=ev))
     return PlanSegment(candidate=cand, sign=1.0, scaling=TimeScaling.cubic(T))
 
 

@@ -12,11 +12,11 @@ from numpy.testing import assert_allclose
 
 from geoctrl import (
     AveragedGains,
+    AveragedSystem,
     IntegratorConfig,
     MechanicalSystem,
     State,
     averaged_iterated_integral,
-    averaged_system,
     convergence_study,
     fast_parts,
     general_averaged_forcing,
@@ -25,7 +25,6 @@ from geoctrl import (
     psi,
     read_trajectory_csv,
     simulate_forced,
-    span_coefficients,
     synthesis_audit,
     synthesize_controls,
 )
@@ -208,7 +207,7 @@ def test_gains_at_and_the_lexicographic_pair_order_m4():
     sys = MechanicalSystem(
         n=4, m=4, inertia=lambda q: np.eye(4), input_covectors=[lambda q, _e=e: _e for e in np.eye(4)]
     )
-    avg = averaged_system(sys, M4_GAINS)
+    avg = AveragedSystem(sys, M4_GAINS)
     assert np.array_equal(avg.gain_vector(t), np.concatenate([z, [g(t) for g in pair_gains]]))
     audit = synthesis_audit(M4_GAINS)
     assert [p["pair"] for p in audit["pairs"]] == [[a + 1, b + 1] for (a, b) in enum]
@@ -221,14 +220,14 @@ def test_gains_at_and_the_lexicographic_pair_order_m4():
 
 def test_span_alpha_zero_for_flat_constant_inputs():
     sys = make("flat", actuators=(1, 2))
-    coeffs = span_coefficients(sys, np.zeros(2))
-    assert_allclose(coeffs.alpha(np.array([0.3, -1.2])), 0.0, atol=1e-12)
-    assert coeffs.residual(np.zeros(2)) < 1e-12
+    coeffs = SpanCoefficients(sys)
+    assert_allclose(coeffs.check(np.array([0.3, -1.2])), 0.0, atol=1e-12)
+    assert coeffs._solve(np.zeros(2))[2] < 1e-12
 
 
 def test_span_alpha_pvtol_closed_form():
     sys = make("pvtol", gravity=0.0)
-    coeffs = span_coefficients(sys, np.zeros(3))
+    coeffs = SpanCoefficients(sys)
     rng = np.random.default_rng(7)
     for q in rng.uniform(-1.5, 1.5, size=(10, 3)):
         alpha = coeffs.check(q)
@@ -243,7 +242,7 @@ def test_span_violation_raises():
     sys = make("planar-body", actuators=(1, 4))
     q = np.array([0.2, -0.1, 0.4])
     with pytest.raises(SpanAssumptionError) as ei:
-        span_coefficients(sys, q)
+        SpanCoefficients(sys).check(q)
     assert ei.value.residual > 0.1
     assert isinstance(ei.value.q, np.ndarray) and np.array_equal(ei.value.q, q)
     # handed a kernel point, the error still carries q as an array
@@ -262,11 +261,12 @@ def test_span_normal_equations_match_lstsq(sys):
         pt = sys.at(q)
         D = np.diagonal(pt.products, axis1=0, axis2=1)
         want = np.linalg.lstsq(pt.Y, D, rcond=None)[0].T
-        got = coeffs.alpha(pt)
+        _, got, _ = coeffs._solve(pt)
         assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
-        assert np.array_equal(got, coeffs.alpha(q))  # a point and its q give one answer
+        _, alpha, worst = coeffs._solve(q)
+        assert np.array_equal(got, alpha)  # a point and its q give one answer
         res = np.linalg.norm(D - pt.Y @ want.T, axis=0) / np.maximum(1.0, np.linalg.norm(D, axis=0))
-        assert abs(coeffs.residual(q) - res.max()) <= 1e-12
+        assert abs(worst - res.max()) <= 1e-12
 
 
 # -- synthesized controls --------------------------------------------------------
@@ -353,7 +353,7 @@ def test_one_model_evaluation_per_rk4_stage():
     gains = AveragedGains.constant([0.3, -0.2], {(0, 1): 0.5})
     x0 = State(q=np.zeros(3), qdot=np.zeros(3))
     dt, steps, eps = 1e-2, 20, [0.2, 0.1]
-    averaged_system(sys, gains).simulate(x0, 0.0, steps * dt, IntegratorConfig(dt=dt))
+    AveragedSystem(sys, gains).simulate(x0, 0.0, steps * dt, IntegratorConfig(dt=dt))
     assert calls == {"inertia": 4 * steps, "dinertia": 4 * steps}
     calls.update(inertia=0, dinertia=0)
     convergence_study(sys, gains, x0, steps * dt, eps, dt_avg=dt)
@@ -368,7 +368,7 @@ def test_laws_and_forcings_take_a_point_or_an_array():
     gains = AveragedGains.constant([0.2, -0.1], {(0, 1): 0.6})
     control = synthesize_controls(sys, gains, 0.05)
     law, forcing = control.as_control_law(), general_averaged_forcing(sys, control)
-    avg = averaged_system(sys, gains)
+    avg = AveragedSystem(sys, gains)
     assert law.reads_point
     for q in np.random.default_rng(4).uniform(-1.0, 1.0, size=(3, 3)):
         pt = sys.at(q)
@@ -402,9 +402,14 @@ def test_synthesis_audit_identities_m3_time_varying():
 # -- the averaged system -----------------------------------------------------------
 
 
+def test_averaged_system_rejects_gains_of_another_m():
+    with pytest.raises(ValueError, match="gains are for m=1, system has m=2"):
+        AveragedSystem(make("blimp"), AveragedGains.constant([0.1]))
+
+
 def test_zero_gains_average_to_unforced_dynamics():
     sys = make("blimp")
-    avg = averaged_system(sys, AveragedGains.constant([0.0, 0.0]))
+    avg = AveragedSystem(sys, AveragedGains.constant([0.0, 0.0]))
     rng = np.random.default_rng(3)
     for q in rng.uniform(-1.0, 1.0, size=(5, 3)):
         assert np.linalg.norm(avg.forcing(0.0, q)) < 1e-14
@@ -417,7 +422,7 @@ def test_averaged_blimp_matches_term_by_term_quadrature():
     gains = AveragedGains.constant([0.2, 0.0], {(0, 1): 0.6})
     x0 = State(q=np.zeros(3), qdot=np.zeros(3))
     cfg = IntegratorConfig(dt=5e-3)
-    ref = averaged_system(sys, gains).simulate(x0, 0.0, 1.0, cfg)
+    ref = AveragedSystem(sys, gains).simulate(x0, 0.0, 1.0, cfg)
     control = synthesize_controls(sys, gains, epsilon=0.05)
     forcing = general_averaged_forcing(sys, control)
     alt = simulate_forced(sys, lambda t, q, qd: forcing(t, q), x0, 0.0, 1.0, cfg)
@@ -444,7 +449,7 @@ def test_general_forcing_evaluates_fast_part_once_per_call():
 def test_averaged_gain_vector_is_recorded():
     sys = make("blimp")
     gains = AveragedGains.constant([0.2, -0.1], {(0, 1): 0.6})
-    traj = averaged_system(sys, gains).simulate(
+    traj = AveragedSystem(sys, gains).simulate(
         State(q=np.zeros(3), qdot=np.zeros(3)), 0.0, 0.1, IntegratorConfig(dt=1e-2)
     )
     assert traj.us.shape == (11, 3)
@@ -453,7 +458,7 @@ def test_averaged_gain_vector_is_recorded():
 
 def test_averaged_input_distribution_spans_blimp():
     sys = make("blimp")
-    avg = averaged_system(sys, AveragedGains.constant([0.0, 0.0], {(0, 1): 1.0}))
+    avg = AveragedSystem(sys, AveragedGains.constant([0.0, 0.0], {(0, 1): 1.0}))
     assert avg.input_distribution_rank(np.array([0.1, 0.2, -0.4])) == 3
 
 
@@ -466,7 +471,7 @@ def test_array_forms_match_per_pair_loops_m3():
         z_pairs={(0, 1): lambda t: 0.5 * math.sin(t), (1, 2): lambda t: 0.3 - 0.1 * t},
     )
     control = synthesize_controls(sys, gains, 0.05)
-    avg, general = averaged_system(sys, gains), general_averaged_forcing(sys, control)
+    avg, general = AveragedSystem(sys, gains), general_averaged_forcing(sys, control)
     pairs = lexicographic_enumeration(3)
     tol = 8 * np.finfo(float).eps
 
@@ -480,7 +485,7 @@ def test_array_forms_match_per_pair_loops_m3():
         zp = {pair: gains.z_pairs.get(pair, lambda t: 0.0)(t) for pair in pairs}
         assert close(avg.forcing(t, q), [pt.Y @ z] + [zp[(a, b)] * S[a, b] for (a, b) in pairs])
         drift = [0.5 * (a + sum(zp[(a, c)] ** 2 for c in range(a + 1, 3))) for a in range(3)]
-        alpha = SpanCoefficients(sys).alpha(q)
+        alpha = SpanCoefficients(sys).check(q)
         assert close(control.slow(t, q), [z] + [alpha[a] * drift[a] for a in range(3)])
         U1, U2 = _ubar_table(control.fast, t)
         terms = [pt.Y @ control.slow(t, q)]
@@ -526,6 +531,21 @@ def test_convergence_errors_shrink_with_epsilon():
     assert len(lines) == 4
     assert lines[1].endswith("nan")
 
+
+
+def test_convergence_slope_needs_two_distinct_epsilons():
+    sys = make("blimp")
+    gains = AveragedGains.constant([0.15, 0.0], {(0, 1): 0.4})
+    x0 = State(q=np.zeros(3), qdot=np.zeros(3))
+    repeated = convergence_study(sys, gains, x0, 0.2, [0.2, 0.2], dt_avg=1e-2)
+    assert repeated.errors[0] == repeated.errors[1] > 0
+    assert math.isnan(repeated.slope)
+    study = convergence_study(sys, gains, x0, 0.2, [0.2, 0.2, 0.1], dt_avg=1e-2)
+    assert math.isfinite(study.slope)
+    buf = io.StringIO()
+    study.write_csv(buf)
+    partial = [line.split(",")[2] for line in buf.getvalue().split()[1:]]
+    assert partial[:2] == ["nan", "nan"] and math.isfinite(float(partial[2]))
 
 
 def track_config(path, eps, dt_avg):

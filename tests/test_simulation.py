@@ -13,7 +13,6 @@ from geoctrl import (
     MechanicalSystem,
     State,
     Trajectory,
-    dynamics_rhs,
     make,
     read_trajectory_csv,
     reconstruct_inputs,
@@ -23,6 +22,7 @@ from geoctrl import (
 from geoctrl.errors import ConfigError, NonFiniteStateError
 from geoctrl.geometry import PointData
 from geoctrl.numutil import loglog_slope
+from geoctrl.simulation import _acceleration
 
 
 def rest(n):
@@ -157,7 +157,8 @@ def test_rhs_matches_euler_lagrange_oracle():
         q = rng.uniform(-np.pi, np.pi, 3)
         qd = rng.uniform(-1.0, 1.0, 3)
         u = rng.uniform(-1.0, 1.0, 3)
-        acc = dynamics_rhs(sys, State(q, qd), u)[3:]
+        pt = sys.at(q)
+        acc = _acceleration(pt, qd, pt.F @ u)
         # Mdot = sum_k dM/dq_k qd_k by FD of the inertia
         Mdot = np.zeros((3, 3))
         dLdq = np.zeros(3)
@@ -329,6 +330,20 @@ def test_csv_with_non_uniform_times_is_rejected(tmp_path):
     path.write_text("t,q1,qd1\n" + "".join(f"{t},{t},0\n" for t in (0.0, 0.1, 0.25, 0.3)))
     with pytest.raises(ValueError, match=r"time 0\.25 is not t0 \+ k dt, dt = 0\.1"):
         read_trajectory_csv(path)
+
+
+def test_csv_with_only_a_header_is_rejected(tmp_path):
+    path = tmp_path / "traj.csv"
+    path.write_text("t,q1,qd1\n")
+    with pytest.raises(ValueError, match=r"traj\.csv: no samples after the header"):
+        read_trajectory_csv(path)
+
+
+def test_loglog_slope_needs_two_distinct_x():
+    assert loglog_slope([0.1, 0.05, 0.1], [2.0, 1.0, 2.0]) == pytest.approx(1.0, rel=1e-12)
+    for x in ([0.1], [0.1, 0.1]):
+        with pytest.raises(ValueError, match="at least 2 distinct x"):
+            loglog_slope(x, [1.0] * len(x))
 
 
 def test_csv_roundtrip_of_times_off_zero(tmp_path):
