@@ -61,7 +61,9 @@ def _number(cfg, key, default=None, required=False, cast=float):
     """cfg[key] (or default) through cast; ConfigError naming key unless it is all finite numbers
     (and whole numbers, for the casts _whole and _ints)."""
     value = _get(cfg, key, default, required)
-    try:
+    try:  # float() and numpy read True as 1.0 and "2" as 2.0
+        if any(isinstance(v, (bool, str)) for v in (value if isinstance(value, list) else [value])):
+            raise TypeError
         number = cast(value)
         finite = np.isfinite(number).all()
     except (TypeError, ValueError, OverflowError):

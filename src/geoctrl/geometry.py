@@ -99,6 +99,14 @@ def takes_stacks(fn):
     return fn
 
 
+def _at_points(fn, q):
+    """fn at the point q (n,), or at every row of a stack q (B, n): one call if fn
+    takes stacks, else one call per row."""
+    if q.ndim == 1 or getattr(fn, "takes_stacks", False):
+        return np.asarray(fn(q), dtype=float)
+    return np.array([np.asarray(fn(p), dtype=float) for p in q])
+
+
 @dataclass(frozen=True)
 class MechanicalSystem:
     """Forced mechanical system (n, m, M, V, k, F_a) with derivative access.
@@ -123,9 +131,12 @@ class MechanicalSystem:
         dinput_covectors[a](q)[i, j] is dF_a^i/dq^j.  Any that are omitted
         fall back to central finite differences with step DEFAULT_FD_STEP.
 
-    A model callable marked with :func:`takes_stacks` also accepts a (B, n)
-    stack of points and returns the B values stacked on a leading axis;
-    ``reconstruct_inputs`` then calls it once per block of samples.
+    The model callables are read only through the readers ``mass``,
+    ``dmass``, ``grad_potential``, ``damping_matrix`` and ``input_matrix``,
+    which take a point (n,) or a stack (B, n) of points and return the B
+    values stacked on a leading axis.  A model callable marked with
+    :func:`takes_stacks` also accepts a stack, and a reader calls it once
+    per stack; any other callable runs once per row.
     """
 
     n: int
@@ -149,15 +160,12 @@ class MechanicalSystem:
         if self.dinput_covectors is not None and len(self.dinput_covectors) != self.m:
             raise ValueError("dinput_covectors must have length m")
 
-    # -- inertia ---------------------------------------------------------
+    # -- readers: the model at a point (n,) or at every row of a stack (B, n) --
 
     def mass(self, q):
         """M(q), validated symmetric (SYMMETRY_TOL relative) and returned symmetrized."""
         q = np.asarray(q, dtype=float)
-        return self._symmetrized(q, np.asarray(self.inertia(q), dtype=float))
-
-    def _symmetrized(self, q, M):
-        """M = inertia(q) checked symmetric and symmetrized; q may be a (B, n) stack."""
+        M = _at_points(self.inertia, q)
         shape = M.shape[q.ndim - 1 :]
         if shape != (self.n, self.n):
             raise ValueError(f"inertia returned shape {shape}, expected {(self.n, self.n)}")
@@ -175,49 +183,42 @@ class MechanicalSystem:
 
     def dmass(self, q):
         """dM_ij/dq^k as an (n, n, n) array, analytic or finite-difference."""
-        q = np.asarray(q, dtype=float)
-        if self.dinertia is not None:
-            return np.asarray(self.dinertia(q), dtype=float)
-        return central_jacobian(self.inertia, q, DEFAULT_FD_STEP)
-
-    # -- potential and damping -------------------------------------------
+        fd = lambda p: central_jacobian(self.inertia, p, DEFAULT_FD_STEP)
+        return _at_points(fd if self.dinertia is None else self.dinertia, np.asarray(q, dtype=float))
 
     def potential_value(self, q):
         return 0.0 if self.potential is None else float(self.potential(np.asarray(q, dtype=float)))
 
     def grad_potential(self, q):
+        """dV/dq, analytic or finite-difference; zero without a potential."""
         q = np.asarray(q, dtype=float)
         if self.potential is None:
-            return np.zeros(self.n)
-        if self.dpotential is not None:
-            return np.asarray(self.dpotential(q), dtype=float)
-        return central_jacobian(lambda x: np.array(self.potential(x)), q, DEFAULT_FD_STEP)
+            return np.zeros(q.shape)
+        V = lambda x: np.array(self.potential(x))
+        fd = lambda p: central_jacobian(V, p, DEFAULT_FD_STEP)
+        return _at_points(fd if self.dpotential is None else self.dpotential, q)
 
     def damping_matrix(self, q):
+        """k(q); zero without damping."""
         q = np.asarray(q, dtype=float)
         if self.damping is None:
-            return np.zeros((self.n, self.n))
-        return np.asarray(self.damping(q), dtype=float)
-
-    # -- inputs -----------------------------------------------------------
+            return np.zeros(q.shape + (self.n,))
+        return _at_points(self.damping, q)
 
     def input_matrix(self, q):
         """Co-vector fields F_a(q) stacked as columns of an (n, m) matrix."""
         q = np.asarray(q, dtype=float)
-        return np.array([np.asarray(F(q), dtype=float) for F in self.input_covectors]).T
+        cols = [_at_points(F, q) for F in self.input_covectors]
+        # (n, m) F-ordered for a point, (B, n, m) C-ordered for a stack: the products
+        # with these arrays round by their layout
+        return np.array(cols).T if q.ndim == 1 else np.stack(cols, axis=-1)
 
     def input_field(self, a):
-        """The a-th input vector field Y_a as a :class:`VectorField` (0-based).
-
-        Its value is ``at(q).solve(F_a(q))`` and its Jacobian ``at(q).JY[a]``.
-        """
+        """The a-th input vector field Y_a as a :class:`VectorField` (0-based):
+        ``at(q).Y[:, a]``, with Jacobian ``at(q).JY[a]``."""
         if not 0 <= a < self.m:
             raise IndexError(f"input index {a} out of range for m={self.m}")
-
-        def ev(q, _a=a):
-            return self.at(q).solve(np.asarray(self.input_covectors[_a](q), dtype=float))
-
-        return VectorField(eval=ev, jacobian=lambda q, _a=a: self.at(q).JY[_a])
+        return VectorField(eval=lambda q: self.at(q).Y[:, a], jacobian=lambda q: self.at(q).JY[a])
 
     def at(self, q) -> "PointData":
         """The per-point kernel at q (see :class:`PointData`); a point of this system is itself."""

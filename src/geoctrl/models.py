@@ -93,6 +93,8 @@ class ModelDescriptor:
                     f"model '{self.name}' has no parameter '{key}' "
                     f"(known: {sorted(params)})"
                 )
+            if isinstance(val, bool) or not isinstance(val, numbers.Real):
+                raise ConfigError(f"parameter '{key}' must be a number, got {val!r}")
             params[key] = float(val)
         for key, val in params.items():
             if key in entry["nonneg"]:

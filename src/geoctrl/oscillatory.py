@@ -36,7 +36,7 @@ period eps 2 pi gets at least STEPS_PER_PERIOD of them.
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
@@ -91,12 +91,6 @@ def lexicographic_enumeration(m: int) -> Dict[Tuple[int, int], int]:
     return {pair: N for N, pair in enumerate(itertools.combinations(range(m), 2), start=1)}
 
 
-def _pair_index(m):
-    """The index arrays (a, b) of the pairs a < b, in lexicographic_enumeration's order."""
-    a, b = np.array(list(lexicographic_enumeration(m)), dtype=int).reshape(-1, 2).T
-    return a, b
-
-
 @dataclass(frozen=True)
 class AveragedGains:
     """Direct gains z_a(t) and pair gains z_ab(t) for a < b (0-based keys).
@@ -144,7 +138,7 @@ def fast_parts(gains: AveragedGains):
     (m,) for a scalar tau and (m, len(tau)) for an array tau.
     """
     enum = lexicographic_enumeration(gains.m)
-    a, b = _pair_index(gains.m)
+    a, b = np.triu_indices(gains.m, 1)  # the pairs a < b in the enumeration's order
     pairs = np.arange(len(enum))
     signs = np.zeros((gains.m, len(enum)))
     signs[b, pairs] = -1.0
@@ -259,24 +253,18 @@ class AveragedSystem:
     def gain_vector(self, t):
         """(z_1 .. z_m, then z_ab in lexicographic_enumeration's order) at t."""
         z, Z = self.gains.at(t)
-        return np.concatenate([z, Z[_pair_index(self.gains.m)]])
+        return np.concatenate([z, Z[np.triu_indices(self.gains.m, 1)]])
 
     def simulate(self, x0: State, t0, t1, cfg: IntegratorConfig) -> Trajectory:
-        return simulate_forced(
-            self.sys,
-            lambda t, pt, qd: self.forcing(t, pt),
-            x0,
-            t0,
-            t1,
-            cfg,
-            record=self.gain_vector,
-        )
+        """The averaged trajectory, with the gain vector at each sample as its inputs."""
+        traj = simulate_forced(self.sys, lambda t, pt, qd: self.forcing(t, pt), x0, t0, t1, cfg)
+        return replace(traj, us=np.array([self.gain_vector(t) for t in traj.times]))
 
     def input_distribution_rank(self, q) -> int:
         """Rank of span{Y_a, <Y_b:Y_c>}, singular values below 1e-8 of the
         largest dropped — n means fully actuated on average."""
         pt = self.sys.at(q)
-        cols = np.hstack([pt.Y, pt.products[_pair_index(self.gains.m)].T])
+        cols = np.hstack([pt.Y, pt.products[np.triu_indices(self.gains.m, 1)].T])
         sv = np.linalg.svd(cols, compute_uv=False)
         return int(np.sum(sv > 1e-8 * sv[0])) if sv[0] > 0 else 0
 
@@ -366,14 +354,14 @@ class ConvergenceStudy:
     averaged: Trajectory
     members: Tuple[Trajectory, ...]
 
-    def write_csv(self, path_or_file):
+    def write_csv(self, path):
         eps, errs = self.epsilons, self.errors
         parts = [
             loglog_slope(eps[: i + 1], errs[: i + 1])
             if np.unique(eps[: i + 1]).size > 1 and np.all(errs[: i + 1] > 0) else float("nan")
             for i in range(len(eps))
         ]
-        _write_rows(path_or_file, ["epsilon", "max_err", "slope_partial"], zip(eps, errs, parts))
+        _write_rows(path, ["epsilon", "max_err", "slope_partial"], zip(eps, errs, parts))
 
 
 def member_config(dt_avg, eps, t1):

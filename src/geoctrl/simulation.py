@@ -12,10 +12,8 @@ continuous-time oscillatory inputs are sampled exactly where the stages
 need them; the recorded input at a sample is the one RK4 stage 1 used.
 """
 
-import io
 import itertools
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -91,19 +89,9 @@ class IntegratorConfig:
             raise ValueError("dt must be positive")
 
 
-@contextmanager
-def _text_output(path_or_file):
-    """A path opened for writing (and closed after), or an open file as is."""
-    if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
-        with open(path_or_file, "w") as fh:
-            yield fh
-    else:
-        yield path_or_file
-
-
-def _write_rows(path_or_file, header, rows):
-    """CSV text: the header names, then one line per row of numbers (format_sig17)."""
-    with _text_output(path_or_file) as fh:
+def _write_rows(path, header, rows):
+    """A CSV file: the header names, then one line per row of numbers (format_sig17)."""
+    with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(format_sig17(v) for v in row) + "\n")
@@ -142,7 +130,7 @@ class Trajectory:
     def n_samples(self):
         return self.qs.shape[0]
 
-    def write_csv(self, path_or_file):
+    def write_csv(self, path):
         n, m = self.n, self.us.shape[1]
         header = (
             ["t"]
@@ -150,12 +138,7 @@ class Trajectory:
             + [f"qd{i+1}" for i in range(n)]
             + [f"u{i+1}" for i in range(m)]
         )
-        _write_rows(path_or_file, header, np.column_stack([self.times, self.qs, self.qds, self.us]))
-
-    def csv_text(self) -> str:
-        buf = io.StringIO()
-        self.write_csv(buf)
-        return buf.getvalue()
+        _write_rows(path, header, np.column_stack([self.times, self.qs, self.qds, self.us]))
 
 
 def read_trajectory_csv(path) -> Trajectory:
@@ -269,6 +252,19 @@ def _record_stage_one(fn, out):
     return recorded
 
 
+def _integrate(sys, accel, x0, t0, dt, steps):
+    """(qs, qds) of fixed-step RK4 on qddot = accel(t, pt, qdot), where each stage
+    builds its one kernel point pt = sys.at(q)."""
+    n = sys.n
+
+    def rhs(t, x):
+        qd = x[n:]
+        return np.concatenate([qd, accel(t, sys.at(x[:n]), qd)])
+
+    xs = _rk4(rhs, x0.as_vector(), t0, dt, steps)
+    return xs[:, :n], xs[:, n:]
+
+
 def simulate(
     sys: MechanicalSystem,
     control: ControlLaw,
@@ -286,19 +282,15 @@ def simulate(
             f"(want dt <= {control.suggested_max_dt:g})",
             stacklevel=2,
         )
-    n = sys.n
     us = np.empty((steps + 1, sys.m))
     law = _record_stage_one(control, us)
 
-    def rhs(t, x):
-        q, qd = x[:n], x[n:]
-        pt = sys.at(q)
-        u = law(t, pt if control.reads_point else q, qd)
-        return np.concatenate([qd, _acceleration(pt, qd, pt.F @ u)])
+    def accel(t, pt, qd):
+        return _acceleration(pt, qd, pt.F @ law(t, pt if control.reads_point else pt.q, qd))
 
-    xs = _rk4(rhs, x0.as_vector(), t0, cfg.dt, steps)
-    us[steps] = control(t0 + steps * cfg.dt, xs[steps, :n], xs[steps, n:])
-    return Trajectory(t0=t0, t1=t1, dt=cfg.dt, qs=xs[:, :n], qds=xs[:, n:], us=us)
+    qs, qds = _integrate(sys, accel, x0, t0, cfg.dt, steps)
+    us[steps] = control(t0 + steps * cfg.dt, qs[steps], qds[steps])
+    return Trajectory(t0=t0, t1=t1, dt=cfg.dt, qs=qs, qds=qds, us=us)
 
 
 def simulate_forced(
@@ -308,34 +300,22 @@ def simulate_forced(
     t0: float,
     t1: float,
     cfg: IntegratorConfig,
-    record: Optional[Callable[[float], np.ndarray]] = None,
 ) -> Trajectory:
-    """Like simulate, but with a direct acceleration-level forcing term.
+    """Like simulate, but with a direct acceleration-level forcing term and no
+    inputs: the trajectory's input columns are empty.
 
     ``forcing(t, pt, qdot)`` is an n-vector added to the acceleration (the
     potential, Coriolis and damping terms of sys still apply); ``pt`` is the
-    stage's kernel point ``sys.at(q)``, q is ``pt.q``.  ``record`` optionally
-    logs a vector per sample time into the trajectory's input columns (e.g.
-    gain values of an averaged system).
+    stage's kernel point ``sys.at(q)``, q is ``pt.q``.
     """
     steps = check_grid(t0, t1, cfg.dt)
-    n = sys.n
+    zero = np.zeros(sys.n)
 
-    zero = np.zeros(n)
+    def accel(t, pt, qd):
+        return _acceleration(pt, qd, zero) + forcing(t, pt, qd)
 
-    def rhs(t, x):
-        q, qd = x[:n], x[n:]
-        pt = sys.at(q)
-        acc = _acceleration(pt, qd, zero) + forcing(t, pt, qd)
-        return np.concatenate([qd, acc])
-
-    xs = _rk4(rhs, x0.as_vector(), t0, cfg.dt, steps)
-    ts = t0 + cfg.dt * np.arange(steps + 1)
-    if record is None:
-        us = np.zeros((steps + 1, 0))
-    else:
-        us = np.array([np.atleast_1d(record(t)) for t in ts])
-    return Trajectory(t0=t0, t1=t1, dt=cfg.dt, qs=xs[:, :n], qds=xs[:, n:], us=us)
+    qs, qds = _integrate(sys, accel, x0, t0, cfg.dt, steps)
+    return Trajectory(t0=t0, t1=t1, dt=cfg.dt, qs=qs, qds=qds, us=np.zeros((steps + 1, 0)))
 
 
 # -- input reconstruction -----------------------------------------------------
@@ -364,11 +344,12 @@ def reconstruct_inputs(sys: MechanicalSystem, traj: Trajectory) -> Reconstructio
     rank deficient (numpy lstsq's rank rule) get residual +inf and the
     minimum-norm u.  Endpoints are dropped.
 
-    Samples are processed in blocks of _RECONSTRUCT_BLOCK: a model
-    callable marked ``takes_stacks`` runs once per block, any other once
-    per sample; symmetry checks, the Coriolis term and the least-squares
-    solves (QR of F, rank from the singular values of R) run on whole
-    blocks, which bounds the memory they take.
+    Samples are processed in blocks of _RECONSTRUCT_BLOCK, each read
+    through the system's readers at once (a model callable marked
+    ``takes_stacks`` runs once per block, any other once per sample); the
+    symmetry checks, the Coriolis term and the least-squares solves (QR of
+    F, rank from the singular values of R) run on whole blocks, which
+    bounds the memory they take.
     """
     N = traj.n_samples
     if N < 3:
@@ -390,24 +371,17 @@ def reconstruct_inputs(sys: MechanicalSystem, traj: Trajectory) -> Reconstructio
 _RECONSTRUCT_BLOCK = 512
 
 
-def _rows(fn, qs):
-    """fn at every row of qs: one call if fn takes stacks, else one call per row."""
-    if getattr(fn, "takes_stacks", False):
-        return np.asarray(fn(qs), dtype=float)
-    return np.array([np.asarray(fn(q), dtype=float) for q in qs])
-
-
 def _reconstruct_block(sys, qs, qds, qdds):
     """Inputs and residuals of reconstruct_inputs for one block of samples."""
     n, m = sys.n, sys.m
-    Ms = sys._symmetrized(qs, _rows(sys.inertia, qs))
-    Fs = np.stack([_rows(F, qs) for F in sys.input_covectors], axis=-1)
-    f = coriolis_covector(_rows(sys.dmass if sys.dinertia is None else sys.dinertia, qs), qds)
+    Ms = sys.mass(qs)
+    Fs = sys.input_matrix(qs)
+    f = coriolis_covector(sys.dmass(qs), qds)
     f += np.einsum("bij,bj->bi", Ms, qdds)
     if sys.potential is not None:
-        f += _rows(sys.grad_potential if sys.dpotential is None else sys.dpotential, qs)
+        f += sys.grad_potential(qs)
     if sys.damping is not None:
-        kqd = np.einsum("bij,bj->bi", _rows(sys.damping, qs), qds)
+        kqd = np.einsum("bij,bj->bi", sys.damping_matrix(qs), qds)
         f -= np.einsum("bij,bj->bi", Ms, kqd)
     Q, R = np.linalg.qr(Fs)
     sv = np.linalg.svd(R, compute_uv=False)

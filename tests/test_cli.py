@@ -467,6 +467,17 @@ BAD_CONFIG = {
     "larc-depth-string": (LARC, "0.9]}", "0.9], depth: '3'}", "depth"),
     "decoupling-depth-fraction": (DECOUPLING, "0.9]}", "0.9], depth: 2.5}", "depth"),
     "decoupling-seed-bool": (DECOUPLING, "0.9]}", "0.9], seed: true}", "seed"),
+    # a number given as a string or a bool is not read as one
+    "dt-string": (FLAT_SIM, "{dt: 0.001}", '{dt: "0.001"}', "dt"),
+    "t1-string": (FLAT_SIM, "t1: 1.0", 't1: "1.0"', "t1"),
+    "q0-strings": (FLAT_SIM, "q0: [0.0, 0.0]", 'q0: ["0.0", "0.0"]', "q0"),
+    "control-value-bool": (
+        FLAT_SIM, "{type: sinusoid, amplitude: 0.5, omega: 2.0}", "{type: const, value: true}", "value",
+    ),
+    "model-parameter-bool": (
+        FLAT_SIM, "{name: flat}", "{name: pvtol, parameters: {gravity: true}}", "gravity",
+    ),
+    "epsilons-strings": (CONVERGENCE, "epsilons: [0.2, 0.1]", 'epsilons: ["0.2", 0.1]', "epsilons"),
 }
 
 

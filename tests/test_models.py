@@ -54,6 +54,13 @@ def test_actuators_that_are_not_whole_numbers_rejected(actuators):
         make("three-link", actuators)
 
 
+@pytest.mark.parametrize("gravity", [True, "1.0"])
+def test_parameters_that_are_not_numbers_rejected(gravity):
+    # float() would read True as 1.0 and "1.0" as 1.0
+    with pytest.raises(ConfigError, match="parameter 'gravity' must be a number"):
+        make("pvtol", gravity=gravity)
+
+
 def test_whole_float_and_numpy_actuators_load():
     for actuators in [(1.0, 2.0), np.array([1, 2]), np.array([1.0, 2.0])]:
         acts = ModelDescriptor("three-link", actuators=tuple(actuators)).resolved()[2]

@@ -2,7 +2,6 @@
 the averaged system, and epsilon-convergence of the true dynamics."""
 
 import dataclasses
-import io
 import json
 import math
 
@@ -511,7 +510,7 @@ def test_convergence_zero_control_is_exact():
     assert math.isnan(study.slope)
 
 
-def test_convergence_errors_shrink_with_epsilon():
+def test_convergence_errors_shrink_with_epsilon(tmp_path):
     sys = make("blimp")
     gains = AveragedGains.constant([0.15, 0.0], {(0, 1): 0.4})
     study = convergence_study(
@@ -524,16 +523,15 @@ def test_convergence_errors_shrink_with_epsilon():
     )
     assert study.errors[0] > study.errors[-1]
     assert study.slope > 0.4
-    buf = io.StringIO()
-    study.write_csv(buf)
-    lines = buf.getvalue().strip().split("\n")
+    study.write_csv(tmp_path / "convergence.csv")
+    lines = (tmp_path / "convergence.csv").read_text().strip().split("\n")
     assert lines[0] == "epsilon,max_err,slope_partial"
     assert len(lines) == 4
     assert lines[1].endswith("nan")
 
 
 
-def test_convergence_slope_needs_two_distinct_epsilons():
+def test_convergence_slope_needs_two_distinct_epsilons(tmp_path):
     sys = make("blimp")
     gains = AveragedGains.constant([0.15, 0.0], {(0, 1): 0.4})
     x0 = State(q=np.zeros(3), qdot=np.zeros(3))
@@ -542,9 +540,8 @@ def test_convergence_slope_needs_two_distinct_epsilons():
     assert math.isnan(repeated.slope)
     study = convergence_study(sys, gains, x0, 0.2, [0.2, 0.2, 0.1], dt_avg=1e-2)
     assert math.isfinite(study.slope)
-    buf = io.StringIO()
-    study.write_csv(buf)
-    partial = [line.split(",")[2] for line in buf.getvalue().split()[1:]]
+    study.write_csv(tmp_path / "convergence.csv")
+    partial = [line.split(",")[2] for line in (tmp_path / "convergence.csv").read_text().split()[1:]]
     assert partial[:2] == ["nan", "nan"] and math.isfinite(float(partial[2]))
 
 
@@ -587,5 +584,7 @@ def test_oscillatory_track_is_a_one_epsilon_convergence_study(tmp_path, capsys):
     study = convergence_study(sys, gains, x0, 0.1, [0.05], dt_avg=0.01)
     results = json.loads((out / "run_manifest.json").read_text())["results"]
     assert results["max_tracking_err"] == study.errors[0]
-    assert (out / "true.csv").read_text() == study.members[0].csv_text()
-    assert (out / "averaged.csv").read_text() == study.averaged.csv_text()
+    study.members[0].write_csv(tmp_path / "true.csv")
+    study.averaged.write_csv(tmp_path / "averaged.csv")
+    for name in ("true.csv", "averaged.csv"):
+        assert (out / name).read_bytes() == (tmp_path / name).read_bytes()

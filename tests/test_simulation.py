@@ -116,13 +116,15 @@ def test_three_link_energy_conservation():
     assert np.max(np.abs(E - E[0])) < 1e-8
 
 
-def test_simulation_is_deterministic():
+def test_simulation_is_deterministic(tmp_path):
     sys = make("pvtol")
     law = ControlLaw.of_time(lambda t: np.array([9.81 + 0.1 * np.sin(3 * t), 0.05 * np.cos(t)]))
     x0 = State(q=np.array([0.0, 1.0, 0.0]), qdot=np.zeros(3))
     a = simulate(sys, law, x0, 0.0, 1.0, IntegratorConfig(dt=1e-3))
     b = simulate(sys, law, x0, 0.0, 1.0, IntegratorConfig(dt=1e-3))
-    assert a.csv_text() == b.csv_text()
+    a.write_csv(tmp_path / "a.csv")
+    b.write_csv(tmp_path / "b.csv")
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
     assert np.array_equal(a.qs, b.qs) and np.array_equal(a.qds, b.qds)
 
 
@@ -256,10 +258,34 @@ def smooth_curve(n, N, dt, seed):
     return Trajectory(t0=0.0, t1=dt * (N - 1), dt=dt, qs=qs, qds=qds, us=np.zeros((N, 0)))
 
 
+def user_system():
+    """A q-dependent M, a potential and damping, with no derivative given and no
+    callable marked to take stacks: the readers run per row and by differences.
+    The potential climbs along q3, off the input span, so no sample of a smooth
+    curve is realizable."""
+
+    def inertia(q):
+        c, s = np.cos(q[1]), 0.1 * np.sin(q[0])
+        return np.array([[2.0 + c, 0.3 * c, 0.0], [0.3 * c, 1.5, s], [0.0, s, 1.0 + 0.2 * q[2] ** 2]])
+
+    return MechanicalSystem(
+        n=3,
+        m=2,
+        inertia=inertia,
+        input_covectors=[
+            lambda q: np.array([1.0, 0.0, 0.1 * np.sin(q[2])]),
+            lambda q: np.array([0.0, np.cos(q[0]), 0.1]),
+        ],
+        potential=lambda q: 0.5 * q[0] ** 2 + np.cos(q[1]) + 5.0 * q[2],
+        damping=lambda q: -0.1 * np.eye(3) - 0.05 * np.diag(np.cos(q)),
+        name="user",
+    )
+
+
 @pytest.mark.parametrize(
     "sys",
-    [make("three-link", gravity=9.81), make("blimp", drag=0.3)],
-    ids=["three-link-gravity", "blimp-damped"],
+    [make("three-link", gravity=9.81), make("blimp", drag=0.3), user_system()],
+    ids=["three-link-gravity", "blimp-damped", "user-finite-differences"],
 )
 def test_blocked_reconstruction_matches_per_sample_oracle(sys):
     N = 1203  # 1201 interior samples: two full blocks and a partial one
@@ -271,6 +297,19 @@ def test_blocked_reconstruction_matches_per_sample_oracle(sys):
     assert np.all(want_r > 1e-3)  # the curve is not realizable: residuals count
     assert_allclose(rec.residuals, want_r, rtol=1e-12, atol=0)
     assert_allclose(rec.times, traj.times[1:-1], rtol=0, atol=0)
+
+
+@pytest.mark.parametrize(
+    "sys",
+    [make(name) for name in ("flat", "planar-body", "blimp", "pvtol")]
+    + [make("three-link", gravity=9.81), user_system()],
+    ids=["flat", "planar-body", "blimp", "pvtol", "three-link-gravity", "user"],
+)
+def test_readers_on_a_stack_equal_their_point_calls(sys):
+    Q = smooth_curve(sys.n, 37, 1e-2, seed=7).qs
+    for reader in (sys.mass, sys.dmass, sys.grad_potential, sys.damping_matrix, sys.input_matrix):
+        stacked, rows = reader(Q), np.array([reader(q) for q in Q])
+        assert stacked.shape == rows.shape and stacked.tobytes() == rows.tobytes(), reader.__name__
 
 
 @pytest.mark.parametrize("marked", [False, True], ids=["pointwise", "wrapped"])
@@ -368,7 +407,8 @@ def test_trajectory_needs_a_positive_step(tmp_path):
 def test_csv_header_layout(tmp_path):
     sys = make("three-link")
     traj = simulate(sys, ControlLaw.zero(2), rest(3), 0.0, 0.01, IntegratorConfig(dt=1e-2))
-    text = traj.csv_text()
+    traj.write_csv(tmp_path / "traj.csv")
+    text = (tmp_path / "traj.csv").read_text()
     assert text.splitlines()[0] == "t,q1,q2,q3,qd1,qd2,qd3,u1,u2"
 
 
