@@ -25,6 +25,7 @@ Gain/control signals are restricted to `const(value)` and
 """
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -280,40 +281,31 @@ def _exp_series_check(s, sys, outdir):
     return ["series_convergence.csv"], {"order": s["K"], "slope": slope}
 
 
-def _parse_point_search(cfg, sys, name, known):
-    """The q and depth of a decoupling or larc section, and the section itself."""
-    spec = _section(cfg, name, known)
+def _parse_point_search(cfg, sys):
+    """The q, depth and tol of a decoupling or larc section."""
+    spec = _section(cfg, cfg["experiment"], ("q", "depth", "tol"))
     q = _number(spec, "q", required=True, cast=_floats)
     _require(q.shape == (sys.n,), f"q must have length {sys.n}")
     depth = _number(spec, "depth", 2, cast=_whole)
     _require(depth >= 1, f"'depth' must be >= 1, got {depth}")
-    return spec, {"q": q, "depth": depth, "tol": _number(spec, "tol", 1e-8)}
-
-
-def _parse_decoupling(cfg, sys):
-    spec, s = _parse_point_search(cfg, sys, "decoupling", ("q", "depth", "tol", "seed"))
-    return {**s, "seed": _number(spec, "seed", 0, cast=_whole)}
+    return {"q": q, "depth": depth, "tol": _number(spec, "tol", 1e-8)}
 
 
 def _exp_decoupling(s, sys, outdir):
     report, cands = kinematic_controllability(
-        sys, s["q"], max_depth=s["depth"], tol=s["tol"], seed=s["seed"]
+        sys, s["q"], max_depth=s["depth"], tol=s["tol"]
     )
-    _write_json(outdir / "controllability.json", report.as_dict())
+    _write_json(outdir / "controllability.json", dataclasses.asdict(report))
     return ["controllability.json"], {
         "fields_found": len(cands),
         "verdict": report.verdict,
     }
 
 
-def _parse_larc(cfg, sys):
-    return _parse_point_search(cfg, sys, "larc", ("q", "depth", "tol"))[1]
-
-
 def _exp_larc(s, sys, outdir):
     fields = [sys.input_field(a) for a in range(sys.m)]
     report = larc_rank(fields, s["q"], max_depth=s["depth"], tol=s["tol"], n=sys.n)
-    _write_json(outdir / "controllability.json", report.as_dict())
+    _write_json(outdir / "controllability.json", dataclasses.asdict(report))
     return ["controllability.json"], {"rank": report.rank, "verdict": report.verdict}
 
 
@@ -369,8 +361,8 @@ def _exp_convergence(s, sys, outdir):
 EXPERIMENTS = {
     "simulate": (_parse_simulate, _exp_simulate),
     "series-check": (_parse_series_check, _exp_series_check),
-    "decoupling": (_parse_decoupling, _exp_decoupling),
-    "larc": (_parse_larc, _exp_larc),
+    "decoupling": (_parse_point_search, _exp_decoupling),
+    "larc": (_parse_point_search, _exp_larc),
     "oscillatory-track": (_parse_oscillatory_track, _exp_oscillatory_track),
     "convergence": (_parse_convergence, _exp_convergence),
 }

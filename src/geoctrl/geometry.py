@@ -148,7 +148,6 @@ class MechanicalSystem:
     dinertia: Optional[Callable[[np.ndarray], np.ndarray]] = None
     dpotential: Optional[Callable[[np.ndarray], np.ndarray]] = None
     dinput_covectors: Optional[Sequence[Callable[[np.ndarray], np.ndarray]]] = None
-    name: str = ""
 
     def __post_init__(self):
         if self.n < 1:

@@ -47,7 +47,7 @@ from .simulation import (
 RANK_TOL = 1e-8
 ZERO_TOL = 1e-10  # a form or coefficient this small (relative) is zero
 ROOT_TOL = 1e-10  # a root leaves every form below this (relative)
-N_STARTS = 100  # random starts of the m > 2 root search
+N_STARTS = 100  # random starts of the m > 2 root search, from a fixed seed
 ANGLE_TOL = 1e-6  # directions closer than this angle are one
 
 
@@ -120,12 +120,12 @@ def quadratic_forms(sys: MechanicalSystem, q):
     return (pt.products @ C).transpose(2, 0, 1), pt.Y
 
 
-def find_decoupling_fields(sys: MechanicalSystem, q, seed: int = 0) -> DecouplingSolutions:
+def find_decoupling_fields(sys: MechanicalSystem, q) -> DecouplingSolutions:
     """All projective h with B_l(h, h) = 0 at the point q.
 
-    m = 2 uses the closed-form quadratic in the ratio h_2/h_1; larger m
-    runs damped least-squares root finding from N_STARTS random unit
-    starts (seeded, deterministic) and deduplicates at ANGLE_TOL.
+    m = 2 uses the closed-form quadratic in the ratio h_2/h_1; m = 1 has
+    no root while a form is live; larger m runs damped least-squares root
+    finding from N_STARTS seeded unit starts, deduplicated at ANGLE_TOL.
     An empty list is a valid outcome (no real solutions).
     """
     m = sys.m
@@ -133,7 +133,7 @@ def find_decoupling_fields(sys: MechanicalSystem, q, seed: int = 0) -> Decouplin
     if m == 2:
         directions = _two_input_directions(B.tolist())
     else:
-        directions = _root_search(B, m, seed)
+        directions = _root_search(B, m)
     if directions is None:  # identically zero forms: every direction decouples
         return DecouplingSolutions(directions=[], all_directions=True, fields=Y)
     return DecouplingSolutions(directions=directions, all_directions=False, fields=Y)
@@ -180,16 +180,18 @@ def _two_input_directions(forms):
     return [np.array(h) for h in unique]
 
 
-def _root_search(B, m, seed):
-    """The m > 2 directions: seeded least-squares starts, deduplicated, sorted;
-    None if B ~ 0."""
-    from scipy.optimize import least_squares  # only here: it adds ~19 MB to a process
-
+def _root_search(B, m):
+    """The m != 2 directions: none for m = 1, else seeded least-squares starts,
+    deduplicated, sorted; None if B ~ 0."""
     scale = float(np.max(np.abs(B))) if B.size else 0.0
     if scale <= ZERO_TOL:
         return None
+    if m == 1:  # the one direction, h = 1, leaves the largest form at scale
+        return []
+    from scipy.optimize import least_squares  # only here: it adds ~19 MB to a process
+
     live = [Bl for Bl in B if np.max(np.abs(Bl)) > ZERO_TOL * scale]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
 
     def resid(h):
         hn = h / np.linalg.norm(h)
@@ -217,7 +219,7 @@ class DecouplingCandidate:
 
 
 def candidate_from_direction(
-    sys: MechanicalSystem, q0, h0, seed: int = 0
+    sys: MechanicalSystem, q0, h0
 ) -> DecouplingCandidate:
     """Extend a pointwise solution to a field by re-solving along the way.
 
@@ -236,7 +238,7 @@ def candidate_from_direction(
         q = np.asarray(q, dtype=float)
         # module-level name lookup, so wrapping find_decoupling_fields
         # (e.g. for tracing) sees every re-solve
-        sol = find_decoupling_fields(sys, q, seed=seed)
+        sol = find_decoupling_fields(sys, q)
         if sol.all_directions:
             return sol.fields @ ref[0]
         if not sol.directions:
@@ -264,14 +266,6 @@ class ControllabilityReport:
     verdict: bool
     residuals: List[float] = field(default_factory=list)
 
-    def as_dict(self):
-        return {
-            "rank": int(self.rank),
-            "depth": int(self.depth),
-            "verdict": bool(self.verdict),
-            "residuals": [float(r) for r in self.residuals],
-        }
-
 
 def larc_rank(
     fields: Sequence[VectorField],
@@ -285,7 +279,7 @@ def larc_rank(
     Depth d adds brackets of the base fields with everything at depth
     d-1 (left-normed brackets, which span the full bracket algebra).
     Rank counts singular values above tol * sigma_max; the verdict is
-    rank == n (dimension of q by default).
+    rank == n (dimension of q by default).  An empty family has rank 0.
     """
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
@@ -296,6 +290,8 @@ def larc_rank(
     columns = [f(q) for f in base]
 
     def current_rank():
+        if not columns:
+            return 0
         sv = np.linalg.svd(np.column_stack(columns), compute_uv=False)
         return int(np.sum(sv > tol * sv[0])) if sv[0] > 0 else 0
 
@@ -316,19 +312,19 @@ def larc_rank(
 
 
 def kinematic_controllability(
-    sys: MechanicalSystem, q, max_depth: int = 2, tol: float = RANK_TOL, seed: int = 0
+    sys: MechanicalSystem, q, max_depth: int = 2, tol: float = RANK_TOL
 ):
     """Find decoupling fields at q and test the LARC on them.
 
     Returns (report, candidates).  For the degenerate all-directions case
-    the input fields themselves are used.
+    the input fields themselves are used; no field found gives rank 0.
     """
     q = np.asarray(q, dtype=float)
-    sol = find_decoupling_fields(sys, q, seed=seed)
+    sol = find_decoupling_fields(sys, q)
     if sol.all_directions:
         cands = [DecouplingCandidate(field=sys.input_field(a)) for a in range(sys.m)]
     else:
-        cands = [candidate_from_direction(sys, q, h, seed=seed) for h in sol.directions]
+        cands = [candidate_from_direction(sys, q, h) for h in sol.directions]
     residuals = [decoupling_residual(sys, c.field, q) for c in cands]
     report = larc_rank([c.field for c in cands], q, max_depth=max_depth, tol=tol, n=sys.n)
     return replace(report, residuals=residuals), cands

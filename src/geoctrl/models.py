@@ -98,10 +98,10 @@ class ModelDescriptor:
             params[key] = float(val)
         for key, val in params.items():
             if key in entry["nonneg"]:
-                if val < 0.0:
-                    raise ConfigError(f"parameter '{key}' must be >= 0, got {val}")
-            elif val <= 0.0:
-                raise ConfigError(f"parameter '{key}' must be > 0, got {val}")
+                if not 0.0 <= val < np.inf:  # also refuses NaN
+                    raise ConfigError(f"parameter '{key}' must be finite and >= 0, got {val}")
+            elif not 0.0 < val < np.inf:
+                raise ConfigError(f"parameter '{key}' must be finite and > 0, got {val}")
         acts = self.actuators if self.actuators is not None else entry["default_actuators"]
         try:
             acts = tuple(_whole(a) for a in acts)
@@ -179,7 +179,6 @@ def _build_flat(params, acts):
         input_covectors=covs,
         dinertia=lambda q: zero3.copy(),
         dinput_covectors=dcovs,
-        name="flat",
     )
 
 
@@ -214,7 +213,7 @@ def _body_covector(bx, by, btau):
     return F, dF
 
 
-def _build_body(params, acts, forces, name, drag=0.0, gravity=0.0):
+def _build_body(params, acts, forces, drag=0.0, gravity=0.0):
     """Rigid body in the plane, M = diag(mass, mass, inertia), driven by the body-frame
     forces (bx, by, btau) that acts picks; drag adds linear damping, gravity a potential."""
     mass = params["mass"]
@@ -239,7 +238,6 @@ def _build_body(params, acts, forces, name, drag=0.0, gravity=0.0):
         dinertia=lambda q: zero3.copy(),
         dpotential=dpotential,
         dinput_covectors=[dF for _, dF in table],
-        name=name,
     )
 
 
@@ -253,7 +251,7 @@ _register(
     input_names=("fx-body", "fy-body", "torque", "fx-offset"),
     defaults={"mass": 1.0, "inertia": 1.0, "offset": 1.0},
     default_actuators=(1, 2, 3),
-    builder=lambda p, a: _build_body(p, a, _planar_forces(p), "planar-body"),
+    builder=lambda p, a: _build_body(p, a, _planar_forces(p)),
     doc="rigid body in the horizontal plane; body-frame forces, torque, offset force",
 )
 
@@ -263,7 +261,7 @@ _register(
     input_names=("fx-body", "fy-body", "torque", "fx-offset"),
     defaults={"mass": 1.0, "inertia": 1.0, "offset": 1.0, "drag": 0.1},
     default_actuators=(1, 3),
-    builder=lambda p, a: _build_body(p, a, _planar_forces(p), "blimp", drag=p["drag"]),
+    builder=lambda p, a: _build_body(p, a, _planar_forces(p), drag=p["drag"]),
     doc="planar body with isotropic linear hull drag; underactuated by default",
     nonneg=("drag",),
 )
@@ -275,7 +273,7 @@ _register(
     defaults={"mass": 1.0, "inertia": 1.0, "coupling": 1.0, "gravity": 9.81},
     default_actuators=(1, 2),
     builder=lambda p, a: _build_body(
-        p, a, ((0.0, 1.0, 0.0), (p["coupling"], 0.0, 1.0)), "pvtol", gravity=p["gravity"]
+        p, a, ((0.0, 1.0, 0.0), (p["coupling"], 0.0, 1.0)), gravity=p["gravity"]
     ),
     doc="planar VTOL aircraft: thrust along body axis, roll moment with lateral coupling",
     nonneg=("gravity",),
@@ -348,7 +346,6 @@ def _build_three_link(params, acts):
         dinertia=dinertia,
         dpotential=dpotential,
         dinput_covectors=dcovs,
-        name="three-link",
     )
 
 

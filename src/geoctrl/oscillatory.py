@@ -260,14 +260,6 @@ class AveragedSystem:
         traj = simulate_forced(self.sys, lambda t, pt, qd: self.forcing(t, pt), x0, t0, t1, cfg)
         return replace(traj, us=np.array([self.gain_vector(t) for t in traj.times]))
 
-    def input_distribution_rank(self, q) -> int:
-        """Rank of span{Y_a, <Y_b:Y_c>}, singular values below 1e-8 of the
-        largest dropped — n means fully actuated on average."""
-        pt = self.sys.at(q)
-        cols = np.hstack([pt.Y, pt.products[np.triu_indices(self.gains.m, 1)].T])
-        sv = np.linalg.svd(cols, compute_uv=False)
-        return int(np.sum(sv > 1e-8 * sv[0])) if sv[0] > 0 else 0
-
 
 def _ubar_table(fast, t):
     """First- and second-order Ubar at time t of the fast parts fast(tau, t),

@@ -406,9 +406,24 @@ def test_larc_depth_validation_and_report_dict():
     with pytest.raises(ValueError):
         larc_rank([VectorField.constant([1.0, 0.0])], np.zeros(2), max_depth=0)
     report = larc_rank([VectorField.constant([1.0, 0.0])], np.zeros(2))
-    d = report.as_dict()
+    d = dataclasses.asdict(report)
     assert set(d) == {"rank", "depth", "verdict", "residuals"}
     assert d["rank"] == 1 and d["verdict"] is False
+
+
+@pytest.mark.parametrize(
+    "name, actuators", [("planar-body", (4,)), ("three-link", (1,)), ("three-link", (3,))]
+)
+def test_no_decoupling_field_reports_rank_zero(name, actuators):
+    # m = 1 with a live form: the one direction is no root, so no field is found
+    sys = make(name, actuators=actuators)
+    q = np.array([0.3, -0.2, 0.5])
+    sol = find_decoupling_fields(sys, q)
+    assert sol.directions == [] and not sol.all_directions
+    report, cands = kinematic_controllability(sys, q, max_depth=3)
+    assert cands == []
+    assert (report.rank, report.depth, report.verdict, report.residuals) == (0, 1, False, [])
+    assert larc_rank([], q) == larc_rank([], q, max_depth=3) == report
 
 
 # -- plans -------------------------------------------------------------------------

@@ -61,6 +61,17 @@ def test_parameters_that_are_not_numbers_rejected(gravity):
         make("pvtol", gravity=gravity)
 
 
+@pytest.mark.parametrize(
+    "name, parameter",
+    [("pvtol", {"gravity": np.nan}), ("pvtol", {"mass": np.inf}), ("three-link", {"l1": np.nan})],
+)
+def test_parameters_that_are_not_finite_rejected(name, parameter):
+    # NaN passes every range comparison, and an infinite mass only fails at sys.at(q)
+    (key,) = parameter
+    with pytest.raises(ConfigError, match=f"parameter '{key}' must be finite"):
+        make(name, **parameter)
+
+
 def test_whole_float_and_numpy_actuators_load():
     for actuators in [(1.0, 2.0), np.array([1, 2]), np.array([1.0, 2.0])]:
         acts = ModelDescriptor("three-link", actuators=tuple(actuators)).resolved()[2]

@@ -54,14 +54,18 @@ def test_cli_example_config_validates(tmp_path, capsys):
 
 def test_cli_and_quick_start_plan_load_no_scipy_solvers(python_blocks):
     """A fresh process that imports the CLI, then plans and validates the
-    quick start, never loads scipy's interpolation, optimization or
-    integration packages (about 22 MB of memory in all)."""
+    quick start and tests decoupling where no root search is needed (one
+    input, or every input), never loads scipy's interpolation, optimization
+    or integration packages (about 22 MB of memory in all)."""
     script = """
 import json, sys
 heavy = ("scipy.interpolate", "scipy.optimize", "scipy.integrate")
 import geoctrl.cli
 after_import = [m for m in heavy if m in sys.modules]
 exec(compile(sys.stdin.read(), "README.md", "exec"), {})
+from geoctrl import kinematic_controllability, make
+for name, actuators in (("planar-body", (4,)), ("three-link", (1, 2, 3))):
+    kinematic_controllability(make(name, actuators), [0.3, -0.2, 0.5])
 print(json.dumps([after_import, [m for m in heavy if m in sys.modules]]))
 """
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))

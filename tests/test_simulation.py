@@ -278,7 +278,6 @@ def user_system():
         ],
         potential=lambda q: 0.5 * q[0] ** 2 + np.cos(q[1]) + 5.0 * q[2],
         damping=lambda q: -0.1 * np.eye(3) - 0.05 * np.diag(np.cos(q)),
-        name="user",
     )
 
 
