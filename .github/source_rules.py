@@ -9,6 +9,8 @@ Prints one line per finding and exits 1 if there is any.  The rules:
 - no unused import outside __init__.py (whose imports are the re-exports);
 - the Cholesky routines are imported only by geometry.py: M(q) is factored
   and solved only in the point kernel, geometry.PointData;
+- dpotrf and dpocon are each called at exactly one site in geometry.py, the
+  one factor helper that both a point and a constant M go through;
 - every module-level private name (def, class or assignment) is read somewhere
   else under src/: otherwise it is dead code, or a helper only tests use;
 - the model callables are read through MechanicalSystem's readers in
@@ -30,6 +32,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 MAX_LINE = 105
 LAPACK = {"dpotrf", "dpotrs", "dpocon"}
+FACTOR = ("dpotrf", "dpocon")
 MODEL = {"inertia", "dinertia", "input_covectors", "dinput_covectors", "potential", "dpotential",
          "damping"}
 
@@ -97,6 +100,18 @@ def cholesky_outside_geometry(trees):
             if alias.name.split(".")[-1] in LAPACK]
 
 
+def factor_call_sites(trees):
+    (tree,) = [tree for name, tree in trees if name.endswith("/geometry.py")]
+    lines = {fn: [node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == fn]
+             for fn in FACTOR}
+    found = [f"src/geoctrl/geometry.py:{line}: calls {fn} at a second site (first: line {sites[0]})"
+             for fn, sites in lines.items() for line in sites[1:]]
+    return found + [f"src/geoctrl/geometry.py: no call of {fn}" for fn, sites in lines.items()
+                    if not sites]
+
+
 def unused_private_names(trees):
     statements = [node for _, tree in trees for node in tree.body]
     return [f"{name}:{node.lineno}: '{private}' is used only where it is defined"
@@ -138,8 +153,8 @@ def unread_public_names(trees):
 def main():
     trees = modules()
     findings = long_lines()
-    for rule in (unused_imports, cholesky_outside_geometry, unused_private_names,
-                 model_callables_read, unread_public_names):
+    for rule in (unused_imports, cholesky_outside_geometry, factor_call_sites,
+                 unused_private_names, model_callables_read, unread_public_names):
         findings += rule(trees)
     print("\n".join(findings))
     return 1 if findings else 0

@@ -19,9 +19,9 @@ Conventions
   They are :class:`VectorField`s too, one field type for both spaces,
   tagged with a velocity homogeneity class ``hclass``.
 
-``sys.at(q)`` is the one per-point kernel and the only place M(q) is
-factored: a :class:`PointData` factors M(q) once (refusing a condition
-number above COND_LIMIT) and computes dM, dF, Y, dY, Gamma and the
+``sys.at(q)`` is the one per-point kernel: a :class:`PointData` factors M(q)
+once (refusing a condition number above COND_LIMIT; a :func:`constant_inertia`
+is factored once per system) and computes dM, dF, Y, dY, Gamma and the
 symmetric products on first read.  Every consumer reads them there.  The
 products come from the covector identity
 
@@ -35,7 +35,7 @@ from multiple threads (a PointData read by two threads at once at worst
 computes a field twice).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -99,6 +99,22 @@ def takes_stacks(fn):
     return fn
 
 
+def constant_inertia(M):
+    """The inertia callable q -> M, marked with the constant matrix M as ``fn.constant_inertia``
+    (``functools.wraps`` copies it): a system checks and factors M once and takes dM as zero.
+    Without the mark the callable gives the same numbers, evaluated at every point."""
+    fn = lambda q: fn.constant_inertia.copy()
+    fn.constant_inertia = np.array(M, dtype=float)
+    return fn
+
+
+def _cholesky(M):
+    """(factor, rcond): the lower Cholesky factor of M (LAPACK dpotrf) and dpocon's
+    1-norm estimate of its reciprocal condition number, 0 if M is not positive definite."""
+    factor, info = dpotrf(M, lower=1)
+    return factor, dpocon(factor, np.abs(M).sum(axis=0).max(), uplo="L")[0] if info == 0 else 0.0
+
+
 def _at_points(fn, q):
     """fn at the point q (n,), or at every row of a stack q (B, n): one call if fn
     takes stacks, else one call per row."""
@@ -116,7 +132,8 @@ class MechanicalSystem:
     n, m
         Degrees of freedom and number of inputs, m <= n.
     inertia
-        q -> symmetric positive-definite (n, n) matrix M(q).
+        q -> symmetric positive-definite (n, n) matrix M(q); ``constant_inertia(M)`` for a
+        constant M, kept checked as ``constant_mass`` (else None), with no ``dinertia``.
     input_covectors
         m callables q -> R^n giving the input co-vector fields F_a.
     potential
@@ -148,6 +165,8 @@ class MechanicalSystem:
     dinertia: Optional[Callable[[np.ndarray], np.ndarray]] = None
     dpotential: Optional[Callable[[np.ndarray], np.ndarray]] = None
     dinput_covectors: Optional[Sequence[Callable[[np.ndarray], np.ndarray]]] = None
+    constant_mass: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
+    _factor: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -158,12 +177,20 @@ class MechanicalSystem:
             raise ValueError("input_covectors must have length m")
         if self.dinput_covectors is not None and len(self.dinput_covectors) != self.m:
             raise ValueError("dinput_covectors must have length m")
+        if getattr(self.inertia, "constant_inertia", None) is not None:
+            if self.dinertia is not None:
+                raise ValueError("a constant_inertia takes no dinertia: its dM is zero")
+            M = self.mass(np.zeros(self.n))  # its one evaluation, checked as at any point
+            object.__setattr__(self, "constant_mass", M)
+            object.__setattr__(self, "_factor", _cholesky(M))
 
     # -- readers: the model at a point (n,) or at every row of a stack (B, n) --
 
     def mass(self, q):
         """M(q), validated symmetric (SYMMETRY_TOL relative) and returned symmetrized."""
         q = np.asarray(q, dtype=float)
+        if self.constant_mass is not None:
+            return np.broadcast_to(self.constant_mass, q.shape[:-1] + (self.n, self.n))
         M = _at_points(self.inertia, q)
         shape = M.shape[q.ndim - 1 :]
         if shape != (self.n, self.n):
@@ -181,7 +208,9 @@ class MechanicalSystem:
         return 0.5 * (M + MT)
 
     def dmass(self, q):
-        """dM_ij/dq^k as an (n, n, n) array, analytic or finite-difference."""
+        """dM_ij/dq^k as an (n, n, n) array, analytic or finite-difference; zero for a constant M."""
+        if self.constant_mass is not None:
+            return np.zeros(np.shape(q) + (self.n, self.n))
         fd = lambda p: central_jacobian(self.inertia, p, DEFAULT_FD_STEP)
         return _at_points(fd if self.dinertia is None else self.dinertia, np.asarray(q, dtype=float))
 
@@ -236,7 +265,7 @@ class MechanicalSystem:
 class PointData:
     """Everything the connection needs at one configuration q (``sys.at(q)``).
 
-    Construction evaluates M(q) once and factors it (LAPACK dpotrf); a
+    Construction factors M(q) (LAPACK dpotrf; a constant M's factor is the system's); a
     failed factorization (M not positive definite) or dpocon's 1-norm
     estimate rcond with rcond * COND_LIMIT < 1 raises SingularInertiaError.
     Computed on first read, so ``F``, ``Y`` and ``solve`` never evaluate
@@ -254,11 +283,7 @@ class PointData:
     def __init__(self, sys: MechanicalSystem, q):
         self.sys = sys
         self.q = q = np.asarray(q, dtype=float)
-        M = sys.mass(q)
-        self.factor, info = dpotrf(M, lower=1)
-        if info != 0:
-            raise SingularInertiaError(q, np.inf)
-        rcond, _ = dpocon(self.factor, np.abs(M).sum(axis=0).max(), uplo="L")
+        self.factor, rcond = sys._factor or _cholesky(sys.mass(q))
         if not rcond * COND_LIMIT >= 1.0:  # also rejects a NaN estimate
             raise SingularInertiaError(q, np.inf if rcond == 0.0 else 1.0 / rcond)
         self._dM = self._F = self._dF = self._Y = self._JY = self._Gamma = self._products = None

@@ -22,7 +22,8 @@ three-link   planar manipulator with three revolute joints, torque inputs
 
 A body-frame force (bx, by) and moment btau acts at heading q[2] as the
 covector F(q) = (c bx - s by, s bx + c by, btau), c, s = cos q[2], sin q[2];
-dF/dq is zero except column 2, (-s bx - c by, c bx - s by, 0).
+dF/dq is zero except column 2, (-s bx - c by, c bx - s by, 0).  The constant M
+of flat and the bodies is a ``geometry.constant_inertia``, factored once per system.
 
 Three-link derivation (standard Lagrangian composition): with relative
 joint angles q and absolute link angles theta = L q, L lower-triangular
@@ -57,7 +58,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ConfigError, UnknownModelError
-from .geometry import MechanicalSystem, takes_stacks
+from .geometry import MechanicalSystem, constant_inertia, takes_stacks
 
 _REGISTRY: Dict[str, dict] = {}
 
@@ -95,7 +96,10 @@ class ModelDescriptor:
                 )
             if isinstance(val, bool) or not isinstance(val, numbers.Real):
                 raise ConfigError(f"parameter '{key}' must be a number, got {val!r}")
-            params[key] = float(val)
+            try:
+                params[key] = float(val)
+            except OverflowError:  # an int past the float range, refused as inf below
+                params[key] = np.inf
         for key, val in params.items():
             if key in entry["nonneg"]:
                 if not 0.0 <= val < np.inf:  # also refuses NaN
@@ -168,16 +172,13 @@ def _register(name, n, input_names, defaults, default_actuators, builder, doc, n
 
 
 def _build_flat(params, acts):
-    eye = np.eye(2)
-    zero3 = np.zeros((2, 2, 2))
     covs = [lambda q, _a=a - 1: np.eye(2)[_a].copy() for a in acts]
     dcovs = [lambda q: np.zeros((2, 2)) for _ in acts]
     return MechanicalSystem(
         n=2,
         m=len(acts),
-        inertia=lambda q: eye.copy(),
+        inertia=constant_inertia(np.eye(2)),
         input_covectors=covs,
-        dinertia=lambda q: zero3.copy(),
         dinput_covectors=dcovs,
     )
 
@@ -217,8 +218,6 @@ def _build_body(params, acts, forces, drag=0.0, gravity=0.0):
     """Rigid body in the plane, M = diag(mass, mass, inertia), driven by the body-frame
     forces (bx, by, btau) that acts picks; drag adds linear damping, gravity a potential."""
     mass = params["mass"]
-    M = np.diag([mass, mass, params["inertia"]])
-    zero3 = np.zeros((3, 3, 3))
     table = [_body_covector(*forces[a - 1]) for a in acts]
     damping = potential = dpotential = None
     if drag > 0.0:
@@ -231,11 +230,10 @@ def _build_body(params, acts, forces, drag=0.0, gravity=0.0):
     return MechanicalSystem(
         n=3,
         m=len(acts),
-        inertia=lambda q: M.copy(),
+        inertia=constant_inertia(np.diag([mass, mass, params["inertia"]])),
         input_covectors=[F for F, _ in table],
         damping=damping,
         potential=potential,
-        dinertia=lambda q: zero3.copy(),
         dpotential=dpotential,
         dinput_covectors=[dF for _, dF in table],
     )

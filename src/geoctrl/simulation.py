@@ -181,7 +181,9 @@ def coriolis_covector(dM, qd):
 def _acceleration(pt, qd, applied):
     """qddot at the kernel point pt given the generalized applied force (covector) `applied`."""
     sys, q = pt.sys, pt.q
-    acc = pt.solve(applied - coriolis_covector(pt.dM, qd) - sys.grad_potential(q))
+    if sys.constant_mass is None:  # a constant M has no Coriolis term
+        applied = applied - coriolis_covector(pt.dM, qd)
+    acc = pt.solve(applied - sys.grad_potential(q))
     if sys.damping is not None:
         acc = acc + sys.damping_matrix(q) @ qd
     return acc

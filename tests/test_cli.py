@@ -146,6 +146,26 @@ def test_run_missing_required_key(tmp_path, capsys):
     assert "t1" in error["error"]["message"]
 
 
+def test_ill_conditioned_constant_inertia_names_the_start_and_exits_3(tmp_path, capsys):
+    cfg = dedent(
+        """\
+        experiment: simulate
+        model: {name: pvtol, parameters: {mass: 1.0e+13}}
+        integrator: {dt: 0.01}
+        simulate:
+          t1: 0.1
+          q0: [0.1, 0.2, 0.3]
+          controls: [{type: const, value: 1.0}, {type: const, value: 0.0}]
+        """
+    )
+    rc, _, error = run_json(capsys, ["run", write(tmp_path, cfg), "--out", str(tmp_path / "o")])
+    assert rc == 3
+    assert error["error"]["type"] == "SingularInertiaError"
+    assert error["error"]["message"] == (
+        "inertia matrix at q=[0.1, 0.2, 0.3] has condition number 1.000e+13 (not safely invertible)"
+    )
+
+
 def test_numerical_failure_is_json_exit_3(tmp_path, capsys):
     # the offset thruster violates the span assumption behind the synthesis
     cfg = dedent(

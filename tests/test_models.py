@@ -63,10 +63,16 @@ def test_parameters_that_are_not_numbers_rejected(gravity):
 
 @pytest.mark.parametrize(
     "name, parameter",
-    [("pvtol", {"gravity": np.nan}), ("pvtol", {"mass": np.inf}), ("three-link", {"l1": np.nan})],
+    [
+        ("pvtol", {"gravity": np.nan}),
+        ("pvtol", {"mass": np.inf}),
+        ("three-link", {"l1": np.nan}),
+        ("pvtol", {"mass": 10**400}),
+    ],
 )
 def test_parameters_that_are_not_finite_rejected(name, parameter):
-    # NaN passes every range comparison, and an infinite mass only fails at sys.at(q)
+    # NaN passes every range comparison, an infinite mass only fails at sys.at(q),
+    # and float() of an int past the float range raises OverflowError
     (key,) = parameter
     with pytest.raises(ConfigError, match=f"parameter '{key}' must be finite"):
         make(name, **parameter)

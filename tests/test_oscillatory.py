@@ -347,9 +347,10 @@ def counting_model(sys):
 
 def test_one_model_evaluation_per_rk4_stage():
     # the law, the span solve, the averaged forcing and the acceleration all
-    # read the stage's one kernel point
-    sys, calls = counting_model(make("pvtol", gravity=0.0))
-    gains = AveragedGains.constant([0.3, -0.2], {(0, 1): 0.5})
+    # read the stage's one kernel point; three-link's M is not constant, so each
+    # point evaluates it (fully actuated, so the span assumption holds)
+    sys, calls = counting_model(make("three-link", actuators=(1, 2, 3)))
+    gains = AveragedGains.constant([0.3, -0.2, 0.1], {(0, 1): 0.5})
     x0 = State(q=np.zeros(3), qdot=np.zeros(3))
     dt, steps, eps = 1e-2, 20, [0.2, 0.1]
     AveragedSystem(sys, gains).simulate(x0, 0.0, steps * dt, IntegratorConfig(dt=dt))

@@ -203,12 +203,12 @@ def test_words_read_one_kernel_per_point():
 
         return wrapper
 
-    sys = offset_body()
+    sys = make("three-link", actuators=(1, 2))  # a q-dependent M, evaluated at each point
     sys = dataclasses.replace(
         sys, inertia=counted("inertia", sys.inertia), dinertia=counted("dinertia", sys.dinertia)
     )
-    T, dt = 0.5, 1e-2
-    predict_from_rest(sys, sine_forcing(sys, [0.1]), 2, np.zeros(3), T, IntegratorConfig(dt=dt))
+    q0, T, dt = np.array([0.2, -0.1, 0.4]), 0.5, 1e-2
+    predict_from_rest(sys, sine_forcing(sys, [0.1, 0.07]), 2, q0, T, IntegratorConfig(dt=dt))
     steps = int(round(T / dt))
     assert calls == {"inertia": 4 * steps + 1, "dinertia": 4 * steps + 1}
 

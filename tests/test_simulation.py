@@ -19,8 +19,9 @@ from geoctrl import (
     simulate,
     simulate_forced,
 )
-from geoctrl.errors import ConfigError, NonFiniteStateError
-from geoctrl.geometry import PointData
+from geoctrl import geometry
+from geoctrl.errors import ConfigError, NonFiniteStateError, SingularInertiaError
+from geoctrl.geometry import PointData, constant_inertia
 from geoctrl.numutil import loglog_slope
 from geoctrl.simulation import _acceleration
 
@@ -445,3 +446,88 @@ def test_recorded_controls_match_per_sample_evaluation():
     ts = traj.times
     want = np.array([law(ts[i], traj.qs[i], traj.qds[i]) for i in range(traj.n_samples)])
     assert traj.us.tobytes() == want.tobytes()
+
+
+# -- constant inertia: checked and factored once per system --------------------
+
+CONSTANT_METRIC = [("flat", (1, 2)), ("planar-body", (4,)), ("blimp", None), ("pvtol", None)]
+
+
+def unmarked(sys):
+    """sys with its marked constant M as a plain callable and a zero dinertia."""
+    zero = np.zeros((sys.n,) * 3)
+    plain = lambda q: sys.inertia(q)  # a wrapper without functools.wraps drops the mark
+    return dataclasses.replace(sys, inertia=plain, dinertia=lambda q: zero.copy())
+
+
+@pytest.mark.parametrize("name, actuators", CONSTANT_METRIC)
+def test_constant_inertia_gives_the_callable_numbers_bit_for_bit(name, actuators):
+    sys = make(name, actuators)  # pvtol with its default gravity
+    plain = unmarked(sys)
+    assert sys.constant_mass is not None and plain.constant_mass is None
+    x0 = State(q=np.array([0.1, -0.2, 0.3])[: sys.n], qdot=np.array([0.4, 0.1, -0.5])[: sys.n])
+    law = ControlLaw(eval=lambda t, q, qd: np.sin(np.arange(1, sys.m + 1) * t) + 0.1 * q[0])
+    got, want = (simulate(s, law, x0, 0.0, 0.5, IntegratorConfig(dt=1e-2)) for s in (sys, plain))
+    for field in ("qs", "qds", "us"):
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+    for q in got.qs[::10]:
+        a, b = sys.at(q), plain.at(q)
+        for field in ("products", "JY", "Gamma", "Y"):
+            assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), field
+    traj = smooth_curve(sys.n, 601, 1e-3, seed=4)
+    got, want = reconstruct_inputs(sys, traj), reconstruct_inputs(plain, traj)
+    assert got.inputs.tobytes() == want.inputs.tobytes()
+    assert got.residuals.tobytes() == want.residuals.tobytes()
+
+
+def test_the_constant_inertia_mark_travels_with_functools_wraps():
+    sys = make("pvtol")
+    wrapper = functools.wraps(sys.inertia)(lambda q: sys.inertia(q))
+    wrapped = dataclasses.replace(sys, inertia=wrapper)
+    assert np.array_equal(wrapped.constant_mass, sys.constant_mass)
+    # no mark: M evaluated at each point, dM by central differences of it
+    plain = dataclasses.replace(sys, inertia=lambda q: sys.inertia(q))
+    assert plain.constant_mass is None
+    q = np.array([0.3, -0.1, 0.7])
+    for a, b in ((sys.at(q), wrapped.at(q)), (sys.at(q), plain.at(q))):
+        assert a.products.tobytes() == b.products.tobytes()
+        assert a.Gamma.tobytes() == b.Gamma.tobytes()
+    assert sys.mass(q).tobytes() == plain.mass(q).tobytes()
+    assert sys.dmass(q).tobytes() == plain.dmass(q).tobytes()
+    assert not sys.mass(q).flags.writeable
+
+
+def test_a_constant_metric_system_factors_once(monkeypatch):
+    calls, dpotrf = [], geometry.dpotrf
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return dpotrf(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "dpotrf", counted)
+    sys = make("pvtol", gravity=0.0)
+    assert len(calls) == 1 and sys.dinertia is None  # no dinertia to call: dM is zero
+    simulate(sys, traced_control([]), rest(3), 0.0, 0.2, IntegratorConfig(dt=1e-2))
+    reconstruct_inputs(sys, smooth_curve(3, 50, 1e-2, seed=1))
+    assert len(calls) == 1
+    make("three-link").at(np.zeros(3))  # a q-dependent M factors at each point
+    assert len(calls) == 2
+
+
+def test_constant_inertia_refuses_a_dinertia():
+    with pytest.raises(ValueError, match="constant_inertia takes no dinertia"):
+        MechanicalSystem(
+            n=2,
+            m=1,
+            inertia=constant_inertia(np.eye(2)),
+            input_covectors=[lambda q: np.array([1.0, 0.0])],
+            dinertia=lambda q: np.zeros((2, 2, 2)),
+        )
+
+
+def test_an_ill_conditioned_constant_inertia_names_each_point():
+    sys = make("pvtol", mass=1e13)  # built: the refusal waits for a point
+    for q in ([0.1, 0.2, 0.3], [-1.0, 0.5, 2.0]):
+        with pytest.raises(SingularInertiaError, match=rf"at q=\[{q[0]}, {q[1]}, {q[2]}\]") as ei:
+            sys.at(q)
+        assert ei.value.cond == pytest.approx(1e13)
