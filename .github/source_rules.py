@@ -13,8 +13,9 @@ Prints one line per finding and exits 1 if there is any.  The rules:
   one factor helper that both a point and a constant M go through;
 - every module-level private name (def, class or assignment) is read somewhere
   else under src/: otherwise it is dead code, or a helper only tests use;
-- the model callables are read through MechanicalSystem's readers in
-  geometry.py (models.py builds them); elsewhere only a None test of one may
+- the model callables are read only by MechanicalSystem's methods in
+  geometry.py, its readers (models.py builds them); anywhere else, PointData
+  and geometry.py's module functions included, only a None test of one may
   appear;
 - every public name in geoctrl.__all__ is read by a module under src/ (outside
   its own definition), documented in README.md or used by an acceptance
@@ -125,8 +126,12 @@ def unused_private_names(trees):
 def model_callables_read(trees):
     found = []
     for name, tree in trees:
-        if name.endswith(("/geometry.py", "/models.py")):
+        if name.endswith("/models.py"):
             continue
+        readers = {id(node) for cls in tree.body
+                   if name.endswith("/geometry.py") and isinstance(cls, ast.ClassDef)
+                   and cls.name == "MechanicalSystem"
+                   for node in ast.walk(cls)}
         tested = {id(node.left) for node in ast.walk(tree)
                   if isinstance(node, ast.Compare) and len(node.ops) == 1
                   and isinstance(node.ops[0], (ast.Is, ast.IsNot))
@@ -134,7 +139,7 @@ def model_callables_read(trees):
                   and node.comparators[0].value is None}
         found += sorted((name, node.lineno, node.attr) for node in ast.walk(tree)
                         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
-                        and node.attr in MODEL and id(node) not in tested)
+                        and node.attr in MODEL and id(node) not in tested | readers)
     return [f"{name}:{line}: reads the model callable '{attr}'" for name, line, attr in found]
 
 

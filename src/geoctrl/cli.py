@@ -288,7 +288,9 @@ def _parse_point_search(cfg, sys):
     _require(q.shape == (sys.n,), f"q must have length {sys.n}")
     depth = _number(spec, "depth", 2, cast=_whole)
     _require(depth >= 1, f"'depth' must be >= 1, got {depth}")
-    return {"q": q, "depth": depth, "tol": _number(spec, "tol", 1e-8)}
+    tol = _number(spec, "tol", 1e-8)
+    _require(0 < tol < 1, f"'tol' must be in (0, 1), got {tol}")
+    return {"q": q, "depth": depth, "tol": tol}
 
 
 def _exp_decoupling(s, sys, outdir):

@@ -123,6 +123,14 @@ def _at_points(fn, q):
     return np.array([np.asarray(fn(p), dtype=float) for p in q])
 
 
+def _derivative(fn, dfn, q):
+    """The analytic derivative dfn at q, a point or a stack (see _at_points), or without
+    one (dfn None) central differences of fn with step DEFAULT_FD_STEP."""
+    if dfn is None:
+        return _at_points(lambda p: central_jacobian(fn, p, DEFAULT_FD_STEP), q)
+    return _at_points(dfn, q)
+
+
 @dataclass(frozen=True)
 class MechanicalSystem:
     """Forced mechanical system (n, m, M, V, k, F_a) with derivative access.
@@ -148,8 +156,8 @@ class MechanicalSystem:
         dinput_covectors[a](q)[i, j] is dF_a^i/dq^j.  Any that are omitted
         fall back to central finite differences with step DEFAULT_FD_STEP.
 
-    The model callables are read only through the readers ``mass``,
-    ``dmass``, ``grad_potential``, ``damping_matrix`` and ``input_matrix``,
+    The model callables are read only through the readers ``mass``, ``dmass``,
+    ``grad_potential``, ``damping_matrix``, ``input_matrix`` and ``dinput_matrix``,
     which take a point (n,) or a stack (B, n) of points and return the B
     values stacked on a leading axis.  A model callable marked with
     :func:`takes_stacks` also accepts a stack, and a reader calls it once
@@ -211,8 +219,7 @@ class MechanicalSystem:
         """dM_ij/dq^k as an (n, n, n) array, analytic or finite-difference; zero for a constant M."""
         if self.constant_mass is not None:
             return np.zeros(np.shape(q) + (self.n, self.n))
-        fd = lambda p: central_jacobian(self.inertia, p, DEFAULT_FD_STEP)
-        return _at_points(fd if self.dinertia is None else self.dinertia, np.asarray(q, dtype=float))
+        return _derivative(self.inertia, self.dinertia, np.asarray(q, dtype=float))
 
     def potential_value(self, q):
         return 0.0 if self.potential is None else float(self.potential(np.asarray(q, dtype=float)))
@@ -222,9 +229,7 @@ class MechanicalSystem:
         q = np.asarray(q, dtype=float)
         if self.potential is None:
             return np.zeros(q.shape)
-        V = lambda x: np.array(self.potential(x))
-        fd = lambda p: central_jacobian(V, p, DEFAULT_FD_STEP)
-        return _at_points(fd if self.dpotential is None else self.dpotential, q)
+        return _derivative(lambda x: np.array(self.potential(x)), self.dpotential, q)
 
     def damping_matrix(self, q):
         """k(q); zero without damping."""
@@ -240,6 +245,13 @@ class MechanicalSystem:
         # (n, m) F-ordered for a point, (B, n, m) C-ordered for a stack: the products
         # with these arrays round by their layout
         return np.array(cols).T if q.ndim == 1 else np.stack(cols, axis=-1)
+
+    def dinput_matrix(self, q):
+        """dF[a, i, j] = dF_a^i/dq^j, analytic or finite-difference: (m, n, n) at a point."""
+        q = np.asarray(q, dtype=float)
+        derivatives = self.dinput_covectors or (None,) * self.m
+        cols = [_derivative(F, dF, q) for F, dF in zip(self.input_covectors, derivatives)]
+        return np.array(cols) if q.ndim == 1 else np.stack(cols, axis=1)
 
     def input_field(self, a):
         """The a-th input vector field Y_a as a :class:`VectorField` (0-based):
@@ -312,13 +324,7 @@ class PointData:
     @property
     def dF(self):
         if self._dF is None:
-            sys, q = self.sys, self.q
-            if sys.dinput_covectors is not None:
-                self._dF = np.array([np.asarray(d(q), dtype=float) for d in sys.dinput_covectors])
-            else:
-                self._dF = np.array(
-                    [central_jacobian(F, q, DEFAULT_FD_STEP) for F in sys.input_covectors]
-                )
+            self._dF = self.sys.dinput_matrix(self.q)
         return self._dF
 
     @property

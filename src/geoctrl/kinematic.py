@@ -39,7 +39,6 @@ from .simulation import (
     IntegratorConfig,
     Trajectory,
     check_grid,
-    _record_stage_one,
     _rk4,
     reconstruct_inputs,
 )
@@ -278,11 +277,13 @@ def larc_rank(
 
     Depth d adds brackets of the base fields with everything at depth
     d-1 (left-normed brackets, which span the full bracket algebra).
-    Rank counts singular values above tol * sigma_max; the verdict is
+    Rank counts singular values above tol * sigma_max, 0 < tol < 1; the verdict is
     rank == n (dimension of q by default).  An empty family has rank 0.
     """
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"tol must be in (0, 1), got {tol}")
     q = np.asarray(q, dtype=float)
     n = q.size if n is None else n
     base = list(fields)
@@ -481,13 +482,11 @@ def kinematic_plan(
         ts = np.arange(check_grid(0.0, T, cfg.dt) + 1) * cfg.dt
         arc = seg.scaling.s(ts)
 
-        vel = np.empty((_PATH_STEPS + 1, sys.n))  # dQ/ds at the arc nodes
-        rhs = _record_stage_one(lambda s, x: seg.sign * seg.candidate.field(x), vel)
+        rhs = lambda s, x: (seg.sign * seg.candidate.field(x),) * 2  # keeps dQ/ds at the arc nodes
         try:  # _rk4 stamps errors with the arc parameter s
-            path = _rk4(rhs, q, 0.0, 1.0 / _PATH_STEPS, _PATH_STEPS)
+            path, vel = _rk4(rhs, q, 0.0, 1.0 / _PATH_STEPS, _PATH_STEPS)
         except NonFiniteStateError as e:
             raise NonFiniteStateError(t_total + float(np.interp(e.t, arc, ts))) from None
-        vel[-1] = seg.sign * seg.candidate.field(path[-1])
 
         qs, v = _path_interpolant(q, vel, arc)
         qds = seg.scaling.sdot(ts)[:, None] * v

@@ -41,7 +41,7 @@ import numpy as np
 from .geometry import MechanicalSystem, _symmetric_product
 from .numutil import central_jacobian, cumulative_simpson_uniform, lagrange4_interp
 from .simulation import ControlLaw, IntegratorConfig, State, Trajectory, check_grid, simulate
-from .simulation import _record_stage_one, _rk4
+from .simulation import _rk4
 
 NODES_PER_UNIT = 201
 WORD_FD_STEP = 1e-6
@@ -146,12 +146,8 @@ def predict_from_rest(
     q0 = np.asarray(q0, dtype=float)
     engine = _Engine(sys, inputs, K, uniform_grid(T))
     steps = check_grid(0.0, T, cfg.dt)
-    qds = np.empty((steps + 1, sys.n))
-    rhs = _record_stage_one(lambda t, q: engine.velocity(q, t), qds)
-    qs = _rk4(rhs, q0, 0.0, cfg.dt, steps)
-    ts = cfg.dt * np.arange(steps + 1)
-    qds[steps] = engine.velocity(qs[steps], ts[steps])
-    us = np.array([[u(t) for u in inputs] for t in ts])
+    qs, qds = _rk4(lambda t, q: (engine.velocity(q, t),) * 2, q0, 0.0, cfg.dt, steps)
+    us = np.array([[u(t) for u in inputs] for t in cfg.dt * np.arange(steps + 1)])
     return Trajectory(t0=0.0, t1=T, dt=cfg.dt, qs=qs, qds=qds, us=us)
 
 

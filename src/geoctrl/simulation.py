@@ -9,10 +9,10 @@ Integration is deliberately fixed-step (no adaptivity): convergence
 studies sweep a parameter epsilon and need commensurate, reproducible
 time grids.  Controls are evaluated at the RK4 stage times, so
 continuous-time oscillatory inputs are sampled exactly where the stages
-need them; the recorded input at a sample is the one RK4 stage 1 used.
+need them; the input recorded at a sample is the one its RK4 stage 1 used
+(at the last sample, the one a final evaluation there used).
 """
 
-import itertools
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -52,7 +52,7 @@ class ControlLaw:
 
     ``reads_point`` declares a kernel-reading law: simulate hands it each RK4
     stage's point ``pt = sys.at(q)`` (q is ``pt.q``) in the q slot, the point
-    the acceleration reads too.  It still gets an array q at the last sample.
+    the acceleration reads too.
     """
 
     eval: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
@@ -210,61 +210,50 @@ def check_grid(t0, t1, dt):
 
 
 def _rk4(rhs, x0, t0, dt, steps):
-    """Fixed-step RK4; returns the (steps+1, len(x0)) solution array."""
+    """Fixed-step RK4 on x' = f(t, x), where rhs(t, x) returns (f, r) and r is a value
+    to keep per sample.  Returns the (steps+1, len(x0)) solution and the r of every
+    sample, copied: step k's stage 1, at (t0 + k dt, x_k), and one more call at the last
+    sample.  A non-finite f at any call, or a non-finite state, raises NonFiniteStateError.
+    """
 
     def stage(t, x):
-        k = np.asarray(rhs(t, x), dtype=float)
+        f, r = rhs(t, x)
+        f = np.asarray(f, dtype=float)
         # catch non-finite stage derivatives (e.g. a control law returning
         # nan) before they reach the inertia solver
-        if not np.isfinite(k).all():
+        if not np.isfinite(f).all():
             raise NonFiniteStateError(t)
-        return k
+        return f, r
 
     xs = np.empty((steps + 1, x0.size))
-    xs[0] = x0
-    x = x0.copy()
+    xs[0] = x = x0.copy()
+    k1, r = stage(t0, x)
+    rs = np.empty((steps + 1,) + np.shape(r))
+    rs[0] = r
     for i in range(steps):
         t = t0 + i * dt
-        k1 = stage(t, x)
-        k2 = stage(t + 0.5 * dt, x + 0.5 * dt * k1)
-        k3 = stage(t + 0.5 * dt, x + 0.5 * dt * k2)
-        k4 = stage(t + dt, x + dt * k3)
+        k2 = stage(t + 0.5 * dt, x + 0.5 * dt * k1)[0]
+        k3 = stage(t + 0.5 * dt, x + 0.5 * dt * k2)[0]
+        k4 = stage(t + dt, x + dt * k3)[0]
         x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.isfinite(x).all():
             raise NonFiniteStateError(t + dt)
         xs[i + 1] = x
-    return xs
+        k1, rs[i + 1] = stage(t0 + (i + 1) * dt, x)
+    return xs, rs
 
 
-def _record_stage_one(fn, out):
-    """fn, storing in out[k] what it returns at RK4 stage 1 of step k.
-
-    Call it once per _rk4 stage: _rk4 runs its four stages in order, and
-    stage 1 of step k is at (t0 + k dt, x_k), a sample of the solution.
-    """
-    calls = itertools.count()
-
-    def recorded(*args):
-        value = fn(*args)
-        k, stage = divmod(next(calls), 4)
-        if stage == 0:
-            out[k] = value
-        return value
-
-    return recorded
-
-
-def _integrate(sys, accel, x0, t0, dt, steps):
-    """(qs, qds) of fixed-step RK4 on qddot = accel(t, pt, qdot), where each stage
-    builds its one kernel point pt = sys.at(q)."""
+def _simulate(sys, accel, x0, t0, t1, dt, steps):
+    """The Trajectory of fixed-step RK4 on qddot = accel(t, pt, qdot), where each stage
+    builds its one kernel point pt = sys.at(q) and accel returns (qddot, the input to record)."""
     n = sys.n
 
     def rhs(t, x):
-        qd = x[n:]
-        return np.concatenate([qd, accel(t, sys.at(x[:n]), qd)])
+        acc, u = accel(t, sys.at(x[:n]), x[n:])
+        return np.concatenate([x[n:], acc]), u
 
-    xs = _rk4(rhs, x0.as_vector(), t0, dt, steps)
-    return xs[:, :n], xs[:, n:]
+    xs, us = _rk4(rhs, x0.as_vector(), t0, dt, steps)
+    return Trajectory(t0=t0, t1=t1, dt=dt, qs=xs[:, :n], qds=xs[:, n:], us=us)
 
 
 def simulate(
@@ -284,15 +273,12 @@ def simulate(
             f"(want dt <= {control.suggested_max_dt:g})",
             stacklevel=2,
         )
-    us = np.empty((steps + 1, sys.m))
-    law = _record_stage_one(control, us)
 
     def accel(t, pt, qd):
-        return _acceleration(pt, qd, pt.F @ law(t, pt if control.reads_point else pt.q, qd))
+        u = control(t, pt if control.reads_point else pt.q, qd)
+        return _acceleration(pt, qd, pt.F @ u), u
 
-    qs, qds = _integrate(sys, accel, x0, t0, cfg.dt, steps)
-    us[steps] = control(t0 + steps * cfg.dt, qs[steps], qds[steps])
-    return Trajectory(t0=t0, t1=t1, dt=cfg.dt, qs=qs, qds=qds, us=us)
+    return _simulate(sys, accel, x0, t0, t1, cfg.dt, steps)
 
 
 def simulate_forced(
@@ -311,13 +297,12 @@ def simulate_forced(
     stage's kernel point ``sys.at(q)``, q is ``pt.q``.
     """
     steps = check_grid(t0, t1, cfg.dt)
-    zero = np.zeros(sys.n)
+    zero, no_inputs = np.zeros(sys.n), np.empty(0)
 
     def accel(t, pt, qd):
-        return _acceleration(pt, qd, zero) + forcing(t, pt, qd)
+        return _acceleration(pt, qd, zero) + forcing(t, pt, qd), no_inputs
 
-    qs, qds = _integrate(sys, accel, x0, t0, cfg.dt, steps)
-    return Trajectory(t0=t0, t1=t1, dt=cfg.dt, qs=qs, qds=qds, us=np.zeros((steps + 1, 0)))
+    return _simulate(sys, accel, x0, t0, t1, cfg.dt, steps)
 
 
 # -- input reconstruction -----------------------------------------------------

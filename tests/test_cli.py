@@ -438,6 +438,10 @@ BAD_CONFIG = {
     "z-not-list": (OSC_TRACK, "z: [{type: const, value: 0.2}]", "z: 0.3", "z"),
     "larc-depth-0": (LARC, "0.9]}", "0.9], depth: 0}", "depth"),
     "decoupling-depth-0": (DECOUPLING, "0.9]}", "0.9], depth: 0}", "depth"),
+    # a tol outside (0, 1) gives a meaningless rank
+    "larc-tol-negative": (LARC, "0.9]}", "0.9], tol: -1}", "tol"),
+    "decoupling-tol-0": (DECOUPLING, "0.9]}", "0.9], tol: 0}", "tol"),
+    "larc-tol-2": (LARC, "0.9]}", "0.9], tol: 2}", "tol"),
     "track-dt-avg-negative": (OSC_TRACK, "t1: 0.3", "t1: 0.3\n  dt_avg: -0.01", "dt_avg"),
     "convergence-dt-avg-negative": (
         CONVERGENCE, "t1: 0.5", "t1: 0.5, dt_avg: -0.01", "dt_avg",

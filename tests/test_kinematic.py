@@ -405,6 +405,16 @@ def test_larc_heading_pair_fills_at_depth_two():
 def test_larc_depth_validation_and_report_dict():
     with pytest.raises(ValueError):
         larc_rank([VectorField.constant([1.0, 0.0])], np.zeros(2), max_depth=0)
+    # pvtol with one input: one field whose self-bracket is zero, so rank 1; a tol
+    # outside (0, 1) read rank 2 here (tol -1) and rank 0 when fully actuated (tol 2)
+    pvtol, q = make("pvtol"), np.zeros(3)
+    fields = [make("pvtol", actuators=(1,)).input_field(0)]
+    assert larc_rank(fields, q).rank == 1
+    for tol in (-1.0, 0.0, 1.0, 2.0):
+        with pytest.raises(ValueError, match="tol"):
+            larc_rank(fields, q, tol=tol)
+        with pytest.raises(ValueError, match="tol"):
+            kinematic_controllability(pvtol, q, tol=tol)
     report = larc_rank([VectorField.constant([1.0, 0.0])], np.zeros(2))
     d = dataclasses.asdict(report)
     assert set(d) == {"rank", "depth", "verdict", "residuals"}
@@ -599,6 +609,19 @@ def test_path_ode_nan_field_reports_a_time_inside_its_segment():
     # inside the second segment, at its arc midpoint s = 1/2 (t = 1 of its 2 s)
     assert 1.0 < ei.value.t < 3.0
     assert abs(ei.value.t - 2.0) < 0.01
+
+
+@pytest.mark.parametrize("validate", [True, False])
+def test_path_ode_nan_field_at_the_last_arc_node_is_a_typed_error(validate):
+    # the field at the last arc node is the driver's final call, checked like a stage
+    calls = []
+    seg = constant_segment([1.0, 0.0, 0.0], 1.5, calls, nan_after=4 * _PATH_STEPS)
+    with pytest.raises(NonFiniteStateError) as ei:
+        kinematic_plan(
+            make("planar-body"), [seg], np.zeros(3), IntegratorConfig(dt=1e-2), validate=validate
+        )
+    assert len(calls) == 4 * _PATH_STEPS + 1
+    assert ei.value.t == pytest.approx(1.5)  # the segment's end time
 
 
 def test_three_link_segment_solves_once_per_rk4_stage(monkeypatch):

@@ -353,14 +353,15 @@ def test_one_model_evaluation_per_rk4_stage():
     gains = AveragedGains.constant([0.3, -0.2, 0.1], {(0, 1): 0.5})
     x0 = State(q=np.zeros(3), qdot=np.zeros(3))
     dt, steps, eps = 1e-2, 20, [0.2, 0.1]
+    # the one constant per run: the driver's final call at the last sample,
+    # whose point the law and the acceleration share, builds one more point
     AveragedSystem(sys, gains).simulate(x0, 0.0, steps * dt, IntegratorConfig(dt=dt))
-    assert calls == {"inertia": 4 * steps, "dinertia": 4 * steps}
+    assert calls == {"inertia": 4 * steps + 1, "dinertia": 4 * steps + 1}
     calls.update(inertia=0, dinertia=0)
     convergence_study(sys, gains, x0, steps * dt, eps, dt_avg=dt)
     stages = 4 * steps * (1 + sum(member_config(dt, e, steps * dt)[0] for e in eps))
-    # the one constant: each member's control recorded at its last sample,
-    # outside the RK4 stages, builds one point of its own
-    assert calls == {"inertia": stages + len(eps), "dinertia": stages + len(eps)}
+    runs = 1 + len(eps)  # the averaged reference and each member
+    assert calls == {"inertia": stages + runs, "dinertia": stages + runs}
 
 
 def test_laws_and_forcings_take_a_point_or_an_array():

@@ -340,10 +340,11 @@ class GridRecursionOracle:
     def predict_qs(self, K, q0, dt, steps):
         def rhs(t, q):
             cache = {}
-            return sum(lagrange4_interp(self.grid, self.values(k, q, cache), t)
-                       for k in range(1, K + 1))
+            f = sum(lagrange4_interp(self.grid, self.values(k, q, cache), t)
+                    for k in range(1, K + 1))
+            return f, f
 
-        return _rk4(rhs, np.asarray(q0, float), 0.0, dt, steps)
+        return _rk4(rhs, np.asarray(q0, float), 0.0, dt, steps)[0]
 
 
 def sine_forcing(sys, amps):

@@ -52,9 +52,8 @@ def test_kernel_reading_law_gets_the_stage_point():
     assert not any(isinstance(q, PointData) for q in seen)
     seen.clear()
     traj = simulate(sys, ControlLaw(eval=ev, reads_point=True), x0, 0.0, 0.2, cfg)
-    # every RK4 stage hands over its point; the last sample's control gets q
-    assert all(isinstance(q, PointData) and q.sys is sys for q in seen[:-1])
-    assert len(seen) == 4 * 20 + 1 and isinstance(seen[-1], np.ndarray)
+    # every RK4 stage, and the final call at the last sample, hands over its point
+    assert len(seen) == 4 * 20 + 1 and all(isinstance(q, PointData) and q.sys is sys for q in seen)
     assert np.array_equal(traj.qs, plain.qs) and np.array_equal(traj.us, plain.us)
 
     def push(t, pt, qd):  # an acceleration-level forcing always gets the stage's point
@@ -63,7 +62,20 @@ def test_kernel_reading_law_gets_the_stage_point():
 
     seen.clear()
     simulate_forced(sys, push, x0, 0.0, 0.2, cfg)
-    assert len(seen) == 4 * 20 and all(isinstance(pt, PointData) and pt.sys is sys for pt in seen)
+    assert len(seen) == 4 * 20 + 1
+    assert all(isinstance(pt, PointData) and pt.sys is sys for pt in seen)
+
+
+def test_law_reusing_one_buffer_records_each_samples_input():
+    buf = np.empty(1)
+
+    def ev(t, q, qd):  # returns the same array at every call
+        buf[0] = t
+        return buf
+
+    cfg = IntegratorConfig(dt=1e-2)
+    traj = simulate(make("flat"), ControlLaw(eval=ev), rest(2), 0.0, 0.1, cfg)
+    assert np.array_equal(traj.us[:, 0], traj.times)
 
 
 def test_equilibrium_stays_put():
