@@ -20,7 +20,11 @@ Prints one line per finding and exits 1 if there is any.  The rules:
 - every public name in geoctrl.__all__ is read by a module under src/ (outside
   its own definition), documented in README.md or used by an acceptance
   criterion: otherwise only tests reach it, a second way to a result the
-  library already gives.
+  library already gives;
+- the same for the members of those names' classes: every public method,
+  property and dataclass field is read as an attribute by a module under src/
+  (outside its own definition) or appears as `.name` in README.md or
+  tests/test_acceptance.py.  Attributes are matched by name, not by class.
 """
 
 import ast
@@ -143,23 +147,58 @@ def model_callables_read(trees):
     return [f"{name}:{line}: reads the model callable '{attr}'" for name, line, attr in found]
 
 
-def unread_public_names(trees):
+def public_names():
     (public,) = [ast.literal_eval(node.value) for node in parse("src/geoctrl/__init__.py").body
                  if isinstance(node, ast.Assign) and node.targets[0].id == "__all__"]
+    return public
+
+
+def documented_text():
+    return "".join((ROOT / name).read_text(encoding="utf-8")
+                   for name in ("README.md", "tests/test_acceptance.py"))
+
+
+def unread_public_names(trees):
     statements = [node for name, tree in trees if not name.endswith("__init__.py")
                   for node in tree.body]
     read = {name for node in statements for name in uses(node) if name not in defines(node)}
-    text = "".join((ROOT / name).read_text(encoding="utf-8")
-                   for name in ("README.md", "tests/test_acceptance.py"))
+    text = documented_text()
     return [f"'{name}' is read by no module under src/, README.md or tests/test_acceptance.py"
-            for name in public if name not in read and not re.search(rf"\b{name}\b", text)]
+            for name in public_names() if name not in read and not re.search(rf"\b{name}\b", text)]
+
+
+def unread_members(trees):
+    public, text = public_names(), documented_text()
+    loads = [(id(node), node.attr) for _, tree in trees for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)]
+    found = []
+    for name, tree in trees:
+        for cls in tree.body:
+            if not (isinstance(cls, ast.ClassDef) and cls.name in public):
+                continue
+            for member in cls.body:  # methods, properties and dataclass fields
+                if isinstance(member, ast.FunctionDef):
+                    attr = member.name
+                elif isinstance(member, ast.AnnAssign) and isinstance(member.target, ast.Name):
+                    attr = member.target.id
+                else:
+                    continue
+                own = {id(node) for node in ast.walk(member)}
+                if attr.startswith("_") or re.search(rf"\.{attr}\b", text) or any(
+                        a == attr and i not in own for i, a in loads):
+                    continue
+                found.append(f"{name}:{member.lineno}: '{cls.name}.{attr}' is read by no module"
+                             f" under src/ and is no '.{attr}' in README.md or"
+                             " tests/test_acceptance.py")
+    return found
 
 
 def main():
     trees = modules()
     findings = long_lines()
     for rule in (unused_imports, cholesky_outside_geometry, factor_call_sites,
-                 unused_private_names, model_callables_read, unread_public_names):
+                 unused_private_names, model_callables_read, unread_public_names,
+                 unread_members):
         findings += rule(trees)
     print("\n".join(findings))
     return 1 if findings else 0

@@ -29,6 +29,7 @@ import dataclasses
 import functools
 import json
 import math
+import re
 import sys
 import time
 from pathlib import Path
@@ -38,7 +39,7 @@ import yaml
 
 from . import __version__
 from .errors import ConfigError, GeoctrlError
-from .kinematic import kinematic_controllability, larc_rank
+from .kinematic import MAX_DEPTH, kinematic_controllability, larc_rank
 from .models import ModelDescriptor, _whole, build, list_models
 from .oscillatory import AveragedGains, convergence_study, member_config, synthesis_audit
 from .series import MAX_ORDER, truncation_errors
@@ -194,12 +195,24 @@ def parse_state(spec, n):
     return State(q=q0, qdot=qd0)
 
 
+class _ConfigLoader(yaml.SafeLoader):
+    """yaml.SafeLoader that also reads an exponent literal without a dot, such as 1e-4, as
+    a float (YAML 1.2 does; PyYAML follows YAML 1.1, where it is a string)."""
+
+
+_ConfigLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"),
+    list("-+0123456789."),
+)
+
+
 def load_config(path):
     p = Path(path)
     _require(p.exists(), f"config file not found: {path}")
     try:
         with open(p) as fh:
-            cfg = yaml.safe_load(fh)
+            cfg = yaml.load(fh, Loader=_ConfigLoader)
     except yaml.YAMLError as e:
         raise ConfigError(f"could not parse {path}: {e}")
     _require(isinstance(cfg, dict), "config root must be a mapping")
@@ -276,8 +289,9 @@ def _exp_series_check(s, sys, outdir):
     (errs,) = truncation_errors(
         sys, make_inputs, [s["K"]], s["q0"], s["T"], eps, s["cfg_pred"], s["cfg_ref"]
     )
-    _write_rows(outdir / "series_convergence.csv", ["epsilon", "err"], zip(eps, errs))
-    slope = loglog_slope(eps, errs) if np.all(errs > 0) else None
+    _write_rows(outdir / "series_convergence.csv", ["epsilon", "err"], [eps, errs])
+    slope = loglog_slope(eps, errs)
+    slope = slope if math.isfinite(slope) else None  # NaN: no slope (a zero error)
     return ["series_convergence.csv"], {"order": s["K"], "slope": slope}
 
 
@@ -287,7 +301,7 @@ def _parse_point_search(cfg, sys):
     q = _number(spec, "q", required=True, cast=_floats)
     _require(q.shape == (sys.n,), f"q must have length {sys.n}")
     depth = _number(spec, "depth", 2, cast=_whole)
-    _require(depth >= 1, f"'depth' must be >= 1, got {depth}")
+    _require(1 <= depth <= MAX_DEPTH, f"'depth' must be in 1..{MAX_DEPTH}, got {depth}")
     tol = _number(spec, "tol", 1e-8)
     _require(0 < tol < 1, f"'tol' must be in (0, 1), got {tol}")
     return {"q": q, "depth": depth, "tol": tol}

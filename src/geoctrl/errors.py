@@ -41,10 +41,9 @@ class NonFiniteStateError(GeoctrlError):
 class RankDeficientInputsError(GeoctrlError):
     """The input vector fields do not have full column rank at a point."""
 
-    def __init__(self, q=None):
-        self.q = None if q is None else np.asarray(q)
-        where = "" if self.q is None else f" at q={self.q.tolist()}"
-        super().__init__(f"input vector fields are rank deficient{where}")
+    def __init__(self, q):
+        self.q = np.asarray(q)
+        super().__init__(f"input vector fields are rank deficient at q={self.q.tolist()}")
 
 
 class BranchVanishedError(GeoctrlError):

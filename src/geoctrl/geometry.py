@@ -221,9 +221,6 @@ class MechanicalSystem:
             return np.zeros(np.shape(q) + (self.n, self.n))
         return _derivative(self.inertia, self.dinertia, np.asarray(q, dtype=float))
 
-    def potential_value(self, q):
-        return 0.0 if self.potential is None else float(self.potential(np.asarray(q, dtype=float)))
-
     def grad_potential(self, q):
         """dV/dq, analytic or finite-difference; zero without a potential."""
         q = np.asarray(q, dtype=float)
@@ -265,13 +262,6 @@ class MechanicalSystem:
         if isinstance(q, PointData):
             return q if q.sys is self else PointData(self, q.q)
         return PointData(self, q)
-
-    def kinetic_energy(self, q, qdot):
-        qdot = np.asarray(qdot, dtype=float)
-        return 0.5 * float(qdot @ self.mass(q) @ qdot)
-
-    def total_energy(self, q, qdot):
-        return self.kinetic_energy(q, qdot) + self.potential_value(q)
 
 
 class PointData:

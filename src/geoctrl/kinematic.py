@@ -48,14 +48,17 @@ ZERO_TOL = 1e-10  # a form or coefficient this small (relative) is zero
 ROOT_TOL = 1e-10  # a root leaves every form below this (relative)
 N_STARTS = 100  # random starts of the m > 2 root search, from a fixed seed
 ANGLE_TOL = 1e-6  # directions closer than this angle are one
+# the deepest bracket larc_rank forms: each level costs about 13x the one before,
+# and a depth-d bracket of a decoupling field nests d - 1 central differences
+MAX_DEPTH = 4
 
 
-def _span_projector(Y, q=None):
+def _span_projector(Y, q):
     """QR-based orthogonal-complement data for span{Y_a(q)}.
 
     Returns (Q, C): Q spans the input distribution, C its complement.
     Raises RankDeficientInputsError(q) if the input fields are rank
-    deficient at the point.  The complete Q comes from LAPACK dgeqrf +
+    deficient at the point q.  The complete Q comes from LAPACK dgeqrf +
     dorgqr, the routines behind np.linalg.qr(mode="complete"), without
     numpy's per-call overhead.
     """
@@ -278,10 +281,11 @@ def larc_rank(
     Depth d adds brackets of the base fields with everything at depth
     d-1 (left-normed brackets, which span the full bracket algebra).
     Rank counts singular values above tol * sigma_max, 0 < tol < 1; the verdict is
-    rank == n (dimension of q by default).  An empty family has rank 0.
+    rank == n (dimension of q by default).  An empty family has rank 0.  The depth is
+    at most MAX_DEPTH.
     """
-    if max_depth < 1:
-        raise ValueError("max_depth must be >= 1")
+    if not 1 <= max_depth <= MAX_DEPTH:
+        raise ValueError(f"max_depth must be in 1..{MAX_DEPTH}, got {max_depth}")
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must be in (0, 1), got {tol}")
     q = np.asarray(q, dtype=float)
@@ -475,7 +479,7 @@ def kinematic_plan(
     if not segments:
         raise ValueError("segments must hold at least one PlanSegment")
     q = np.asarray(q0, dtype=float)
-    all_qs, all_qds, all_us = [], [], []
+    parts = []  # (qs, qds, us) of each segment
     t_total = 0.0
     for si, seg in enumerate(segments):
         T = seg.scaling.T
@@ -504,16 +508,11 @@ def kinematic_plan(
                 )
             us[1:-1] = rec.inputs
             us[0], us[-1] = us[1], us[-2]
-        if si == 0:
-            all_qs.append(qs)
-            all_qds.append(qds)
-            all_us.append(us)
-        else:  # junction sample already emitted by the previous segment
-            all_qs.append(qs[1:])
-            all_qds.append(qds[1:])
-            all_us.append(us[1:])
+        first = 1 if si else 0  # a junction sample is the previous segment's last
+        parts.append((qs[first:], qds[first:], us[first:]))
         q = qs[-1]
         t_total += T
+    all_qs, all_qds, all_us = zip(*parts)
     return Trajectory(
         t0=0.0,
         t1=t_total,

@@ -7,7 +7,7 @@ import numpy as np
 # never integrates
 
 
-def central_jacobian(f, x, h=1e-5):
+def central_jacobian(f, x, h):
     """Jacobian of ``f`` at ``x`` by second-order central differences.
 
     Returns an array of shape ``f(x).shape + x.shape`` with entries
@@ -85,16 +85,10 @@ def lagrange4_interp(tgrid, values, t):
 
 
 def loglog_slope(x, y):
-    """Least-squares slope of log(y) against log(x); needs at least 2 distinct x."""
+    """Least-squares slope of log(y) against log(x), or NaN where there is none: fewer
+    than 2 distinct x, or an x or y that is not positive."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if np.unique(x).size < 2:
-        raise ValueError(f"log-log slope needs at least 2 distinct x, got {x.tolist()}")
-    if np.any(x <= 0) or np.any(y <= 0):
-        raise ValueError("log-log slope needs positive data")
+    if np.unique(x).size < 2 or not (np.all(x > 0) and np.all(y > 0)):
+        return float("nan")
     return float(np.polyfit(np.log(x), np.log(y), 1)[0])
-
-
-def format_sig17(x):
-    """Decimal text with 17 significant digits (round-trips doubles)."""
-    return f"{float(x):.17g}"

@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import ConfigError, NonFiniteStateError
 from .geometry import MechanicalSystem
-from .numutil import format_sig17
 
 
 @dataclass(frozen=True)
@@ -38,9 +37,6 @@ class State:
             raise ValueError("q and qdot must have matching shapes")
         if not (np.isfinite(self.q).all() and np.isfinite(self.qdot).all()):
             raise ValueError("state entries must be finite")
-
-    def as_vector(self):
-        return np.concatenate([self.q, self.qdot])
 
 
 @dataclass(frozen=True)
@@ -63,16 +59,6 @@ class ControlLaw:
         return np.atleast_1d(np.asarray(self.eval(t, q, qdot), dtype=float))
 
     @staticmethod
-    def zero(m):
-        u = np.zeros(m)
-        return ControlLaw(eval=lambda t, q, qd, _u=u: _u.copy())
-
-    @staticmethod
-    def constant(u):
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        return ControlLaw(eval=lambda t, q, qd, _u=u: _u.copy())
-
-    @staticmethod
     def of_time(f):
         """Wrap a pure time signal t -> u(t)."""
         return ControlLaw(eval=lambda t, q, qd: f(t))
@@ -89,12 +75,11 @@ class IntegratorConfig:
             raise ValueError("dt must be positive")
 
 
-def _write_rows(path, header, rows):
-    """A CSV file: the header names, then one line per row of numbers (format_sig17)."""
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(format_sig17(v) for v in row) + "\n")
+def _write_rows(path, header, columns):
+    """A CSV file: the header names, then the columns side by side, each number in 17
+    significant digits (round-trips doubles)."""
+    np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",",
+               header=",".join(header), comments="")
 
 
 @dataclass(frozen=True)
@@ -123,22 +108,18 @@ class Trajectory:
         return self.t0 + self.dt * np.arange(self.qs.shape[0])
 
     @property
-    def n(self):
-        return self.qs.shape[1]
-
-    @property
     def n_samples(self):
         return self.qs.shape[0]
 
     def write_csv(self, path):
-        n, m = self.n, self.us.shape[1]
+        n, m = self.qs.shape[1], self.us.shape[1]
         header = (
             ["t"]
             + [f"q{i+1}" for i in range(n)]
             + [f"qd{i+1}" for i in range(n)]
             + [f"u{i+1}" for i in range(m)]
         )
-        _write_rows(path, header, np.column_stack([self.times, self.qs, self.qds, self.us]))
+        _write_rows(path, header, [self.times, self.qs, self.qds, self.us])
 
 
 def read_trajectory_csv(path) -> Trajectory:
@@ -252,7 +233,7 @@ def _simulate(sys, accel, x0, t0, t1, dt, steps):
         acc, u = accel(t, sys.at(x[:n]), x[n:])
         return np.concatenate([x[n:], acc]), u
 
-    xs, us = _rk4(rhs, x0.as_vector(), t0, dt, steps)
+    xs, us = _rk4(rhs, np.concatenate([x0.q, x0.qdot]), t0, dt, steps)
     return Trajectory(t0=t0, t1=t1, dt=dt, qs=xs[:, :n], qds=xs[:, n:], us=us)
 
 

@@ -438,6 +438,9 @@ BAD_CONFIG = {
     "z-not-list": (OSC_TRACK, "z: [{type: const, value: 0.2}]", "z: 0.3", "z"),
     "larc-depth-0": (LARC, "0.9]}", "0.9], depth: 0}", "depth"),
     "decoupling-depth-0": (DECOUPLING, "0.9]}", "0.9], depth: 0}", "depth"),
+    # each bracket level costs about 13x the one before: an unbounded depth never finishes
+    "larc-depth-5": (LARC, "0.9]}", "0.9], depth: 5}", "depth"),
+    "decoupling-depth-huge": (DECOUPLING, "0.9]}", "0.9], depth: 1000000000}", "depth"),
     # a tol outside (0, 1) gives a meaningless rank
     "larc-tol-negative": (LARC, "0.9]}", "0.9], tol: -1}", "tol"),
     "decoupling-tol-0": (DECOUPLING, "0.9]}", "0.9], tol: 0}", "tol"),
@@ -511,6 +514,8 @@ BAD_CONFIG = {
     "decoupling-seed-bool": (DECOUPLING, "0.9]}", "0.9], seed: true}", "seed"),
     # a number given as a string or a bool is not read as one
     "dt-string": (FLAT_SIM, "{dt: 0.001}", '{dt: "0.001"}', "dt"),
+    "dt-exponent-string": (FLAT_SIM, "{dt: 0.001}", '{dt: "1e-3"}', "dt"),
+    "dt-exponent-overflow": (FLAT_SIM, "{dt: 0.001}", "{dt: 1e400}", "dt"),
     "t1-string": (FLAT_SIM, "t1: 1.0", 't1: "1.0"', "t1"),
     "q0-strings": (FLAT_SIM, "q0: [0.0, 0.0]", 'q0: ["0.0", "0.0"]', "q0"),
     "control-value-bool": (
@@ -538,6 +543,18 @@ def test_bad_config_shape_or_range_is_config_error(tmp_path, capsys, monkeypatch
     assert error["error"]["kind"] == "config"
     assert key in error["error"]["message"]
     assert not list(tmp_path.rglob("run_manifest.json"))
+
+
+def test_exponent_literal_without_a_dot_is_a_number(tmp_path, capsys):
+    # PyYAML's YAML 1.1 rules read 1e-3 as the string '1e-3'; the config loader reads a float
+    runs = {}
+    for dt in ("0.001", "1e-3"):
+        out = tmp_path / dt
+        cfg = write(tmp_path, FLAT_SIM.replace("{dt: 0.001}", f"{{dt: {dt}}}"), f"{dt}.yaml")
+        assert main(["run", cfg, "--out", str(out)]) == 0
+        runs[dt] = (out / "trajectory.csv").read_bytes()
+    capsys.readouterr()
+    assert runs["1e-3"] == runs["0.001"]
 
 
 def test_whole_number_floats_load_as_ints(tmp_path):

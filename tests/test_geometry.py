@@ -261,6 +261,43 @@ def test_damping_lift_class():
     assert_allclose(out[3:], sys.damping_matrix(x[:3]) @ x[3:])
 
 
+def test_damping_lift_jacobian_matches_differences():
+    W = damping_lift(make("blimp"))
+    x = np.array([0.1, -0.2, 0.3, 1.0, 2.0, 3.0])
+    assert_allclose(W.jacobian_at(x), central_jacobian(W.eval, x, 1e-6), rtol=0, atol=1e-9)
+
+
+def _covector(q):
+    return np.array([1.0, 0.0])
+
+
+def _unit_mass(q):
+    return np.eye(2)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: MechanicalSystem(0, 1, _unit_mass, [_covector]), ValueError, "n must be a positive"),
+        (lambda: MechanicalSystem(2, 0, _unit_mass, []), ValueError, "need 1 <= m <= n"),
+        (lambda: MechanicalSystem(2, 3, _unit_mass, [_covector] * 3), ValueError, "need 1 <= m <= n"),
+        (lambda: MechanicalSystem(2, 1, _unit_mass, [_covector] * 2), ValueError,
+         "input_covectors must have length m"),
+        (lambda: MechanicalSystem(2, 1, _unit_mass, [_covector], dinput_covectors=[]), ValueError,
+         "dinput_covectors must have length m"),
+        (lambda: MechanicalSystem(2, 1, lambda q: np.eye(3), [_covector]).mass(np.zeros(2)),
+         ValueError, r"inertia returned shape \(3, 3\), expected \(2, 2\)"),
+        (lambda: make("flat").input_field(1), IndexError, "input index 1 out of range for m=1"),
+        (lambda: make("flat").input_field(-1), IndexError, "out of range"),
+        (lambda: homogeneity_error(VectorField(np.negative), np.zeros(2), np.ones(2), 2.0),
+         ValueError, "no homogeneity class"),
+    ],
+)
+def test_geometry_refuses_bad_input(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 def test_homogeneity_classes_add_under_bracket():
     sys = make("three-link", gravity=0.0)
     Z = geodesic_spray(sys)
@@ -304,14 +341,6 @@ def test_lift_identity_point():
     got = lifted_lie_bracket(lift(Yb), lifted_lie_bracket(Z, lift(Ya)))(x)
     want = np.concatenate([np.zeros(3), symmetric_product(sys, Ya, Yb, q)])
     assert np.linalg.norm(got - want) < 1e-8
-
-
-def test_energy_accessors():
-    sys = make("pvtol")  # gravity 9.81, potential m g y
-    q = np.array([0.0, 2.0, 0.0])
-    qd = np.array([1.0, 0.0, 0.0])
-    assert_allclose(sys.kinetic_energy(q, qd), 0.5)
-    assert_allclose(sys.total_energy(q, qd), 0.5 + 9.81 * 2.0)
 
 
 # -- the per-point kernel sys.at(q) -------------------------------------------

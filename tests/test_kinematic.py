@@ -33,7 +33,7 @@ from geoctrl.errors import (
     RankDeficientInputsError,
     ResidualViolationError,
 )
-from geoctrl.kinematic import _PATH_STEPS, _span_projector
+from geoctrl.kinematic import _PATH_STEPS, MAX_DEPTH, _span_projector
 
 
 # -- time scalings -------------------------------------------------------------
@@ -136,7 +136,7 @@ def test_span_projector_matches_numpy_complete_qr(n, m):
     rng = np.random.default_rng(17)
     for _ in range(50):
         Y = rng.standard_normal((n, m))
-        Q, C = _span_projector(Y)
+        Q, C = _span_projector(Y, np.zeros(n))
         Qref = np.linalg.qr(Y, mode="complete")[0]
         Cref = Qref[:, m:]
         assert Q.shape == (n, m) and C.shape == (n, n - m)
@@ -154,8 +154,8 @@ def test_span_projector_matches_numpy_complete_qr(n, m):
     ],
 )
 def test_span_projector_rank_deficient_raises(Y):
-    with pytest.raises(RankDeficientInputsError):
-        _span_projector(Y)
+    with pytest.raises(RankDeficientInputsError, match=r"deficient at q=\[0\.0, 1\.0, 2\.0\]"):
+        _span_projector(Y, np.arange(3.0))
 
 
 def test_fully_actuated_all_directions():
@@ -415,6 +415,13 @@ def test_larc_depth_validation_and_report_dict():
             larc_rank(fields, q, tol=tol)
         with pytest.raises(ValueError, match="tol"):
             kinematic_controllability(pvtol, q, tol=tol)
+    # each bracket level costs about 13x the one before, so the depth is bounded
+    assert larc_rank(fields, q, max_depth=MAX_DEPTH).rank == 1
+    for depth in (MAX_DEPTH + 1, 10**9):
+        with pytest.raises(ValueError, match=f"max_depth must be in 1..{MAX_DEPTH}"):
+            larc_rank(fields, q, max_depth=depth)
+        with pytest.raises(ValueError, match="max_depth"):
+            kinematic_controllability(pvtol, q, max_depth=depth)
     report = larc_rank([VectorField.constant([1.0, 0.0])], np.zeros(2))
     d = dataclasses.asdict(report)
     assert set(d) == {"rank", "depth", "verdict", "residuals"}

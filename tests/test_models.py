@@ -225,7 +225,7 @@ def test_three_link_potential_is_weighted_com_height():
     for i in range(3):
         heights.append(p + 0.5 * l[i] * np.sin(th[i]))
         p += l[i] * np.sin(th[i])
-    assert_allclose(sys.potential_value(q), 9.81 * sum(heights), atol=1e-12)
+    assert_allclose(sys.potential(q), 9.81 * sum(heights), atol=1e-12)
 
 
 def test_three_link_actuator_subset():

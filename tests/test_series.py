@@ -19,7 +19,12 @@ from geoctrl import (
 )
 from geoctrl import series
 from geoctrl.geometry import PointData, christoffel
-from geoctrl.numutil import central_jacobian, cumulative_simpson_uniform, lagrange4_interp
+from geoctrl.numutil import (
+    central_jacobian,
+    cumulative_simpson_uniform,
+    lagrange4_interp,
+    simpson_uniform,
+)
 from geoctrl.series import uniform_grid
 from geoctrl.simulation import _rk4
 
@@ -290,6 +295,21 @@ def test_interpolation_needs_four_nodes():
     with pytest.raises(ValueError, match="at least 4"):
         lagrange4_interp(np.linspace(0.0, 1.0, 3), np.zeros(3), 0.5)
     assert lagrange4_interp(np.linspace(0.0, 1.0, 4), np.arange(4.0), 0.5) == pytest.approx(1.5)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: simpson_uniform(np.ones(4), 0.1), "odd sample count, got 4"),
+        (lambda: simpson_uniform(np.ones((3, 2)), 0.1, axis=1), "odd sample count, got 2"),
+        (lambda: simpson_uniform([1.0], 0.1), "odd sample count, got 1"),
+        (lambda: lagrange4_interp(np.linspace(0.0, 1.0, 5), np.zeros(5), 1.01), r"t=1\.01 outside"),
+        (lambda: lagrange4_interp(np.linspace(0.0, 1.0, 5), np.zeros(5), -0.5), "outside grid"),
+    ],
+)
+def test_numutil_refuses_bad_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 class GridRecursionOracle:

@@ -23,7 +23,7 @@ from geoctrl import geometry
 from geoctrl.errors import ConfigError, NonFiniteStateError, SingularInertiaError
 from geoctrl.geometry import PointData, constant_inertia
 from geoctrl.numutil import loglog_slope
-from geoctrl.simulation import _acceleration
+from geoctrl.simulation import _acceleration, _rk4
 
 
 def rest(n):
@@ -80,7 +80,8 @@ def test_law_reusing_one_buffer_records_each_samples_input():
 
 def test_equilibrium_stays_put():
     sys = make("flat", actuators=(1, 2))
-    traj = simulate(sys, ControlLaw.zero(2), rest(2), 0.0, 1.0, IntegratorConfig(dt=1e-2))
+    law = ControlLaw.of_time(lambda t: np.zeros(2))
+    traj = simulate(sys, law, rest(2), 0.0, 1.0, IntegratorConfig(dt=1e-2))
     assert np.max(np.abs(traj.qs)) == 0.0
     assert np.max(np.abs(traj.qds)) == 0.0
 
@@ -89,7 +90,8 @@ def test_flat_constant_force_quadratic():
     # q(t) = u t^2 / 2 exactly; RK4 is exact on polynomials of degree <= 4
     sys = make("flat", actuators=(1, 2))
     u = np.array([0.4, -0.9])
-    traj = simulate(sys, ControlLaw.constant(u), rest(2), 0.0, 2.0, IntegratorConfig(dt=1e-2))
+    law = ControlLaw.of_time(lambda t: u)
+    traj = simulate(sys, law, rest(2), 0.0, 2.0, IntegratorConfig(dt=1e-2))
     want = 0.5 * np.outer(traj.times**2, u)
     assert np.max(np.abs(traj.qs - want)) < 1e-12
 
@@ -106,7 +108,7 @@ def test_flat_sinusoid_closed_form():
 
 def test_rk4_fourth_order_self_convergence():
     sys = make("three-link", gravity=0.0)
-    law = ControlLaw.constant([0.5, -0.3])
+    law = ControlLaw.of_time(lambda t: np.array([0.5, -0.3]))
     x0 = State(q=np.array([0.2, -0.4, 0.9]), qdot=np.zeros(3))
     ref = simulate(sys, law, x0, 0.0, 1.0, IntegratorConfig(dt=6.25e-4)).qs[-1]
     dts = np.array([2e-2, 1e-2, 5e-3])
@@ -124,8 +126,9 @@ def test_three_link_energy_conservation():
     # unforced swing near the hanging configuration, 5 s at dt = 1e-3
     sys = make("three-link", gravity=9.81)
     x0 = State(q=np.array([-np.pi / 2 + 0.1, 0.05, -0.03]), qdot=np.zeros(3))
-    traj = simulate(sys, ControlLaw.zero(2), x0, 0.0, 5.0, IntegratorConfig(dt=1e-3))
-    E = np.array([sys.total_energy(traj.qs[i], traj.qds[i]) for i in range(traj.n_samples)])
+    law = ControlLaw.of_time(lambda t: np.zeros(2))
+    traj = simulate(sys, law, x0, 0.0, 5.0, IntegratorConfig(dt=1e-3))
+    E = np.array([0.5 * qd @ sys.mass(q) @ qd + sys.potential(q) for q, qd in zip(traj.qs, traj.qds)])
     assert np.max(np.abs(E - E[0])) < 1e-8
 
 
@@ -143,15 +146,17 @@ def test_simulation_is_deterministic(tmp_path):
 
 def test_dt_must_divide_horizon():
     sys = make("flat")
+    law = ControlLaw.of_time(lambda t: np.zeros(1))
     with pytest.raises(ValueError, match="divide"):
-        simulate(sys, ControlLaw.zero(1), rest(2), 0.0, 1.0, IntegratorConfig(dt=3e-4))
+        simulate(sys, law, rest(2), 0.0, 1.0, IntegratorConfig(dt=3e-4))
 
 
 @pytest.mark.parametrize("t1", [-1.0, np.nan, np.inf])
 def test_horizon_must_be_finite_and_not_reversed(t1):
     sys = make("flat")
+    law = ControlLaw.of_time(lambda t: np.zeros(1))
     with pytest.raises(ConfigError, match="t1"):
-        simulate(sys, ControlLaw.zero(1), rest(2), 0.0, t1, IntegratorConfig(dt=1e-2))
+        simulate(sys, law, rest(2), 0.0, t1, IntegratorConfig(dt=1e-2))
 
 
 def test_nonfinite_state_detected():
@@ -181,8 +186,8 @@ def test_rhs_matches_euler_lagrange_oracle():
             dq = np.zeros(3)
             dq[k] = h
             Mdot += (sys.mass(q + dq) - sys.mass(q - dq)) / (2 * h) * qd[k]
-            Lp = 0.5 * qd @ sys.mass(q + dq) @ qd - sys.potential_value(q + dq)
-            Lm = 0.5 * qd @ sys.mass(q - dq) @ qd - sys.potential_value(q - dq)
+            Lp = 0.5 * qd @ sys.mass(q + dq) @ qd - sys.potential(q + dq)
+            Lm = 0.5 * qd @ sys.mass(q - dq) @ qd - sys.potential(q - dq)
             dLdq[k] = (Lp - Lm) / (2 * h)
         residual = sys.mass(q) @ acc + Mdot @ qd - dLdq - u
         assert np.linalg.norm(residual) < 1e-6 * max(1.0, np.linalg.norm(u))
@@ -364,7 +369,7 @@ def test_reconstruction_names_the_first_asymmetric_sample():
 
 def test_csv_roundtrip(tmp_path):
     sys = make("pvtol")
-    law = ControlLaw.constant([9.81, 0.0])
+    law = ControlLaw.of_time(lambda t: np.array([9.81, 0.0]))
     x0 = State(q=np.array([0.0, 1.0, 0.0]), qdot=np.zeros(3))
     traj = simulate(sys, law, x0, 0.0, 0.1, IntegratorConfig(dt=1e-2))
     path = tmp_path / "traj.csv"
@@ -392,9 +397,10 @@ def test_csv_with_only_a_header_is_rejected(tmp_path):
 
 def test_loglog_slope_needs_two_distinct_x():
     assert loglog_slope([0.1, 0.05, 0.1], [2.0, 1.0, 2.0]) == pytest.approx(1.0, rel=1e-12)
-    for x in ([0.1], [0.1, 0.1]):
-        with pytest.raises(ValueError, match="at least 2 distinct x"):
-            loglog_slope(x, [1.0] * len(x))
+    # no slope is NaN: one distinct x, or a value that is not positive
+    for x, y in (([0.1], [1.0]), ([0.1, 0.1], [1.0, 2.0]), ([0.1, 0.05], [1.0, 0.0]),
+                 ([0.1, -0.05], [1.0, 2.0])):
+        assert np.isnan(loglog_slope(x, y))
 
 
 def test_csv_roundtrip_of_times_off_zero(tmp_path):
@@ -418,10 +424,46 @@ def test_trajectory_needs_a_positive_step(tmp_path):
 
 def test_csv_header_layout(tmp_path):
     sys = make("three-link")
-    traj = simulate(sys, ControlLaw.zero(2), rest(3), 0.0, 0.01, IntegratorConfig(dt=1e-2))
+    law = ControlLaw.of_time(lambda t: np.zeros(2))
+    traj = simulate(sys, law, rest(3), 0.0, 0.01, IntegratorConfig(dt=1e-2))
     traj.write_csv(tmp_path / "traj.csv")
     text = (tmp_path / "traj.csv").read_text()
     assert text.splitlines()[0] == "t,q1,q2,q3,qd1,qd2,qd3,u1,u2"
+
+
+def test_csv_numbers_have_17_significant_digits(tmp_path):
+    v = np.array([0.0, -0.0, 5e-324, np.nan, np.inf, -np.inf, 1e300, 0.1, -1.0 / 3.0])
+    traj = Trajectory(t0=0.0, t1=8.0, dt=1.0, qs=v[:, None], qds=v[:, None], us=v[:, None])
+    traj.write_csv(tmp_path / "traj.csv")
+    rows = (tmp_path / "traj.csv").read_text().splitlines()[1:]
+    assert rows == [",".join(f"{float(x):.17g}" for x in (t, y, y, y)) for t, y in zip(traj.times, v)]
+
+
+def _trajectory(N, t1=1.0, qds_rows=None, us_rows=None):
+    qs = np.zeros((N, 2))
+    return Trajectory(t0=0.0, t1=t1, dt=0.5, qs=qs, qds=np.zeros((qds_rows or N, 2)),
+                      us=np.zeros((us_rows or N, 1)))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: IntegratorConfig(dt=0.0), ValueError, "dt must be positive"),
+        (lambda: IntegratorConfig(dt=-1e-3), ValueError, "dt must be positive"),
+        (lambda: _trajectory(3, qds_rows=2), ValueError, "misaligned"),
+        (lambda: _trajectory(3, us_rows=4), ValueError, "misaligned"),
+        (lambda: _trajectory(4), ValueError, r"sample count 4 != round\(\(t1-t0\)/dt\)\+1 = 3"),
+        (lambda: reconstruct_inputs(make("flat"), _trajectory(2, t1=0.5)), ValueError,
+         "at least 3 samples"),
+        # finite stages whose step overflows: the state check, not a stage check, fires
+        (lambda: _rk4(lambda t, x: (np.full(1, 1e308), ()), np.zeros(1), 0.0, 10.0, 2),
+         NonFiniteStateError, r"t=10\.0"),
+    ],
+)
+def test_simulation_refuses_bad_input(call, error, message):
+    # the overflowing RK4 step also warns; only the error is checked here
+    with np.errstate(over="ignore"), pytest.raises(error, match=message):
+        call()
 
 
 def test_coarse_dt_warns_for_oscillatory_control():
