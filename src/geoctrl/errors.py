@@ -54,6 +54,15 @@ class BranchVanishedError(GeoctrlError):
         super().__init__(f"decoupling branch vanished at q={self.q.tolist()}")
 
 
+class DecouplingSetError(GeoctrlError):
+    """The decoupling directions at q hold a line or a curve, not a finite set, or
+    m > 3 inputs meet a live quadratic form, which no exact solve covers."""
+
+    def __init__(self, q, reason):
+        self.q = np.asarray(q)
+        super().__init__(f"decoupling directions at q={self.q.tolist()}: {reason}")
+
+
 class SpanAssumptionError(GeoctrlError):
     """A diagonal symmetric product leaves the span of the input fields.
 

@@ -12,7 +12,7 @@ obstruction at a point is the system of quadratic equations
     l = 1 .. n-m,
 
 with {c_l} an orthonormal basis of the orthogonal complement of the input
-span.  Solutions are projective directions in R^m.
+span.  Solutions are projective directions in R^m, found exactly for m <= 3.
 """
 
 import math
@@ -21,10 +21,12 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 from numpy.polynomial import polynomial as P
+from scipy.linalg import eigvals
 from scipy.linalg.lapack import dgeqrf, dorgqr
 
 from .errors import (
     BranchVanishedError,
+    DecouplingSetError,
     NonFiniteStateError,
     RankDeficientInputsError,
     ResidualViolationError,
@@ -46,7 +48,6 @@ from .simulation import (
 RANK_TOL = 1e-8
 ZERO_TOL = 1e-10  # a form or coefficient this small (relative) is zero
 ROOT_TOL = 1e-10  # a root leaves every form below this (relative)
-N_STARTS = 100  # random starts of the m > 2 root search, from a fixed seed
 ANGLE_TOL = 1e-6  # directions closer than this angle are one
 # the deepest bracket larc_rank forms: each level costs about 13x the one before,
 # and a depth-d bracket of a decoupling field nests d - 1 central differences
@@ -99,6 +100,7 @@ class DecouplingSolutions:
 
     ``all_directions`` flags the degenerate case of identically zero
     quadratic forms (e.g. fully actuated systems): every direction works.
+    Otherwise ``directions`` is every root: a finite set, never samples of a curve.
     ``fields`` is the (n, m) matrix of input vector fields Y at the point,
     so a direction h gives the field value ``fields @ h``.
     """
@@ -126,16 +128,17 @@ def find_decoupling_fields(sys: MechanicalSystem, q) -> DecouplingSolutions:
     """All projective h with B_l(h, h) = 0 at the point q.
 
     m = 2 uses the closed-form quadratic in the ratio h_2/h_1; m = 1 has
-    no root while a form is live; larger m runs damped least-squares root
-    finding from N_STARTS seeded unit starts, deduplicated at ANGLE_TOL.
-    An empty list is a valid outcome (no real solutions).
+    no root while a form is live; m = 3 solves m = 2 on the real lines of a
+    degenerate conic of the forms' pencil (the conic intersection of
+    Richter-Gebert, Perspectives on Projective Geometry, 2011, ch. 11).  An
+    empty list is a valid outcome (no real solutions).  DecouplingSetError
+    where the roots hold a line or a curve, and for m > 3 with a live form.
     """
-    m = sys.m
     B, Y = quadratic_forms(sys, q)
-    if m == 2:
+    if sys.m == 2:
         directions = _two_input_directions(B.tolist())
     else:
-        directions = _root_search(B, m)
+        directions = _conic_directions(B, q)
     if directions is None:  # identically zero forms: every direction decouples
         return DecouplingSolutions(directions=[], all_directions=True, fields=Y)
     return DecouplingSolutions(directions=directions, all_directions=False, fields=Y)
@@ -182,32 +185,49 @@ def _two_input_directions(forms):
     return [np.array(h) for h in unique]
 
 
-def _root_search(B, m):
-    """The m != 2 directions: none for m = 1, else seeded least-squares starts,
-    deduplicated, sorted; None if B ~ 0."""
+def _conic_directions(B, q):
+    """The m != 2 directions of the forms B, shape (k, m, m); None if B ~ 0.  For m = 3, D
+    is a singular member of the pencil of two independent live forms, or the one form."""
     scale = float(np.max(np.abs(B))) if B.size else 0.0
     if scale <= ZERO_TOL:
         return None
-    if m == 1:  # the one direction, h = 1, leaves the largest form at scale
+    if B.shape[1] == 1:  # the one direction, h = 1, leaves the largest form at scale
         return []
-    from scipy.optimize import least_squares  # only here: it adds ~19 MB to a process
-
-    live = [Bl for Bl in B if np.max(np.abs(Bl)) > ZERO_TOL * scale]
-    rng = np.random.default_rng(0)
-
-    def resid(h):
-        hn = h / np.linalg.norm(h)
-        return np.array([hn @ Bl @ hn for Bl in live]) / scale
-
+    if B.shape[1] > 3:
+        raise DecouplingSetError(q, f"no exact solve for m = {B.shape[1]} with a live form")
+    # scaled, so that ZERO_TOL and ROOT_TOL act relative to the largest entry
+    live = B[np.max(np.abs(B), axis=(1, 2)) > ZERO_TOL * scale] / scale
+    D = live[0]
+    indep = [E for E in live[1:] if np.max(np.abs(E - np.sum(E * D) / np.sum(D * D) * D)) > ZERO_TOL]
+    if indep:  # the largest real root (alpha, beta) of det(beta D - alpha E) = 0, or
+        # in a singular pencil, where every member is singular, any nonzero one
+        alpha, beta = eigvals(D, indep[0], homogeneous_eigvals=True)
+        size = np.hypot(alpha.real, beta.real)
+        k = max(range(3), key=lambda i: (alpha[i].imag == 0.0 and size[i] > 0.0, size[i]))
+        D = (beta[k].real * D - alpha[k].real * indep[0]) / size[k]
+    w, v = np.linalg.eigh(D)
+    i0, ib, ia = np.argsort(np.abs(w))
+    if not indep and abs(w[i0]) > ZERO_TOL * abs(w[ia]) and w[0] * w[-1] < 0.0:  # one, nonsingular
+        raise DecouplingSetError(q, "the roots of the quadratic forms hold a curve")
+    if w[ia] * w[ib] > 0.0 and abs(w[ib]) > ZERO_TOL * abs(w[ia]):
+        cands = [v[:, i0]]  # D's one real point, if D is singular (checked below)
+    else:  # D's two real lines (one line twice at rank 1), by their normals
+        a, b = v[:, ia], math.sqrt(abs(w[ib] / w[ia])) * v[:, ib]  # scaled by 1 / sqrt|w[ia]|
+        cands = []
+        for normal in (a + b, a - b):
+            _, P = _span_projector(normal[:, None], q)  # an orthonormal basis of the line
+            on_line = P.T @ live @ P
+            F = on_line[np.argmax(np.abs(on_line).sum((1, 2)))]  # every common root is its root
+            roots = _two_input_directions([F.tolist()])
+            if roots is None:
+                raise DecouplingSetError(q, "the roots of the quadratic forms hold a line")
+            if len(roots) < 2:  # a double root (tangent forms) whose discriminant rounded below 0
+                wF, vF = np.linalg.eigh(F)
+                roots.append(vF[:, np.argmin(np.abs(wF))])
+            cands.extend(P @ h for h in roots)
     unique: List[np.ndarray] = []
-    for _ in range(N_STARTS):
-        h0 = rng.standard_normal(m)
-        h0 /= np.linalg.norm(h0)
-        res = least_squares(resid, h0, xtol=1e-14, ftol=1e-14, gtol=1e-14)
-        h = _canonical(res.x)
-        if all(abs(h @ Bl @ h) <= ROOT_TOL * scale for Bl in live) and not any(
-            abs(h @ u) > 1.0 - 0.5 * ANGLE_TOL**2 for u in unique
-        ):
+    for h in [h for h in map(_canonical, cands) if all(abs(h @ Bl @ h) <= ROOT_TOL for Bl in live)]:
+        if not any(abs(h @ u) > 1.0 - 0.5 * ANGLE_TOL**2 for u in unique):
             unique.append(h)
     unique.sort(key=lambda h: tuple(np.round(h, 9)))
     return unique

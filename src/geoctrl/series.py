@@ -38,6 +38,7 @@ from typing import Callable, List, Sequence
 
 import numpy as np
 
+from .errors import ConfigError
 from .geometry import MechanicalSystem, _symmetric_product
 from .numutil import central_jacobian, cumulative_simpson_uniform, lagrange4_interp
 from .simulation import ControlLaw, IntegratorConfig, State, Trajectory, check_grid, simulate
@@ -167,9 +168,10 @@ def truncation_errors(
     cfg_predict.dt, and then one reference simulates them from rest at q0
     over [0, T] at cfg_reference.dt, which must divide cfg_predict.dt.
     """
-    stride = int(round(cfg_predict.dt / cfg_reference.dt))
-    if abs(cfg_predict.dt - stride * cfg_reference.dt) > 1e-12:
-        raise ValueError("reference dt must divide the prediction dt")
+    try:  # the reference steps in one prediction step, a whole number as for a grid
+        stride = check_grid(0.0, cfg_predict.dt, cfg_reference.dt)
+    except ConfigError:
+        raise ValueError("reference dt must divide the prediction dt") from None
     rest = State(q=np.asarray(q0, dtype=float), qdot=np.zeros(sys.n))
     errs = np.empty((len(orders), len(epsilons)))
     for j, eps in enumerate(epsilons):

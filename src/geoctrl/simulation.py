@@ -190,11 +190,12 @@ def check_grid(t0, t1, dt):
     return int(round(steps))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _rk4(rhs, x0, t0, dt, steps):
     """Fixed-step RK4 on x' = f(t, x), where rhs(t, x) returns (f, r) and r is a value
     to keep per sample.  Returns the (steps+1, len(x0)) solution and the r of every
     sample, copied: step k's stage 1, at (t0 + k dt, x_k), and one more call at the last
-    sample.  A non-finite f at any call, or a non-finite state, raises NonFiniteStateError.
+    sample.  A non-finite f at any call or state raises NonFiniteStateError, with no warning.
     """
 
     def stage(t, x):

@@ -1,6 +1,10 @@
 """End-to-end CLI behavior: configs, artifacts, exit codes, JSON errors."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from textwrap import dedent
 
 import numpy as np
@@ -8,6 +12,8 @@ import pytest
 
 from geoctrl import cli
 from geoctrl.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 FLAT_SIM = dedent(
     """\
@@ -187,6 +193,31 @@ def test_numerical_failure_is_json_exit_3(tmp_path, capsys):
     assert error["error"]["kind"] == "numerical"
     assert error["error"]["type"] == "SpanAssumptionError"
     assert "Traceback" not in err
+
+
+def test_diverging_run_prints_only_the_json_error(tmp_path):
+    # the state overflows in the first RK4 step: numpy's overflow warnings used to
+    # print (with their source lines) before the one JSON error line
+    cfg = dedent(
+        """\
+        experiment: simulate
+        model: {name: flat}
+        integrator: {dt: 1.0}
+        simulate:
+          t1: 4.0
+          q0: [0.0, 0.0]
+          controls: [{type: const, value: 1.0e+308}]
+        """
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-m", "geoctrl", "run", write(tmp_path, cfg), "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120,
+    )
+    assert run.returncode == 3
+    lines = run.stderr.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["kind"] == "numerical"
 
 
 def test_decoupling_run_reports_fields(tmp_path, capsys):

@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.polynomial import polynomial as P
 from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
@@ -28,6 +30,7 @@ from geoctrl import (
 from geoctrl import kinematic
 from geoctrl.errors import (
     BranchVanishedError,
+    DecouplingSetError,
     GeoctrlError,
     NonFiniteStateError,
     RankDeficientInputsError,
@@ -250,7 +253,7 @@ def synthetic_system(*forms):
 
 def test_general_m_root_finding_designed_roots():
     # build two quadratic forms vanishing on two known directions, then
-    # check the multi-start search recovers both
+    # check the exact m = 3 solve recovers both
     rng = np.random.default_rng(40)
     h_star = np.array([1.0, 1.0, 1.0]) / np.sqrt(3)
     h_dagger = np.array([1.0, -1.0, 0.0]) / np.sqrt(2)
@@ -280,6 +283,144 @@ def test_general_m_root_finding_designed_roots():
     for h in sol.directions:
         V = VectorField(eval=lambda qq, _h=h: sys.at(qq).Y @ _h)
         assert decoupling_residual(sys, V, np.zeros(5)) < 1e-8
+
+
+def product_form(a, b):
+    """The form 2 h_a h_b."""
+    E = np.zeros((3, 3))
+    E[a, b] = E[b, a] = 1.0
+    return E
+
+
+XY, XZ, YZ = product_form(0, 1), product_form(0, 2), product_form(1, 2)
+# rotating the forms to R^T B R moves their roots h to R^T h
+ROTATION = np.linalg.qr(np.random.default_rng(23).standard_normal((3, 3)))[0]
+
+
+def rotated_system(forms):
+    return synthetic_system(*(ROTATION.T @ np.asarray(B, dtype=float) @ ROTATION for B in forms))
+
+
+@pytest.mark.parametrize(
+    "forms, roots",
+    [
+        ([np.diag([1.0, 2.0, 3.0])], []),  # one definite form: no real point
+        ([np.diag([1.0, 2.0, 0.0])], [[0, 0, 1]]),  # rank-2 semidefinite: its null direction
+        ([np.diag([1.0, 2.0, 3.0]), np.diag([2.0, 4.0, 6.0])], []),  # a dependent pair
+        # a generic pencil (E nonsingular, three distinct mu): four roots
+        ([np.diag([1.0, 0.0, -1.0]), np.diag([1.0, 1.0, -2.0])],
+         [[1, 1, 1], [1, -1, 1], [-1, 1, 1], [1, 1, -1]]),
+        # the same roots from a second form 1e7 times smaller, and nearly the first
+        ([np.diag([1.0, 0.0, -1.0]), 1e-7 * np.diag([1.0, 1e-3, -1.001])],
+         [[1, 1, 1], [1, -1, 1], [-1, 1, 1], [1, 1, -1]]),
+        # a third form keeps the two of those four roots that it annihilates
+        ([np.diag([1.0, 0.0, -1.0]), np.diag([1.0, 1.0, -2.0]), XZ - YZ],
+         [[1, 1, 1], [1, 1, -1]]),
+        ([np.diag([1.0, 1.0, -1.0]), XY], [[0, 1, 1], [0, 1, -1], [1, 0, 1], [1, 0, -1]]),  # singular E
+        ([np.diag([1.0, -1.0, 0.0]), XY], [[0, 0, 1]]),  # det(B1 - mu E) = 0 for every mu
+        # mu = 1 twice, with the rank-1 member diag(0, -1, 0): two tangent roots
+        ([np.diag([1.0, 1.0, -1.0]), np.diag([1.0, 2.0, -1.0])], [[1, 0, 1], [1, 0, -1]]),
+        # a rank-1 E: the member D = E is the line h1 = 0 twice
+        ([np.diag([0.0, 1.0, -1.0]), np.diag([1.0, 0.0, 0.0])], [[0, 1, 1], [0, 1, -1]]),
+    ],
+)
+def test_three_input_roots_are_exact(forms, roots):
+    sol = find_decoupling_fields(rotated_system(forms), np.zeros(3 + len(forms)))
+    assert not sol.all_directions and len(sol.directions) == len(roots)
+    for root in roots:
+        h = ROTATION.T @ root / np.linalg.norm(root)
+        assert max(abs(d @ h) for d in sol.directions) > 1.0 - 1e-12
+
+
+def forms_through(roots):
+    """The two orthonormal symmetric forms that vanish on four given directions."""
+    rows = [[h[0] ** 2, h[1] ** 2, h[2] ** 2, 2 * h[0] * h[1], 2 * h[0] * h[2], 2 * h[1] * h[2]]
+            for h in roots]
+    return [np.array([[x[0], x[3], x[4]], [x[3], x[1], x[5]], [x[4], x[5], x[2]]])
+            for x in np.linalg.svd(rows)[2][4:]]
+
+
+def test_three_input_roots_survive_an_ill_conditioned_pencil():
+    # the second form moved to within 10^-7.5 to 10^-9.5 of a singular member of the
+    # pencil keeps all four designed roots (a singular member from E^-1 B1 instead of
+    # the generalized eigenvalues lost roots in 10 of these 200 pairs)
+    rng = np.random.default_rng(2302)
+    for _ in range(200):
+        roots = rng.standard_normal((4, 3))
+        B1, E = forms_through(roots / np.linalg.norm(roots, axis=1)[:, None])
+        mu = np.linalg.eigvals(np.linalg.solve(B1, E))
+        E = E - mu[np.argmin(abs(mu.imag))].real * (1.0 - 10.0 ** -rng.uniform(7.5, 9.5)) * B1
+        assert len(kinematic._conic_directions(np.array([B1, E]), np.zeros(3))) == 4
+
+
+@pytest.mark.parametrize(
+    "forms, shape",
+    [
+        ([np.diag([1.0, 1.0, -1.0])], "curve"),  # one indefinite nonsingular form
+        ([np.diag([1.0, 1.0, -1.0]), np.diag([2.0, 2.0, -2.0])], "curve"),  # a dependent pair
+        ([np.diag([1.0, 0.0, 0.0])], "line"),  # rank 1: the plane h1 = 0, twice
+        ([np.diag([1.0, -2.0, 0.0])], "line"),  # rank 2 indefinite: two planes
+        ([XY, XZ], "line"),  # the plane h1 = 0 and the point e1
+    ],
+)
+def test_three_input_continuum_is_refused(forms, shape):
+    with pytest.raises(DecouplingSetError, match=f"hold a {shape}"):
+        find_decoupling_fields(rotated_system(forms), np.zeros(3 + len(forms)))
+
+
+def test_four_inputs_are_refused_unless_every_form_vanishes():
+    with pytest.raises(DecouplingSetError, match="no exact solve for m = 4"):
+        find_decoupling_fields(synthetic_system(np.diag([1.0, 2.0, -1.0, 0.5])), np.zeros(5))
+    assert find_decoupling_fields(synthetic_system(np.zeros((4, 4))), np.zeros(5)).all_directions
+
+
+def test_three_input_controllability_uses_the_exact_directions(monkeypatch):
+    def no_generator(*args, **kwargs):
+        raise AssertionError("the decoupling solve drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    sys = rotated_system([np.diag([1.0, 0.0, -1.0]), np.diag([1.0, 1.0, -2.0])])
+    q = np.zeros(5)
+    sol = find_decoupling_fields(sys, q)
+    report, cands = kinematic_controllability(sys, q)
+    assert len(sol.directions) == len(cands) == 4
+    for h, cand in zip(sol.directions, cands):
+        assert np.array_equal(cand.field(q), sol.fields @ h)
+    assert (report.rank, report.depth) == (3, 1) and max(report.residuals) < 1e-12
+
+
+def symmetric_forms():
+    entry = st.floats(-1.0, 1.0)
+    form = st.lists(entry, min_size=6, max_size=6).map(
+        lambda e: np.array([[e[0], e[1], e[2]], [e[1], e[3], e[4]], [e[2], e[4], e[5]]])
+    )
+    return st.lists(form, min_size=1, max_size=3).map(np.array)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(symmetric_forms())
+# a pencil whose one real singular member comes at scale 3e-77
+@example(np.array([np.diag([0.0, 1.0, -1.0]), np.diag([3.2e-77, 0.0, 0.0]) + YZ]))
+def test_three_input_directions_are_roots_or_refused(B):
+    # at most four (Bezout), unit, sign-canonical, roots of every live form and
+    # pairwise distinct; or the typed refusal
+    try:
+        got = kinematic._conic_directions(B, np.zeros(3))
+    except DecouplingSetError:
+        return
+    scale = np.max(np.abs(B))
+    if got is None:
+        assert scale <= kinematic.ZERO_TOL
+        return
+    assert len(got) <= 4
+    for i, h in enumerate(got):
+        assert abs(np.linalg.norm(h) - 1.0) < 1e-12 and h[np.argmax(np.abs(h))] > 0.0
+        for F in B:
+            assert np.max(np.abs(F)) <= kinematic.ZERO_TOL * scale or (
+                abs(h @ F @ h) <= kinematic.ROOT_TOL * scale
+            )
+        for u in got[:i]:
+            assert abs(h @ u) <= 1.0 - 0.5 * kinematic.ANGLE_TOL**2
 
 
 def former_two_input_solve(B):

@@ -54,18 +54,27 @@ def test_cli_example_config_validates(tmp_path, capsys):
 
 def test_cli_and_quick_start_plan_load_no_scipy_solvers(python_blocks):
     """A fresh process that imports the CLI, then plans and validates the
-    quick start and tests decoupling where no root search is needed (one
-    input, or every input), never loads scipy's interpolation, optimization
-    or integration packages (about 22 MB of memory in all)."""
+    quick start, tests decoupling with one input and with every input, and
+    solves an m = 3 decoupling system, never loads scipy's interpolation,
+    optimization or integration packages (about 22 MB of memory in all)."""
     script = """
 import json, sys
+import numpy as np
 heavy = ("scipy.interpolate", "scipy.optimize", "scipy.integrate")
 import geoctrl.cli
 after_import = [m for m in heavy if m in sys.modules]
 exec(compile(sys.stdin.read(), "README.md", "exec"), {})
-from geoctrl import kinematic_controllability, make
+from geoctrl import MechanicalSystem, find_decoupling_fields, kinematic_controllability, make
 for name, actuators in (("planar-body", (4,)), ("three-link", (1, 2, 3))):
     kinematic_controllability(make(name, actuators), [0.3, -0.2, 0.5])
+# m = 3, n = 5: Y_a = e_a + (B1[a] . q[:3] / 2) e_4 + (B2[a] . q[:3] / 2) e_5 gives the
+# forms B1 = diag(1, 0, -1) and B2 = diag(1, 1, -2) at q = 0, with four common roots
+forms = (np.diag([1.0, 0.0, -1.0]), np.diag([1.0, 1.0, -2.0]))
+covectors = [lambda q, a=a: np.concatenate([np.eye(3)[a], [0.5 * B[a] @ q[:3] for B in forms]])
+             for a in range(3)]
+system = MechanicalSystem(n=5, m=3, inertia=lambda q: np.eye(5), input_covectors=covectors,
+                          dinertia=lambda q: np.zeros((5, 5, 5)))
+assert len(find_decoupling_fields(system, np.zeros(5)).directions) == 4
 print(json.dumps([after_import, [m for m in heavy if m in sys.modules]]))
 """
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))

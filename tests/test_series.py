@@ -177,11 +177,12 @@ def test_truncation_errors_simulate_one_reference_per_amplitude(monkeypatch):
 
 def test_truncation_errors_need_a_reference_step_dividing_the_prediction_step(monkeypatch):
     monkeypatch.setattr(series, "predict_from_rest", None)  # nothing may run before the check
-    for dt_ref in (3e-3, 1e-2):
+    # 1e-14 / 3e-15 is 3.33 steps; an absolute 1e-12 test of it passed
+    for T, dt, dt_ref in ((1.0, 5e-3, 3e-3), (1.0, 5e-3, 1e-2), (3e-13, 1e-14, 3e-15)):
         with pytest.raises(ValueError, match="reference dt must divide the prediction dt"):
             truncation_errors(
-                offset_body(), sine_inputs, [1], np.zeros(3), 1.0, [0.1],
-                IntegratorConfig(dt=5e-3), IntegratorConfig(dt=dt_ref),
+                offset_body(), sine_inputs, [1], np.zeros(3), T, [0.1],
+                IntegratorConfig(dt=dt), IntegratorConfig(dt=dt_ref),
             )
 
 

@@ -461,8 +461,7 @@ def _trajectory(N, t1=1.0, qds_rows=None, us_rows=None):
     ],
 )
 def test_simulation_refuses_bad_input(call, error, message):
-    # the overflowing RK4 step also warns; only the error is checked here
-    with np.errstate(over="ignore"), pytest.raises(error, match=message):
+    with pytest.raises(error, match=message):
         call()
 
 
