@@ -9,8 +9,10 @@ Prints one line per finding and exits 1 if there is any.  The rules:
 - no unused import outside __init__.py (whose imports are the re-exports);
 - the Cholesky routines are imported only by geometry.py: M(q) is factored
   and solved only in the point kernel, geometry.PointData;
-- dpotrf and dpocon are each called at exactly one site in geometry.py, the
-  one factor helper that both a point and a constant M go through;
+- dpotrf, dpocon and dpotrs are each called at exactly one site in
+  geometry.py: dpotrf and dpocon in the one factor helper that a point, a
+  stack's member and a constant M go through, dpotrs in PointData.solve, so a
+  stacked solve cannot grow a second path beside it;
 - every module-level private name (def, class or assignment) is read somewhere
   else under src/: otherwise it is dead code, or a helper only tests use;
 - the model callables are read only by MechanicalSystem's methods in
@@ -37,7 +39,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 MAX_LINE = 105
 LAPACK = {"dpotrf", "dpotrs", "dpocon"}
-FACTOR = ("dpotrf", "dpocon")
+ONE_SITE = ("dpotrf", "dpocon", "dpotrs")
 MODEL = {"inertia", "dinertia", "input_covectors", "dinput_covectors", "potential", "dpotential",
          "damping"}
 
@@ -105,12 +107,12 @@ def cholesky_outside_geometry(trees):
             if alias.name.split(".")[-1] in LAPACK]
 
 
-def factor_call_sites(trees):
+def lapack_call_sites(trees):
     (tree,) = [tree for name, tree in trees if name.endswith("/geometry.py")]
     lines = {fn: [node.lineno for node in ast.walk(tree)
                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                   and node.func.id == fn]
-             for fn in FACTOR}
+             for fn in ONE_SITE}
     found = [f"src/geoctrl/geometry.py:{line}: calls {fn} at a second site (first: line {sites[0]})"
              for fn, sites in lines.items() for line in sites[1:]]
     return found + [f"src/geoctrl/geometry.py: no call of {fn}" for fn, sites in lines.items()
@@ -196,7 +198,7 @@ def unread_members(trees):
 def main():
     trees = modules()
     findings = long_lines()
-    for rule in (unused_imports, cholesky_outside_geometry, factor_call_sites,
+    for rule in (unused_imports, cholesky_outside_geometry, lapack_call_sites,
                  unused_private_names, model_callables_read, unread_public_names,
                  unread_members):
         findings += rule(trees)

@@ -31,11 +31,14 @@ class SingularInertiaError(GeoctrlError):
 
 
 class NonFiniteStateError(GeoctrlError):
-    """Integration produced a non-finite state."""
+    """Integration produced a non-finite state; on a stack of problems, ``member`` is the
+    index of the first non-finite one (else None)."""
 
-    def __init__(self, t):
+    def __init__(self, t, member=None):
         self.t = t
-        super().__init__(f"state became non-finite at t={t!r}")
+        self.member = member
+        where = "" if member is None else f" in member {member}"
+        super().__init__(f"state became non-finite at t={t!r}{where}")
 
 
 class RankDeficientInputsError(GeoctrlError):

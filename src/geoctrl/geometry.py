@@ -22,7 +22,11 @@ Conventions
 ``sys.at(q)`` is the one per-point kernel: a :class:`PointData` factors M(q)
 once (refusing a condition number above COND_LIMIT; a :func:`constant_inertia`
 is factored once per system) and computes dM, dF, Y, dY, Gamma and the
-symmetric products on first read.  Every consumer reads them there.  The
+symmetric products on first read.  Every consumer reads them there.  On a
+stack Q (B, n) of points, ``sys.at(Q)`` is the same class with a leading B
+axis on every array; each member equals ``sys.at(Q[i])`` bit for bit, a
+constant M solves all members in one block, and any other M factors each
+member.  The
 products come from the covector identity
 
     M <Y_a : Y_b> = dF_a . Y_b + dF_b . Y_a - dM(Y_a, Y_b),
@@ -238,17 +242,17 @@ class MechanicalSystem:
     def input_matrix(self, q):
         """Co-vector fields F_a(q) stacked as columns of an (n, m) matrix."""
         q = np.asarray(q, dtype=float)
-        cols = [_at_points(F, q) for F in self.input_covectors]
+        cols = np.array([_at_points(F, q) for F in self.input_covectors])
         # (n, m) F-ordered for a point, (B, n, m) C-ordered for a stack: the products
         # with these arrays round by their layout
-        return np.array(cols).T if q.ndim == 1 else np.stack(cols, axis=-1)
+        return cols.T if q.ndim == 1 else np.ascontiguousarray(cols.transpose(1, 2, 0))
 
     def dinput_matrix(self, q):
         """dF[a, i, j] = dF_a^i/dq^j, analytic or finite-difference: (m, n, n) at a point."""
         q = np.asarray(q, dtype=float)
         derivatives = self.dinput_covectors or (None,) * self.m
-        cols = [_derivative(F, dF, q) for F, dF in zip(self.input_covectors, derivatives)]
-        return np.array(cols) if q.ndim == 1 else np.stack(cols, axis=1)
+        cols = np.array([_derivative(F, dF, q) for F, dF in zip(self.input_covectors, derivatives)])
+        return cols if q.ndim == 1 else np.ascontiguousarray(cols.swapaxes(0, 1))
 
     def input_field(self, a):
         """The a-th input vector field Y_a as a :class:`VectorField` (0-based):
@@ -264,20 +268,27 @@ class MechanicalSystem:
         return PointData(self, q)
 
 
-class PointData:
-    """Everything the connection needs at one configuration q (``sys.at(q)``).
+def _solve_factored(L, b):
+    """M^-1 b from the lower Cholesky factor L of M (LAPACK dpotrs): the one solve call,
+    which only PointData.solve makes."""
+    return dpotrs(L, b, lower=1)[0]
 
-    Construction factors M(q) (LAPACK dpotrf; a constant M's factor is the system's); a
-    failed factorization (M not positive definite) or dpocon's 1-norm
-    estimate rcond with rcond * COND_LIMIT < 1 raises SingularInertiaError.
-    Computed on first read, so ``F``, ``Y`` and ``solve`` never evaluate
-    dM: ``dM`` (n, n, n), dM[i, j, k] = dM_ij/dq^k; ``F`` (n, m), the input
-    co-vector fields F_a as columns (the applied force of inputs u is F @ u);
-    ``dF`` (m, n, n), with dF[a, i, j] = dF_a^i/dq^j; ``Y`` (n, m) = M^-1 F;
-    ``JY`` (m, n, n), with JY[a, i, r] = dY_a^i/dq^r; ``Gamma`` (n, n, n),
-    the Christoffel symbols; ``products`` (m, m, n), products[a, b] =
-    <Y_a : Y_b>, from the covector identity M <Y_a : Y_b> = dF_a Y_b +
-    dF_b Y_a - dM(Y_a, Y_b) (one solve; JY and Gamma stay unread).
+
+class PointData:
+    """Everything the connection needs at a configuration q (``sys.at(q)``): a point (n,), or
+    a stack (B, n) of points, on which every array below gains a leading B axis.
+
+    Construction factors M(q) (LAPACK dpotrf; a constant M's factor is the system's, a stack
+    on a q-dependent M has one factor per member); a failed factorization (M not positive
+    definite) or dpocon's 1-norm estimate rcond with rcond * COND_LIMIT < 1 raises
+    SingularInertiaError, naming the refused member's q.  Computed on first read, so ``F``,
+    ``Y`` and ``solve`` never evaluate dM: ``dM`` (n, n, n), dM[i, j, k] = dM_ij/dq^k; ``F``
+    (n, m), the input co-vector fields F_a as columns (the applied force of inputs u is
+    F @ u); ``dF`` (m, n, n), with dF[a, i, j] = dF_a^i/dq^j; ``Y`` (n, m) = M^-1 F; ``JY``
+    (m, n, n), with JY[a, i, r] = dY_a^i/dq^r; ``Gamma`` (n, n, n), the Christoffel
+    symbols; ``products`` (m, m, n), products[a, b] = <Y_a : Y_b>, from the covector
+    identity M <Y_a : Y_b> = dF_a Y_b + dF_b Y_a - dM(Y_a, Y_b) (one solve; JY and Gamma
+    stay unread).  A member of a stack equals the point at its q bit for bit.
     """
 
     __slots__ = ("sys", "q", "factor", "_dM", "_F", "_dF", "_Y", "_JY", "_Gamma", "_products")
@@ -285,19 +296,36 @@ class PointData:
     def __init__(self, sys: MechanicalSystem, q):
         self.sys = sys
         self.q = q = np.asarray(q, dtype=float)
-        self.factor, rcond = sys._factor or _cholesky(sys.mass(q))
-        if not rcond * COND_LIMIT >= 1.0:  # also rejects a NaN estimate
-            raise SingularInertiaError(q, np.inf if rcond == 0.0 else 1.0 / rcond)
+        if sys._factor is not None or q.ndim == 1:  # one factor: the constant M's, or q's
+            self.factor, rcond = sys._factor or _cholesky(sys.mass(q))
+            rconds = (rcond,)
+        else:  # a tuple of factors, one per member
+            self.factor, rconds = zip(*map(_cholesky, sys.mass(q)))
+        for i, rcond in enumerate(rconds):
+            if not rcond * COND_LIMIT >= 1.0:  # also rejects a NaN estimate
+                cond = np.inf if rcond == 0.0 else 1.0 / rcond
+                raise SingularInertiaError(q if q.ndim == 1 else q[i], cond)
         self._dM = self._F = self._dF = self._Y = self._JY = self._Gamma = self._products = None
 
     def solve(self, b):
-        """M(q)^-1 b for a vector or an (n, k) block b.
+        """M(q)^-1 b for a vector or an (n, k) block b; on a stack, for b (B, n) or (B, n, k),
+        member by member.  On one factor the B members are the columns of one (n, B k) block.
 
         dpotrs does no finiteness check, so non-finite entries in b
         propagate to the result and the integrator can report them as a
         state blow-up rather than a linear-algebra error.
         """
-        return dpotrs(self.factor, b, lower=1)[0]
+        if self.q.ndim == 1:
+            return _solve_factored(self.factor, b)
+        cols = b.swapaxes(0, 1)  # (n, B) or (n, B, k)
+        if isinstance(self.factor, tuple):  # a factor per member
+            x = np.empty(cols.shape, order="F")
+            for i, (L, rhs) in enumerate(zip(self.factor, b)):
+                x[:, i] = _solve_factored(L, rhs)
+        else:  # the members side by side, as the columns of one (n, B k) block
+            x = _solve_factored(self.factor, cols.reshape(len(cols), -1, order="F"))
+            x = x.reshape(cols.shape, order="F")
+        return x.swapaxes(0, 1)  # each member F-ordered, laid out as a point's solve is
 
     @property
     def dM(self):
@@ -326,10 +354,11 @@ class PointData:
     @property
     def JY(self):
         if self._JY is None:
-            n, m = self.sys.n, self.sys.m
+            lead, n, m = self.q.shape[:-1], self.sys.n, self.sys.m
             # chain rule dY_a = M^-1 (dF_a - dM . Y_a), the m blocks solved side by side
-            rhs = self.dF.transpose(1, 0, 2) - np.einsum("irj,ra->iaj", self.dM, self.Y)
-            self._JY = self.solve(rhs.reshape(n, -1)).reshape(n, m, n).transpose(1, 0, 2)
+            rhs = self.dF.swapaxes(-3, -2) - np.einsum("...irj,...ra->...iaj", self.dM, self.Y)
+            JY = self.solve(rhs.reshape(lead + (n, -1))).reshape(lead + (n, m, n))
+            self._JY = JY.swapaxes(-3, -2)
         return self._JY
 
     @property
@@ -337,10 +366,10 @@ class PointData:
         if self._Gamma is None:
             # A[m,j,k] = dM_mj/dq^k + dM_mk/dq^j - dM_jk/dq^m; symmetrizing over
             # (j, k) cancels finite-difference asymmetry noise
-            n, D = self.sys.n, self.dM
-            A = D + D.transpose(0, 2, 1) - D.transpose(2, 0, 1)
-            G = 0.5 * self.solve(A.reshape(n, n * n)).reshape(n, n, n)
-            self._Gamma = 0.5 * (G + G.transpose(0, 2, 1))
+            lead, n, D = self.q.shape[:-1], self.sys.n, self.dM
+            A = D + D.swapaxes(-1, -2) - D.swapaxes(-1, -2).swapaxes(-2, -3)
+            G = 0.5 * self.solve(A.reshape(lead + (n, n * n))).reshape(lead + (n, n, n))
+            self._Gamma = 0.5 * (G + G.swapaxes(-1, -2))
         return self._Gamma
 
     @property
@@ -348,10 +377,13 @@ class PointData:
         if self._products is None:
             # P[:, a, b] = M^-1 (dF_a Y_b - dM(Y_a, Y_b) / 2), all m^2 right-hand
             # sides in one solve; <Y_a : Y_b> = P[:, a, b] + P[:, b, a]
-            n, m, Y = self.sys.n, self.sys.m, self.Y
-            rhs = (self.dF @ Y).transpose(1, 0, 2) - 0.5 * (Y.T @ self.dM.transpose(2, 0, 1) @ Y)
-            P = self.solve(rhs.reshape(n, m * m)).reshape(n, m, m)
-            self._products = (P + P.transpose(0, 2, 1)).transpose(1, 2, 0)
+            m, Y = self.sys.m, self.Y
+            if self.q.ndim == 2:
+                Y = Y[:, None]
+            dMY = Y.swapaxes(-1, -2) @ self.dM.swapaxes(-1, -2).swapaxes(-2, -3) @ Y
+            rhs = (self.dF @ Y).swapaxes(-3, -2) - 0.5 * dMY
+            P = self.solve(rhs.reshape(rhs.shape[:-2] + (m * m,))).reshape(rhs.shape)
+            self._products = (P + P.swapaxes(-1, -2)).swapaxes(-3, -2).swapaxes(-2, -1)
         return self._products
 
 
@@ -376,8 +408,9 @@ def lie_bracket(X: VectorField, Y: VectorField, q):
 
 def _symmetric_product(a, b, Ja, Jb, G):
     """<A : B> = J_A b + J_B a + G(a, b) + G(b, a) from the values a, b of
-    A, B, their Jacobians Ja, Jb and the Christoffel symbols G."""
-    return Ja @ b + Jb @ a + np.einsum("ijk,j,k->i", G, a, b) + np.einsum("ijk,j,k->i", G, b, a)
+    A, B, their Jacobians Ja, Jb and the Christoffel symbols G, at a point or a stack."""
+    Gab, Gba = (np.einsum("...ijk,...j,...k->...i", G, u, v) for u, v in ((a, b), (b, a)))
+    return (Ja @ b[..., None] + Jb @ a[..., None])[..., 0] + Gab + Gba
 
 
 def symmetric_product(sys: MechanicalSystem, Ya: VectorField, Yb: VectorField, q):

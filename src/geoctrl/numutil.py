@@ -10,21 +10,23 @@ import numpy as np
 def central_jacobian(f, x, h):
     """Jacobian of ``f`` at ``x`` by second-order central differences.
 
-    Returns an array of shape ``f(x).shape + x.shape`` with entries
-    d f_i / d x_j, from 2 x.size evaluations of ``f`` (never at x itself;
-    the first probe gives the output shape).  Step is absolute
-    (coordinates here are O(1) angles and positions, so no relative
-    scaling is applied).
+    ``x`` is a point (n,), or a stack (B, n) of points that ``f`` maps
+    member by member: each probe moves coordinate j of every member at
+    once.  Returns an array of shape ``f(x).shape + (n,)`` with entries
+    d f_i / d x_j, from 2n evaluations of ``f`` (never at x itself; the
+    first probe gives the output shape).  Step is absolute (coordinates
+    here are O(1) angles and positions, so no relative scaling is applied).
     """
     x = np.asarray(x, dtype=float)
+    n = x.shape[-1]
     jac = None
-    for j in range(x.size):
+    for j in range(n):
         dx = np.zeros_like(x)
-        dx.flat[j] = h
+        dx[..., j] = h
         fp = np.asarray(f(x + dx), dtype=float)
         fm = np.asarray(f(x - dx), dtype=float)
         if jac is None:
-            jac = np.empty(fp.shape + x.shape)
+            jac = np.empty(fp.shape + (n,))
         jac[..., j] = (fp - fm) / (2.0 * h)
     return jac
 
@@ -65,23 +67,21 @@ def lagrange4_interp(tgrid, values, t):
     n = tgrid.size
     if n < 4:
         raise ValueError(f"4-point interpolation needs at least 4 grid nodes, got {n}")
-    dx = tgrid[1] - tgrid[0]
-    if not (tgrid[0] - 1e-9 * dx <= t <= tgrid[-1] + 1e-9 * dx):
-        raise ValueError(f"t={t} outside grid [{tgrid[0]}, {tgrid[-1]}]")
-    pos = (t - tgrid[0]) / dx
+    t0, t1 = float(tgrid[0]), float(tgrid[-1])  # Python floats: the same doubles, cheaper
+    dx = float(tgrid[1]) - t0
+    if not (t0 - 1e-9 * dx <= t <= t1 + 1e-9 * dx):
+        raise ValueError(f"t={t} outside grid [{t0}, {t1}]")
+    pos = (t - t0) / dx
     i = int(round(pos))
     if 0 <= i < n and abs(pos - i) < 1e-9:
         return values[i]
     i0 = min(max(int(pos) - 1, 0), n - 4)
     s = pos - i0
-    vs = values[i0:i0 + 4]
-    w = np.array([
-        -(s - 1) * (s - 2) * (s - 3) / 6.0,
-        s * (s - 2) * (s - 3) / 2.0,
-        -s * (s - 1) * (s - 3) / 2.0,
-        s * (s - 1) * (s - 2) / 6.0,
-    ])
-    return np.tensordot(w, vs, axes=(0, 0))
+    v0, v1, v2, v3 = values[i0:i0 + 4]
+    # entry by entry w0 v0 + w1 v1 + w2 v2 + w3 v3: an entry rounds the same whatever
+    # the other entries of values hold (a stack interpolates as its members alone)
+    return ((-(s - 1) * (s - 2) * (s - 3) / 6.0) * v0 + (s * (s - 2) * (s - 3) / 2.0) * v1
+            + (-s * (s - 1) * (s - 3) / 2.0) * v2 + (s * (s - 1) * (s - 2) / 6.0) * v3)
 
 
 def loglog_slope(x, y):

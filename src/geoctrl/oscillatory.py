@@ -135,7 +135,8 @@ def fast_parts(gains: AveragedGains):
     and -1 in row b: each pair feeds its frequency positively (scaled by the
     gain) into the lower index and negatively (unscaled) into the higher one,
     which makes the pair's averaged cross integral exactly -z_ab(t).  Returns
-    (m,) for a scalar tau and (m, len(tau)) for an array tau.
+    (m,) for a scalar tau and (m, len(tau)) for an array tau.  w(tau, t, Z)
+    takes the pair gains Z of gains.at(t) as read by its caller.
     """
     enum = lexicographic_enumeration(gains.m)
     a, b = np.triu_indices(gains.m, 1)  # the pairs a < b in the enumeration's order
@@ -144,9 +145,9 @@ def fast_parts(gains: AveragedGains):
     signs[b, pairs] = -1.0
     basis = psi(np.array(list(enum.values()), dtype=int))
 
-    def fast(tau, t):
+    def fast(tau, t, Z=None):
         A = signs.copy()
-        A[a, pairs] = gains.at(t)[1][a, b]
+        A[a, pairs] = (gains.at(t)[1] if Z is None else Z)[a, b]
         return A @ basis(np.asarray(tau, dtype=float)[..., None]).T
 
     return fast
@@ -189,15 +190,21 @@ class SpanCoefficients:
 
 @dataclass(frozen=True)
 class OscillatoryControl:
-    """u_a(t, q) = slow_a(t, q) + (1/epsilon) fast_a(t/epsilon, t); slow takes q or sys.at(q)."""
+    """u_a(t, q) = slow_a(t, q) + (1/epsilon) fast_a(t/epsilon, t); slow takes q or sys.at(q).
 
-    slow: Callable[[float, np.ndarray], np.ndarray]
-    fast: Callable[[float, float], np.ndarray]
+    Each part also takes the gains (z, Z) = gains.at(t) as read by its caller (slow all of
+    them, fast Z), so a control-law evaluation reads them once for both.
+    """
+
+    slow: Callable[..., np.ndarray]
+    fast: Callable[..., np.ndarray]
     epsilon: float
+    gains: AveragedGains
 
     def as_control_law(self) -> ControlLaw:
         def ev(t, q, qd):
-            return self.slow(t, q) + self.fast(t / self.epsilon, t) / self.epsilon
+            zZ = self.gains.at(t)
+            return self.slow(t, q, zZ) + self.fast(t / self.epsilon, t, zZ[1]) / self.epsilon
 
         # simulate warns unless dt resolves the fast period with >= 50 steps
         return ControlLaw(ev, suggested_max_dt=self.epsilon * TWO_PI / 50.0, reads_point=True)
@@ -219,12 +226,12 @@ def synthesize_controls(
         raise ValueError("epsilon must be positive")
     coeffs = SpanCoefficients(sys=sys)
 
-    def slow(t, q):
+    def slow(t, q, zZ=None):
         alpha = coeffs.check(q)
-        z, Z = gains.at(t)
+        z, Z = gains.at(t) if zZ is None else zZ
         return z + alpha.T @ _drift(Z)
 
-    return OscillatoryControl(slow=slow, fast=fast_parts(gains), epsilon=epsilon)
+    return OscillatoryControl(slow=slow, fast=fast_parts(gains), epsilon=epsilon, gains=gains)
 
 
 # -- the averaged system --------------------------------------------------------

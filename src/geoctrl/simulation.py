@@ -11,6 +11,11 @@ time grids.  Controls are evaluated at the RK4 stage times, so
 continuous-time oscillatory inputs are sampled exactly where the stages
 need them; the input recorded at a sample is the one its RK4 stage 1 used
 (at the last sample, the one a final evaluation there used).
+
+The RK4 driver steps a state of any shape: B independent problems on one
+time grid step as one (B, d) stack, each member rounding as it would alone,
+and a non-finite member is named in the NonFiniteStateError.  A stacked
+initial state gives _simulate a stacked kernel point ``sys.at(Q)`` per stage.
 """
 
 import warnings
@@ -160,13 +165,16 @@ def coriolis_covector(dM, qd):
 
 
 def _acceleration(pt, qd, applied):
-    """qddot at the kernel point pt given the generalized applied force (covector) `applied`."""
+    """qddot at the kernel point pt given the generalized applied force (covector) `applied`;
+    on a stacked pt, qd and applied are (B, n) too."""
     sys, q = pt.sys, pt.q
     if sys.constant_mass is None:  # a constant M has no Coriolis term
         applied = applied - coriolis_covector(pt.dM, qd)
-    acc = pt.solve(applied - sys.grad_potential(q))
+    if sys.potential is not None:  # without one the gradient is +0.0, and x - 0.0 is x
+        applied = applied - sys.grad_potential(q)
+    acc = pt.solve(applied)
     if sys.damping is not None:
-        acc = acc + sys.damping_matrix(q) @ qd
+        acc = acc + (sys.damping_matrix(q) @ qd[..., None])[..., 0]
     return acc
 
 
@@ -190,24 +198,32 @@ def check_grid(t0, t1, dt):
     return int(round(steps))
 
 
+def _finite(t, v):
+    """v, unless it has a non-finite entry: NonFiniteStateError at t, naming the first
+    non-finite member of a stack v (B, d)."""
+    if not np.isfinite(v).all():
+        bad = None if v.ndim == 1 else int(np.argmin(np.isfinite(v).all(axis=-1)))
+        raise NonFiniteStateError(t, bad)
+    return v
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _rk4(rhs, x0, t0, dt, steps):
     """Fixed-step RK4 on x' = f(t, x), where rhs(t, x) returns (f, r) and r is a value
-    to keep per sample.  Returns the (steps+1, len(x0)) solution and the r of every
-    sample, copied: step k's stage 1, at (t0 + k dt, x_k), and one more call at the last
-    sample.  A non-finite f at any call or state raises NonFiniteStateError, with no warning.
+    to keep per sample.  The state is a vector (d,), or a stack (B, d) of B problems
+    stepped as one on the same grid.  Returns the (steps+1,) + x0.shape solution and the
+    r of every sample, copied: step k's stage 1, at (t0 + k dt, x_k), and one more call
+    at the last sample.  A non-finite f at any call or state raises NonFiniteStateError,
+    with no warning; on a stack it names the first non-finite member.
     """
 
     def stage(t, x):
         f, r = rhs(t, x)
-        f = np.asarray(f, dtype=float)
         # catch non-finite stage derivatives (e.g. a control law returning
         # nan) before they reach the inertia solver
-        if not np.isfinite(f).all():
-            raise NonFiniteStateError(t)
-        return f, r
+        return _finite(t, np.asarray(f, dtype=float)), r
 
-    xs = np.empty((steps + 1, x0.size))
+    xs = np.empty((steps + 1,) + x0.shape)
     xs[0] = x = x0.copy()
     k1, r = stage(t0, x)
     rs = np.empty((steps + 1,) + np.shape(r))
@@ -217,25 +233,27 @@ def _rk4(rhs, x0, t0, dt, steps):
         k2 = stage(t + 0.5 * dt, x + 0.5 * dt * k1)[0]
         k3 = stage(t + 0.5 * dt, x + 0.5 * dt * k2)[0]
         k4 = stage(t + dt, x + dt * k3)[0]
-        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.isfinite(x).all():
-            raise NonFiniteStateError(t + dt)
-        xs[i + 1] = x
+        xs[i + 1] = x = _finite(t + dt, x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
         k1, rs[i + 1] = stage(t0 + (i + 1) * dt, x)
     return xs, rs
 
 
 def _simulate(sys, accel, x0, t0, t1, dt, steps):
     """The Trajectory of fixed-step RK4 on qddot = accel(t, pt, qdot), where each stage
-    builds its one kernel point pt = sys.at(q) and accel returns (qddot, the input to record)."""
+    builds its one kernel point pt = sys.at(q) and accel returns (qddot, the input to record).
+    A stacked x0 (q and qdot (B, n)) steps its B members as one problem on the stacked
+    point, and gives the list of their B Trajectories."""
     n = sys.n
 
     def rhs(t, x):
-        acc, u = accel(t, sys.at(x[:n]), x[n:])
-        return np.concatenate([x[n:], acc]), u
+        acc, u = accel(t, sys.at(x[..., :n]), x[..., n:])
+        return np.concatenate([x[..., n:], acc], axis=-1), u
 
-    xs, us = _rk4(rhs, np.concatenate([x0.q, x0.qdot]), t0, dt, steps)
-    return Trajectory(t0=t0, t1=t1, dt=dt, qs=xs[:, :n], qds=xs[:, n:], us=us)
+    xs, us = _rk4(rhs, np.concatenate([x0.q, x0.qdot], axis=-1), t0, dt, steps)
+    if xs.ndim == 2:
+        return Trajectory(t0=t0, t1=t1, dt=dt, qs=xs[:, :n], qds=xs[:, n:], us=us)
+    return [Trajectory(t0=t0, t1=t1, dt=dt, qs=x[:, :n], qds=x[:, n:], us=u)
+            for x, u in zip(xs.swapaxes(0, 1), us.swapaxes(0, 1))]
 
 
 def simulate(

@@ -488,3 +488,48 @@ def test_products_match_former_formula(sys):
         want = former_products(pt)
         assert np.max(np.abs(P - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
         assert np.array_equal(P, P.transpose(1, 0, 2))
+
+
+# -- a stack (B, n) of points: sys.at(Q) -----------------------------------------
+
+
+STACKED = [
+    make("flat", (1, 2)),
+    make("planar-body", (1, 2, 4)),
+    make("pvtol", (1, 2)),
+    make("three-link", (1, 2)),
+    make("three-link", (1, 2, 3)),
+    random_polynomial_system(),
+    random_polynomial_system(analytic=False),
+]
+
+
+@pytest.mark.parametrize(
+    "sys", STACKED,
+    ids=["flat", "planar-body", "pvtol", "three-link[1, 2]", "three-link[1, 2, 3]",
+         "polynomial", "polynomial-fd"],
+)
+def test_stacked_point_equals_its_members_bit_for_bit(sys):
+    Q = np.random.default_rng(22).uniform(-2.0, 2.0, (4, sys.n))
+    stack, points = sys.at(Q), [sys.at(q) for q in Q]
+    for name in ("F", "dF", "dM", "Y", "JY", "Gamma", "products"):
+        got = getattr(stack, name)
+        assert got.shape == (len(Q),) + getattr(points[0], name).shape, name
+        for i, pt in enumerate(points):  # tobytes: the values, -0.0 included, not the layout
+            assert got[i].tobytes() == getattr(pt, name).tobytes(), (name, i)
+    b = np.random.default_rng(23).standard_normal((len(Q), sys.n, 2))
+    x = stack.solve(b)
+    for i, pt in enumerate(points):
+        assert x[i].tobytes() == pt.solve(b[i]).tobytes()
+        assert stack.solve(b[:, :, 0])[i].tobytes() == pt.solve(b[i, :, 0]).tobytes()
+
+
+def test_stacked_point_names_the_member_it_refuses():
+    sys = MechanicalSystem(
+        n=2, m=1, inertia=lambda q: np.diag([1.0, q[0] ** 2]),
+        input_covectors=[lambda q: np.array([1.0, 0.0])],
+    )
+    Q = np.array([[1.0, 0.5], [0.0, 0.25], [2.0, 0.0]])
+    with pytest.raises(SingularInertiaError) as ei:
+        sys.at(Q)
+    assert ei.value.q.tolist() == [0.0, 0.25]

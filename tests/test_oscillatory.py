@@ -23,6 +23,7 @@ from geoctrl import (
     make,
     psi,
     read_trajectory_csv,
+    simulate,
     simulate_forced,
     synthesis_audit,
     synthesize_controls,
@@ -316,6 +317,29 @@ def test_control_law_combines_slow_and_scaled_fast():
     expected = control.slow(t, q) + control.fast(t / eps, t) / eps
     assert_allclose(law.eval(t, q, np.zeros(3)), expected, atol=1e-13)
     assert abs(law.suggested_max_dt - eps * TWO_PI / 50.0) < 1e-15
+
+
+def test_law_evaluation_reads_the_gains_once(monkeypatch):
+    # slow and fast share one gains.at(t) per law evaluation; alone, each reads its own
+    reads = []
+    at = AveragedGains.at
+    monkeypatch.setattr(AveragedGains, "at", lambda self, t: reads.append(t) or at(self, t))
+    sys = make("pvtol", gravity=0.0)
+    gains = AveragedGains(z=[lambda t: 0.1 * t, lambda t: -0.2], z_pairs={(0, 1): math.cos})
+    control = synthesize_controls(sys, gains, 0.05)
+    law = control.as_control_law()
+    evaluations = []
+    counted = dataclasses.replace(
+        law, eval=lambda t, q, qd: evaluations.append(t) or law.eval(t, q, qd)
+    )
+    rest = State(q=np.zeros(3), qdot=np.zeros(3))
+    simulate(sys, counted, rest, 0.0, 0.05, IntegratorConfig(dt=1e-3))
+    assert len(evaluations) == 4 * 50 + 1 and reads == evaluations
+    t, q, tau = 0.37, np.array([0.1, -0.2, 0.25]), np.linspace(0.0, 1.0, 5)
+    reads.clear()
+    want = control.slow(t, q) + control.fast(t / 0.05, t) / 0.05
+    assert len(reads) == 2 and law.eval(t, q, np.zeros(3)).tobytes() == want.tobytes()
+    assert control.fast(tau, t).shape == (2, 5)  # fast(tau, t) alone, as _ubar_table reads it
 
 
 def test_span_solve_with_dependent_input_fields():

@@ -151,32 +151,53 @@ def test_truncation_errors_decrease_with_amplitude():
     assert errs[0] > errs[1] > 0.0
 
 
-def test_truncation_errors_simulate_one_reference_per_amplitude(monkeypatch):
-    calls = {"simulate": 0, "predict_from_rest": 0}
+@pytest.mark.parametrize(
+    "sys, make_inputs, q0",
+    [
+        (offset_body(), sine_inputs, np.zeros(3)),  # a constant M: one shared factor
+        (make("three-link", actuators=(1, 2)),  # a q-dependent M: a factor per member
+         lambda e: sine_forcing(None, [e, 0.7 * e]), np.array([0.2, -0.1, 0.4])),
+    ],
+    ids=["planar-body", "three-link"],
+)
+def test_truncation_errors_step_the_amplitudes_as_one_stack(monkeypatch, sys, make_inputs, q0):
+    # one stacked reference and one stacked prediction per order, whose members
+    # equal a lone simulate and a lone predict_from_rest bit for bit
+    runs = {"_simulate": [], "_predict": []}
 
-    def counted(name):
+    def recorded(name):
         real = getattr(series, name)
 
         def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return real(*args, **kwargs)
+            runs[name].append(real(*args, **kwargs))
+            return runs[name][-1]
 
         monkeypatch.setattr(series, name, wrapper)
 
-    counted("simulate")
-    counted("predict_from_rest")
-    errs = truncation_errors(
-        offset_body(), sine_inputs, (1, 2, 3), np.zeros(3), 0.5, [0.04, 0.02],
-        IntegratorConfig(dt=5e-3), IntegratorConfig(dt=1e-3),
-    )
-    assert calls == {"simulate": 2, "predict_from_rest": 6}
+    recorded("_simulate")
+    recorded("_predict")
+    orders, epsilons, T = (1, 2, 3), [0.04, 0.02], 0.5
+    cfg_pred, cfg_ref = IntegratorConfig(dt=5e-3), IntegratorConfig(dt=1e-3)
+    errs = truncation_errors(sys, make_inputs, orders, q0, T, epsilons, cfg_pred, cfg_ref)
+    assert len(runs["_simulate"]) == 1 and len(runs["_predict"]) == len(orders)
+    assert all(len(members) == len(epsilons) for members in runs["_simulate"] + runs["_predict"])
+    rest = State(q=q0, qdot=np.zeros(sys.n))
+    for j, eps in enumerate(epsilons):
+        inputs = make_inputs(eps)
+        law = ControlLaw.of_time(lambda t: np.array([u(t) for u in inputs]))
+        ref = simulate(sys, law, rest, 0.0, T, cfg_ref)
+        assert runs["_simulate"][0][j].qs.tobytes() == ref.qs.tobytes()
+        for i, K in enumerate(orders):
+            pred = predict_from_rest(sys, inputs, K, q0, T, cfg_pred)
+            assert runs["_predict"][i][j].qs.tobytes() == pred.qs.tobytes()
+            assert errs[i, j] == np.max(np.linalg.norm(pred.qs - ref.qs[::5], axis=1))
     assert errs.shape == (3, 2)
     assert np.all(errs[:, 0] > errs[:, 1])  # every order shrinks with the amplitude
     assert np.all(errs[:-1] > errs[1:])  # and with the order
 
 
 def test_truncation_errors_need_a_reference_step_dividing_the_prediction_step(monkeypatch):
-    monkeypatch.setattr(series, "predict_from_rest", None)  # nothing may run before the check
+    monkeypatch.setattr(series, "_predict", None)  # nothing may run before the check
     # 1e-14 / 3e-15 is 3.33 steps; an absolute 1e-12 test of it passed
     for T, dt, dt_ref in ((1.0, 5e-3, 3e-3), (1.0, 5e-3, 1e-2), (3e-13, 1e-14, 3e-15)):
         with pytest.raises(ValueError, match="reference dt must divide the prediction dt"):
@@ -437,6 +458,6 @@ def test_recorded_velocities_match_per_sample_evaluation(monkeypatch):
     pred = predict_from_rest(sys, forcing, 2, q0, T, IntegratorConfig(dt=dt))
     steps = int(round(T / dt))
     assert len(calls) == 4 * steps + 1  # RK4 stage 1 supplies the sampled velocity
-    engine = series._Engine(sys, forcing, 2, uniform_grid(T))
+    engine = series._Engine(sys, [forcing], 2, uniform_grid(T))
     want = np.array([engine.velocity(q, t) for q, t in zip(pred.qs, pred.times)])
     assert pred.qds.tobytes() == want.tobytes()

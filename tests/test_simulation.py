@@ -584,3 +584,33 @@ def test_an_ill_conditioned_constant_inertia_names_each_point():
         with pytest.raises(SingularInertiaError, match=rf"at q=\[{q[0]}, {q[1]}, {q[2]}\]") as ei:
             sys.at(q)
         assert ei.value.cond == pytest.approx(1e13)
+
+
+def test_rk4_steps_a_stack_as_its_members_alone():
+    # x' = A(t) x, member by member: the stacked run equals the lone runs bit for bit
+    def rhs(t, x):
+        f = np.stack([np.cos(t) * x[..., 1], -x[..., 0] + 0.1 * t], axis=-1)
+        return f, f[..., 0]
+
+    X0 = np.array([[1.0, 0.0], [0.5, -0.2], [-1.0, 0.3]])
+    xs, rs = _rk4(rhs, X0, 0.0, 1e-2, 50)
+    assert xs.shape == (51, 3, 2) and rs.shape == (51, 3)
+    for i, x0 in enumerate(X0):
+        lone, r = _rk4(rhs, x0, 0.0, 1e-2, 50)
+        assert xs[:, i].tobytes() == lone.tobytes() and rs[:, i].tobytes() == r.tobytes()
+
+
+@pytest.mark.parametrize("nan_at", [0.0, 0.2])
+def test_rk4_names_the_non_finite_member(nan_at):
+    def rhs(t, x):
+        f = -x.copy()
+        if t >= nan_at:
+            f[1, 0] = np.nan  # member 1 only
+        return f, ()
+
+    with pytest.raises(NonFiniteStateError, match="in member 1") as ei:
+        _rk4(rhs, np.ones((3, 2)), 0.0, 0.1, 5)
+    assert ei.value.member == 1 and ei.value.t == pytest.approx(nan_at)
+    with pytest.raises(NonFiniteStateError) as ei:  # a lone problem names no member
+        _rk4(lambda t, x: (np.full(2, np.nan), ()), np.ones(2), 0.0, 0.1, 5)
+    assert ei.value.member is None and "member" not in str(ei.value)
