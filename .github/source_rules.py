@@ -7,6 +7,10 @@ Prints one line per finding and exits 1 if there is any.  The rules:
 - no line under src/ longer than 105 characters (the longest has 105; keeping
   it so means a line count cannot drop by joining lines);
 - no unused import outside __init__.py (whose imports are the re-exports);
+- every import statement sits outside any function, so a module's cost is paid
+  when it is imported and a test of sys.modules sees it, and an import of scipy
+  names only scipy.linalg or scipy.linalg.lapack: scipy serves LAPACK, and its
+  solver packages (integrate, optimize, interpolate) stay out of every process;
 - the Cholesky routines are imported only by geometry.py: M(q) is factored
   and solved only in the point kernel, geometry.PointData;
 - dpotrf, dpocon and dpotrs are each called at exactly one site in
@@ -39,6 +43,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 MAX_LINE = 105
 LAPACK = {"dpotrf", "dpotrs", "dpocon"}
+SCIPY = {"scipy.linalg", "scipy.linalg.lapack"}
 ONE_SITE = ("dpotrf", "dpocon", "dpotrs")
 MODEL = {"inertia", "dinertia", "input_covectors", "dinput_covectors", "potential", "dpotential",
          "damping"}
@@ -95,6 +100,29 @@ def unused_imports(trees):
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         found += [f"{name}:{line}: '{n}' imported but unused"
                   for n, line in imported.items() if n not in used]
+    return found
+
+
+def misplaced_imports(trees):
+    found = []
+    for name, tree in trees:
+        local = {id(node) for fn in ast.walk(tree)
+                 if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if id(node) in local:
+                found.append(f"{name}:{node.lineno}: import inside a function")
+            if isinstance(node, ast.Import):
+                named = [alias.name for alias in node.names]
+            elif node.module == "scipy":
+                named = [f"scipy.{alias.name}" for alias in node.names]
+            else:
+                named = [node.module or ""]
+            found += [f"{name}:{node.lineno}: imports {module}; scipy only for scipy.linalg"
+                      for module in named
+                      if module.split(".")[0] == "scipy" and module not in SCIPY]
     return found
 
 
@@ -198,9 +226,9 @@ def unread_members(trees):
 def main():
     trees = modules()
     findings = long_lines()
-    for rule in (unused_imports, cholesky_outside_geometry, lapack_call_sites,
-                 unused_private_names, model_callables_read, unread_public_names,
-                 unread_members):
+    for rule in (unused_imports, misplaced_imports, cholesky_outside_geometry,
+                 lapack_call_sites, unused_private_names, model_callables_read,
+                 unread_public_names, unread_members):
         findings += rule(trees)
     print("\n".join(findings))
     return 1 if findings else 0

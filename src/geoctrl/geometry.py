@@ -82,15 +82,6 @@ class VectorField:
             return np.asarray(self.jacobian(q), dtype=float)
         return central_jacobian(self.eval, q, self.h)
 
-    @staticmethod
-    def constant(v):
-        v = np.asarray(v, dtype=float)
-        n = v.size
-        return VectorField(
-            eval=lambda q, _v=v: _v.copy(),
-            jacobian=lambda q, _n=n: np.zeros((_n, _n)),
-        )
-
 
 def takes_stacks(fn):
     """Mark the model callable fn as also taking a (B, n) stack of points.

@@ -209,22 +209,21 @@ def _conic_directions(B, q):
     i0, ib, ia = np.argsort(np.abs(w))
     if not indep and abs(w[i0]) > ZERO_TOL * abs(w[ia]) and w[0] * w[-1] < 0.0:  # one, nonsingular
         raise DecouplingSetError(q, "the roots of the quadratic forms hold a curve")
-    if w[ia] * w[ib] > 0.0 and abs(w[ib]) > ZERO_TOL * abs(w[ia]):
-        cands = [v[:, i0]]  # D's one real point, if D is singular (checked below)
-    else:  # D's two real lines (one line twice at rank 1), by their normals
-        a, b = v[:, ia], math.sqrt(abs(w[ib] / w[ia])) * v[:, ib]  # scaled by 1 / sqrt|w[ia]|
-        cands = []
-        for normal in (a + b, a - b):
-            _, P = _span_projector(normal[:, None], q)  # an orthonormal basis of the line
-            on_line = P.T @ live @ P
-            F = on_line[np.argmax(np.abs(on_line).sum((1, 2)))]  # every common root is its root
-            roots = _two_input_directions([F.tolist()])
-            if roots is None:
-                raise DecouplingSetError(q, "the roots of the quadratic forms hold a line")
-            if len(roots) < 2:  # a double root (tangent forms) whose discriminant rounded below 0
-                wF, vF = np.linalg.eigh(F)
-                roots.append(vF[:, np.argmin(np.abs(wF))])
-            cands.extend(P @ h for h in roots)
+    # D's two real lines (one line twice at rank 1), or two lines through its one real
+    # point, by their normals: every root of D lies on one of them
+    a, b = v[:, ia], math.sqrt(abs(w[ib] / w[ia])) * v[:, ib]  # scaled by 1 / sqrt|w[ia]|
+    cands = []
+    for normal in (a + b, a - b):
+        _, P = _span_projector(normal[:, None], q)  # an orthonormal basis of the line
+        on_line = P.T @ live @ P
+        F = on_line[np.argmax(np.abs(on_line).sum((1, 2)))]  # every common root is its root
+        roots = _two_input_directions([F.tolist()])
+        if roots is None:
+            raise DecouplingSetError(q, "the roots of the quadratic forms hold a line")
+        if len(roots) < 2:  # a double root (tangent forms) whose discriminant rounded below 0
+            wF, vF = np.linalg.eigh(F)
+            roots.append(vF[:, np.argmin(np.abs(wF))])
+        cands.extend(P @ h for h in roots)
     unique: List[np.ndarray] = []
     for h in [h for h in map(_canonical, cands) if all(abs(h @ Bl @ h) <= ROOT_TOL for Bl in live)]:
         if not any(abs(h @ u) > 1.0 - 0.5 * ANGLE_TOL**2 for u in unique):

@@ -2,10 +2,6 @@
 
 import numpy as np
 
-# scipy.integrate is imported by the quadrature helpers on first use: it pulls
-# in scipy.optimize and adds about 22 MB to a process, and one that only plans
-# never integrates
-
 
 def central_jacobian(f, x, h):
     """Jacobian of ``f`` at ``x`` by second-order central differences.
@@ -31,29 +27,34 @@ def central_jacobian(f, x, h):
     return jac
 
 
-def simpson_uniform(y, dx, axis=0):
-    """Composite Simpson integral of uniformly sampled values.
-
-    Requires an odd number of samples (even number of panels).
-    """
-    n = y.shape[axis] if isinstance(y, np.ndarray) else len(y)
+def simpson_uniform(y, dx):
+    """Composite Simpson integral over the last axis of uniformly sampled values:
+    dx/3 sum (y_2i + 4 y_2i+1 + y_2i+2), which needs an odd number of samples."""
+    y = np.asarray(y, dtype=float)
+    n = y.shape[-1] if y.ndim else 0
     if n < 3 or n % 2 == 0:
         raise ValueError(f"composite Simpson needs an odd sample count, got {n}")
-    from scipy.integrate import simpson
-
-    return simpson(y, dx=dx, axis=axis)
+    return np.sum(y[..., :-2:2] + 4.0 * y[..., 1:-1:2] + y[..., 2::2], axis=-1) * (dx / 3.0)
 
 
-def cumulative_simpson_uniform(y, dx, axis=0):
-    """Cumulative Simpson integral with a zero leading sample.
-
-    Output has the same shape as ``y``; entry ``i`` approximates the
-    integral from sample 0 to sample ``i``.
-    """
-    from scipy.integrate import cumulative_simpson
-
+def cumulative_simpson_uniform(y, dx):
+    """Cumulative Simpson integral over the last axis from a zero leading sample, for 3 or
+    more samples.  An interval takes the parabola through it and one neighbour,
+    dx/3 (5/4 f1 + 2 f2 - 1/4 f3) (Cartwright 2017, eq. 10): the right neighbour for the
+    even intervals, the left one for the odd intervals and the last."""
     y = np.asarray(y, dtype=float)
-    return cumulative_simpson(y, dx=dx, axis=axis, initial=0.0)
+    if y.ndim == 0 or y.shape[-1] < 3:
+        raise ValueError(f"cumulative Simpson needs at least 3 samples, got shape {y.shape}")
+
+    def parabolas(f):
+        return dx / 3 * (5 * f[..., :-2] / 4 + 2 * f[..., 1:-1] - f[..., 2:] / 4)
+
+    forward, backward = parabolas(y), parabolas(y[..., ::-1])[..., ::-1]
+    pieces = np.zeros(y.shape)
+    pieces[..., 1:-1:2] = forward[..., ::2]
+    pieces[..., 2::2] = backward[..., ::2]
+    pieces[..., -1] = backward[..., -1]
+    return np.cumsum(pieces, axis=-1)
 
 
 def lagrange4_interp(tgrid, values, t):

@@ -75,7 +75,7 @@ def averaged_iterated_integral(fast, k, t=0.0) -> float:
     w = np.asarray(fast(TAU, t), dtype=float)
     if w.shape != (len(k), TAU.size):
         raise ValueError("one multiplicity per input signal")
-    W = cumulative_simpson_uniform(w, DTAU, axis=1)
+    W = cumulative_simpson_uniform(w, DTAU)
     integrand = np.prod(W ** k[:, None], axis=0)
     fact = math.prod(math.factorial(x) for x in k)
     return float(simpson_uniform(integrand, DTAU) / (TWO_PI * fact))
@@ -270,9 +270,9 @@ def _ubar_table(fast, t):
 
     Returns (U1, U2): U1[a] = Ubar_{e_a}, U2[a, b] = Ubar_{e_a + e_b}
     (with the 1/2! factor on the diagonal)."""
-    W = cumulative_simpson_uniform(fast(TAU, t), DTAU, axis=1)
-    U1 = simpson_uniform(W, DTAU, axis=1) / TWO_PI
-    U2 = simpson_uniform(W[:, None] * W[None], DTAU, axis=2) / TWO_PI
+    W = cumulative_simpson_uniform(fast(TAU, t), DTAU)
+    U1 = simpson_uniform(W, DTAU) / TWO_PI
+    U2 = simpson_uniform(W[:, None] * W[None], DTAU) / TWO_PI
     U2[np.diag_indices(len(W))] *= 0.5
     return U1, U2
 

@@ -89,7 +89,7 @@ class _Engine:
         # ids are grouped by order, words of order k being ends[k-1]:ends[k]
         U = np.array([[[u(t) for t in grid] for u in inputs] for inputs in members])
         self.words = list(range(sys.m))
-        coefs = list(cumulative_simpson_uniform(U, dx, axis=-1).swapaxes(0, 1))
+        coefs = list(cumulative_simpson_uniform(U, dx).swapaxes(0, 1))
         self.ends = [0, sys.m]
         for k in range(2, K + 1):
             integrands = {}
@@ -100,7 +100,7 @@ class _Engine:
                         integrands[pair] = integrands.get(pair, 0.0) + coefs[u] * coefs[v]
             self.words += list(integrands)
             S = np.array(list(integrands.values()))
-            coefs += list(-0.5 * cumulative_simpson_uniform(S, dx, axis=-1))
+            coefs += list(-0.5 * cumulative_simpson_uniform(S, dx))
             self.ends.append(len(self.words))
         self.coefs = np.array(coefs).T  # (G, B, W)
 

@@ -39,6 +39,12 @@ from geoctrl.errors import (
 from geoctrl.kinematic import _PATH_STEPS, MAX_DEPTH, _span_projector
 
 
+def constant_field(v):
+    """The constant vector field q -> v, with its zero Jacobian."""
+    v = np.asarray(v, dtype=float)
+    return VectorField(eval=lambda q: v.copy(), jacobian=lambda q: np.zeros((v.size, v.size)))
+
+
 # -- time scalings -------------------------------------------------------------
 
 
@@ -397,11 +403,6 @@ def symmetric_forms():
     return st.lists(form, min_size=1, max_size=3).map(np.array)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the split point member D = B1 - B2 is nearly rank 1, and its null direction "
-    "lands about 1e-10 off e1, where B2 reads above ROOT_TOL",
-)
 def test_three_input_directions_keep_a_root_of_a_nearly_rank_one_point_member():
     # a derandomized example of the property test below: e1 annihilates both forms
     a, b = -0.7502, -0.6255
@@ -539,7 +540,7 @@ def test_candidate_branch_continuity():
 
 
 def test_larc_commuting_fields_deficient():
-    fields = [VectorField.constant([1.0, 0.0, 0.0]), VectorField.constant([0.0, 1.0, 0.0])]
+    fields = [constant_field([1.0, 0.0, 0.0]), constant_field([0.0, 1.0, 0.0])]
     report = larc_rank(fields, np.zeros(3))
     assert report.rank == 2 and report.depth == 1 and not report.verdict
 
@@ -552,7 +553,7 @@ def test_larc_heading_pair_fills_at_depth_two():
             [[0.0, 0.0, -np.sin(q[2])], [0.0, 0.0, np.cos(q[2])], [0.0, 0.0, 0.0]]
         ),
     )
-    turn = VectorField.constant([0.0, 0.0, 1.0])
+    turn = constant_field([0.0, 0.0, 1.0])
     report = larc_rank([drive, turn], np.array([0.0, 0.0, 0.4]))
     assert report.verdict and report.rank == 3 and report.depth == 2
     swapped = larc_rank([turn, drive], np.array([0.0, 0.0, 0.4]))
@@ -561,7 +562,7 @@ def test_larc_heading_pair_fills_at_depth_two():
 
 def test_larc_depth_validation_and_report_dict():
     with pytest.raises(ValueError):
-        larc_rank([VectorField.constant([1.0, 0.0])], np.zeros(2), max_depth=0)
+        larc_rank([constant_field([1.0, 0.0])], np.zeros(2), max_depth=0)
     # pvtol with one input: one field whose self-bracket is zero, so rank 1; a tol
     # outside (0, 1) read rank 2 here (tol -1) and rank 0 when fully actuated (tol 2)
     pvtol, q = make("pvtol"), np.zeros(3)
@@ -579,7 +580,7 @@ def test_larc_depth_validation_and_report_dict():
             larc_rank(fields, q, max_depth=depth)
         with pytest.raises(ValueError, match="max_depth"):
             kinematic_controllability(pvtol, q, max_depth=depth)
-    report = larc_rank([VectorField.constant([1.0, 0.0])], np.zeros(2))
+    report = larc_rank([constant_field([1.0, 0.0])], np.zeros(2))
     d = dataclasses.asdict(report)
     assert set(d) == {"rank", "depth", "verdict", "residuals"}
     assert d["rank"] == 1 and d["verdict"] is False

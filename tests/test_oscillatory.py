@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 from numpy.testing import assert_allclose
 
 from geoctrl import (
@@ -29,7 +30,6 @@ from geoctrl import (
     synthesize_controls,
 )
 from geoctrl.errors import SpanAssumptionError
-from geoctrl.numutil import cumulative_simpson_uniform, simpson_uniform
 from geoctrl.oscillatory import (
     TWO_PI,
     SpanCoefficients,
@@ -130,12 +130,13 @@ def ubar_table_oracle(fast, m, t):
     kept as an oracle.  ``fast`` is the stacked fast input w(tau, t)."""
     tau = np.linspace(0.0, TWO_PI, 2001)
     dx = tau[1] - tau[0]
-    W = np.array([cumulative_simpson_uniform(fast(tau, t)[a], dx) for a in range(m)])
-    U1 = simpson_uniform(W, dx, axis=1) / TWO_PI
+    W = np.array([scipy.integrate.cumulative_simpson(fast(tau, t)[a], dx=dx, initial=0.0)
+                  for a in range(m)])
+    U1 = scipy.integrate.simpson(W, dx=dx, axis=1) / TWO_PI
     U2 = np.empty((m, m))
     for a in range(m):
         for b in range(a, m):
-            val = simpson_uniform(W[a] * W[b], dx) / TWO_PI
+            val = scipy.integrate.simpson(W[a] * W[b], dx=dx) / TWO_PI
             if a == b:
                 val *= 0.5
             U2[a, b] = U2[b, a] = val

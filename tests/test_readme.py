@@ -52,13 +52,28 @@ def test_cli_example_config_validates(tmp_path, capsys):
     assert '"ok": true' in capsys.readouterr().out
 
 
-def test_cli_and_quick_start_plan_load_no_scipy_solvers(python_blocks):
+RUNS = {
+    "series-check": "model: {name: planar-body, actuators: [4]}\n"
+    "series-check: {order: 2, epsilons: [0.02, 0.01], horizon: 0.5}\n",
+    "oscillatory-track": "model: {name: blimp}\noscillatory-track:\n  epsilon: 0.2\n  t1: 0.5\n"
+    "  gains: {pairs: [{pair: [1, 2], type: const, value: 0.5}]}\n",
+    "convergence": "model: {name: pvtol, parameters: {gravity: 0.0}}\nconvergence:\n"
+    "  epsilons: [0.2, 0.1]\n  t1: 0.5\n  gains: {z: [{type: const, value: 0.1}]}\n",
+}
+
+
+def test_cli_and_quick_start_plan_load_no_scipy_solvers(python_blocks, tmp_path):
     """A fresh process that imports the CLI, then plans and validates the
-    quick start, tests decoupling with one input and with every input, and
-    solves an m = 3 decoupling system, never loads scipy's interpolation,
-    optimization or integration packages (about 22 MB of memory in all)."""
+    quick start, tests decoupling with one input and with every input, solves
+    an m = 3 decoupling system, and runs a series-check, an oscillatory-track
+    and a convergence config through cli.main, never loads scipy's
+    interpolation, optimization or integration packages: geoctrl uses scipy
+    for LAPACK only, and its own quadrature."""
+    for experiment, body in RUNS.items():
+        (tmp_path / f"{experiment}.yaml").write_text(f"experiment: {experiment}\n{body}")
     script = """
 import json, sys
+from pathlib import Path
 import numpy as np
 heavy = ("scipy.interpolate", "scipy.optimize", "scipy.integrate")
 import geoctrl.cli
@@ -75,11 +90,14 @@ covectors = [lambda q, a=a: np.concatenate([np.eye(3)[a], [0.5 * B[a] @ q[:3] fo
 system = MechanicalSystem(n=5, m=3, inertia=lambda q: np.eye(5), input_covectors=covectors,
                           dinertia=lambda q: np.zeros((5, 5, 5)))
 assert len(find_decoupling_fields(system, np.zeros(5)).directions) == 4
-print(json.dumps([after_import, [m for m in heavy if m in sys.modules]]))
+after_plan = [m for m in heavy if m in sys.modules]
+for cfg in sorted(Path(sys.argv[1]).glob("*.yaml")):
+    assert geoctrl.cli.main(["run", str(cfg), "--out", str(cfg.with_suffix(""))]) == 0, cfg
+print(json.dumps([after_import, after_plan, [m for m in heavy if m in sys.modules]]))
 """
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     run = subprocess.run(
-        [sys.executable, "-c", script],
+        [sys.executable, "-c", script, str(tmp_path)],
         input=python_blocks[0],
         capture_output=True,
         text=True,
@@ -87,6 +105,8 @@ print(json.dumps([after_import, [m for m in heavy if m in sys.modules]]))
         timeout=120,
         check=True,
     )
-    after_import, after_plan = json.loads(run.stdout.splitlines()[-1])
+    after_import, after_plan, after_runs = json.loads(run.stdout.splitlines()[-1])
     assert after_import == []
     assert after_plan == []
+    assert after_runs == []
+    assert sorted(p.name for p in tmp_path.iterdir() if p.is_dir()) == sorted(RUNS)

@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.integrate
 from numpy.testing import assert_allclose
 
 from geoctrl import (
@@ -323,8 +324,9 @@ def test_interpolation_needs_four_nodes():
     "call, message",
     [
         (lambda: simpson_uniform(np.ones(4), 0.1), "odd sample count, got 4"),
-        (lambda: simpson_uniform(np.ones((3, 2)), 0.1, axis=1), "odd sample count, got 2"),
+        (lambda: simpson_uniform(np.ones((3, 2)), 0.1), "odd sample count, got 2"),
         (lambda: simpson_uniform([1.0], 0.1), "odd sample count, got 1"),
+        (lambda: cumulative_simpson_uniform(np.ones((3, 2)), 0.1), "at least 3 samples"),
         (lambda: lagrange4_interp(np.linspace(0.0, 1.0, 5), np.zeros(5), 1.01), r"t=1\.01 outside"),
         (lambda: lagrange4_interp(np.linspace(0.0, 1.0, 5), np.zeros(5), -0.5), "outside grid"),
     ],
@@ -332,6 +334,24 @@ def test_interpolation_needs_four_nodes():
 def test_numutil_refuses_bad_input(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@pytest.mark.parametrize("shape", [(), (3,), (2, 3)], ids=["1-D", "(m, N)", "(m, m, N)"])
+def test_simpson_helpers_equal_scipy_bit_for_bit(shape):
+    # scipy.integrate is the independent reference: its equal-spacing simpson and
+    # cumulative_simpson(initial=0.0) along the last axis, compared by tobytes
+    rng = np.random.default_rng(25)
+    for N in (3, 4, 5, 6, 9, 10, 31, 2001):
+        y = rng.standard_normal(shape + (N,)) * 10.0 ** rng.uniform(-5.0, 4.0, shape + (N,))
+        y[rng.random(y.shape) < 0.2] = -0.0
+        dx = float(rng.uniform(1e-3, 2.0))
+        got = cumulative_simpson_uniform(y, dx)
+        want = scipy.integrate.cumulative_simpson(y, dx=dx, initial=0.0)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        if N % 2:
+            got, want = simpson_uniform(y, dx), scipy.integrate.simpson(y, dx=dx)
+            assert np.shape(got) == np.shape(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 class GridRecursionOracle:
@@ -342,7 +362,7 @@ class GridRecursionOracle:
         self.sys, self.m, self.grid, self.h = sys, len(inputs), grid, h
         self.dx = grid[1] - grid[0]
         U = np.array([[u(t) for t in grid] for u in inputs])
-        self.cumU = cumulative_simpson_uniform(U, self.dx, axis=1)
+        self.cumU = scipy.integrate.cumulative_simpson(U, dx=self.dx, axis=1, initial=0.0)
 
     def values(self, k, q, cache):
         key = (k, q.tobytes())
@@ -352,7 +372,8 @@ class GridRecursionOracle:
                 cache[key] = np.einsum("ag,an->gn", self.cumU, Ys)
             else:
                 S = sum(self.sym_grid(j, k - j, q, cache) for j in range(1, k))
-                cache[key] = -0.5 * cumulative_simpson_uniform(S, self.dx, axis=0)
+                cache[key] = -0.5 * scipy.integrate.cumulative_simpson(
+                    S, dx=self.dx, axis=0, initial=0.0)
         return cache[key]
 
     def jacobian(self, k, q, cache):
