@@ -17,8 +17,10 @@ Prints one line per finding and exits 1 if there is any.  The rules:
   geometry.py: dpotrf and dpocon in the one factor helper that a point, a
   stack's member and a constant M go through, dpotrs in PointData.solve, so a
   stacked solve cannot grow a second path beside it;
-- every module-level private name (def, class or assignment) is read somewhere
-  else under src/: otherwise it is dead code, or a helper only tests use;
+- every module-level name (def, class or assignment) outside geoctrl.__all__,
+  private or not, is read somewhere else under src/: otherwise it is dead code,
+  or a helper only tests use (a public-looking helper whose last caller went
+  stays caught; the names in __all__ answer to the next rules instead);
 - the model callables are read only by MechanicalSystem's methods in
   geometry.py, its readers (models.py builds them); anywhere else, PointData
   and geometry.py's module functions included, only a None test of one may
@@ -147,14 +149,15 @@ def lapack_call_sites(trees):
                     if not sites]
 
 
-def unused_private_names(trees):
+def unread_module_names(trees):
+    public = set(public_names())
     statements = [node for _, tree in trees for node in tree.body]
-    return [f"{name}:{node.lineno}: '{private}' is used only where it is defined"
+    return [f"{name}:{node.lineno}: '{internal}' is used only where it is defined"
             for name, tree in trees
             for node in tree.body
-            for private in defines(node)
-            if private.startswith("_") and not private.endswith("__")
-            and not any(private in uses(other) for other in statements if other is not node)]
+            for internal in defines(node)
+            if internal not in public and not internal.endswith("__")
+            and not any(internal in uses(other) for other in statements if other is not node)]
 
 
 def model_callables_read(trees):
@@ -227,7 +230,7 @@ def main():
     trees = modules()
     findings = long_lines()
     for rule in (unused_imports, misplaced_imports, cholesky_outside_geometry,
-                 lapack_call_sites, unused_private_names, model_callables_read,
+                 lapack_call_sites, unread_module_names, model_callables_read,
                  unread_public_names, unread_members):
         findings += rule(trees)
     print("\n".join(findings))

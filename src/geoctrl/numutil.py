@@ -27,16 +27,6 @@ def central_jacobian(f, x, h):
     return jac
 
 
-def simpson_uniform(y, dx):
-    """Composite Simpson integral over the last axis of uniformly sampled values:
-    dx/3 sum (y_2i + 4 y_2i+1 + y_2i+2), which needs an odd number of samples."""
-    y = np.asarray(y, dtype=float)
-    n = y.shape[-1] if y.ndim else 0
-    if n < 3 or n % 2 == 0:
-        raise ValueError(f"composite Simpson needs an odd sample count, got {n}")
-    return np.sum(y[..., :-2:2] + 4.0 * y[..., 1:-1:2] + y[..., 2::2], axis=-1) * (dx / 3.0)
-
-
 def cumulative_simpson_uniform(y, dx):
     """Cumulative Simpson integral over the last axis from a zero leading sample, for 3 or
     more samples.  An interval takes the parabola through it and one neighbour,

@@ -27,11 +27,11 @@ sum_a z_a Y_a + sum_{a<b} z_ab <Y_a : Y_b> — more directions than the
 original m inputs.  Every consumer reads the gains once per t as arrays,
 (z, Z) = AveragedGains.at(t), with z_ab in the strict upper triangle of Z.
 
-The fast period is 2 pi, the period of every psi_N.  Every tau integral
-is composite Simpson on the one grid TAU of NODES_PER_PERIOD (odd) nodes
-over [0, 2 pi], and an epsilon member of a simulation takes the RK4
-steps per averaged step that member_config gives it, so that its fast
-period eps 2 pi gets at least STEPS_PER_PERIOD of them.
+The fast period is 2 pi, the period of every psi_N.  Every Ubar is spectral
+on the one periodic grid TAU: an FFT antiderivative and means over TAU, exact
+up to round-off for the synthesis' trigonometric polynomials.  One constant,
+STEPS_PER_PERIOD, sets how many RK4 steps a fast period eps 2 pi gets: the
+control law's suggested_max_dt and member_config's member step both read it.
 """
 
 import itertools
@@ -43,16 +43,15 @@ import numpy as np
 
 from .errors import ConfigError, SpanAssumptionError
 from .geometry import MechanicalSystem
-from .numutil import cumulative_simpson_uniform, loglog_slope, simpson_uniform
+from .numutil import loglog_slope
 from .simulation import ControlLaw, IntegratorConfig, State, Trajectory, _write_rows
 from .simulation import MAX_STEPS, check_grid, simulate, simulate_forced
 
 TWO_PI = 2.0 * math.pi
-NODES_PER_PERIOD = 2001
-TAU = np.linspace(0.0, TWO_PI, NODES_PER_PERIOD)
+NODES_PER_PERIOD = 256
+TAU = np.linspace(0.0, TWO_PI, NODES_PER_PERIOD, endpoint=False)
 TAU.flags.writeable = False  # handed to the caller's signals
-DTAU = TAU[1] - TAU[0]
-STEPS_PER_PERIOD = 100
+STEPS_PER_PERIOD = 50  # RK4 steps per fast period eps 2 pi; fewer, and simulate warns
 SPAN_TOL = 1e-6  # worst relative residual of <Y_a : Y_a> off the input span
 AUDIT_TIMES = np.sort(np.random.default_rng(0).uniform(0.0, 10.0, size=20))
 
@@ -61,24 +60,40 @@ def psi(N):
     """Basis oscillation psi_N(tau) = sqrt(2) N cos(N tau); zero mean,
     antiderivative sqrt(2) sin(N tau) is also zero mean over a period.
     N may be an array of frequencies, which broadcasts against tau."""
-    if np.any(np.asarray(N) < 1):
+    if not np.all((np.asarray(N) >= 1) & (np.asarray(N) % 1 == 0)):
         raise ValueError("N must be a positive integer")
     return lambda tau: math.sqrt(2.0) * N * np.cos(N * np.asarray(tau, dtype=float))
 
 
+def _antiderivative(fast, t, order):
+    """W(tau) = int_0^tau w on TAU of the fast inputs w = fast(TAU, t), for a Ubar of
+    total multiplicity order: W_k = w_k / (i k), shifted so that W(0) = 0.  Exact to
+    round-off for a zero-mean w below frequency NODES_PER_PERIOD // (2 max(2, order)),
+    where order W's multiply with no alias in their mean; ValueError, naming t, if not."""
+    c = np.fft.rfft(np.asarray(fast(TAU, t), dtype=float))
+    tol = 1e-12 * np.max(np.abs(c), initial=0.0)  # round-off of the largest coefficient
+    top = NODES_PER_PERIOD // (2 * max(2, order))
+    if np.any(np.abs(c[..., 0]) > tol):
+        raise ValueError(f"the fast input at t={t} has a nonzero mean")
+    if np.any(np.abs(c[..., top:]) > tol):
+        raise ValueError(f"the fast input at t={t} has a frequency of {top} or more")
+    c[..., 0] = 0.0
+    c[..., 1:] /= 1j * np.arange(1, c.shape[-1])
+    W = np.fft.irfft(c, NODES_PER_PERIOD)
+    return W - W[..., :1]
+
+
 def averaged_iterated_integral(fast, k, t=0.0) -> float:
     """Ubar_{k_1..k_m}(t) of the stacked 2 pi-periodic inputs fast(tau, t), an
-    (m, len(tau)) array for array tau, by composite Simpson quadrature."""
-    k = np.array([int(x) for x in k])
-    if np.any(k < 0) or k.sum() < 1:
-        raise ValueError("multiplicities must be nonnegative with positive sum")
-    w = np.asarray(fast(TAU, t), dtype=float)
-    if w.shape != (len(k), TAU.size):
+    (m, len(tau)) array for array tau, spectrally on TAU."""
+    k = np.asarray(k)
+    if np.any(k % 1 != 0) or np.any(k < 0) or k.sum() < 1:
+        raise ValueError("multiplicities must be nonnegative integers with positive sum")
+    W = _antiderivative(fast, t, k.sum())
+    if W.shape != (len(k), TAU.size):
         raise ValueError("one multiplicity per input signal")
-    W = cumulative_simpson_uniform(w, DTAU)
     integrand = np.prod(W ** k[:, None], axis=0)
-    fact = math.prod(math.factorial(x) for x in k)
-    return float(simpson_uniform(integrand, DTAU) / (TWO_PI * fact))
+    return float(np.mean(integrand) / math.prod(math.factorial(int(x)) for x in k))
 
 
 # -- gains and synthesized controls -------------------------------------------
@@ -206,8 +221,8 @@ class OscillatoryControl:
             zZ = self.gains.at(t)
             return self.slow(t, q, zZ) + self.fast(t / self.epsilon, t, zZ[1]) / self.epsilon
 
-        # simulate warns unless dt resolves the fast period with >= 50 steps
-        return ControlLaw(ev, suggested_max_dt=self.epsilon * TWO_PI / 50.0, reads_point=True)
+        max_dt = self.epsilon * TWO_PI / STEPS_PER_PERIOD
+        return ControlLaw(ev, suggested_max_dt=max_dt, reads_point=True)
 
 
 def synthesize_controls(
@@ -270,9 +285,9 @@ def _ubar_table(fast, t):
 
     Returns (U1, U2): U1[a] = Ubar_{e_a}, U2[a, b] = Ubar_{e_a + e_b}
     (with the 1/2! factor on the diagonal)."""
-    W = cumulative_simpson_uniform(fast(TAU, t), DTAU)
-    U1 = simpson_uniform(W, DTAU) / TWO_PI
-    U2 = simpson_uniform(W[:, None] * W[None], DTAU) / TWO_PI
+    W = _antiderivative(fast, t, 2)
+    U1 = np.mean(W, axis=-1)
+    U2 = np.mean(W[:, None] * W[None], axis=-1)
     U2[np.diag_indices(len(W))] *= 0.5
     return U1, U2
 
@@ -280,12 +295,11 @@ def _ubar_table(fast, t):
 def general_averaged_forcing(sys: MechanicalSystem, control: OscillatoryControl):
     """Acceleration forcing of the general averaged equation, term by term.
 
-    Independent of the synthesis shortcuts: evaluates the Ubar integrals
-    of the control's fast part by quadrature at each t and assembles
-    sum_a v_a Y_a + sum_a (1/2 U1_a^2 - U2_aa) <Y_a:Y_a>
-    + sum_{a<b} (U1_a U1_b - U2_ab) <Y_a:Y_b>.  Use with simulate_forced;
-    control.fast must accept an array tau, as synthesize_controls' does.
-    """
+    Independent of the synthesis shortcuts: takes the spectral Ubar of the control's
+    fast part at each t and assembles sum_a v_a Y_a + sum_a (1/2 U1_a^2 - U2_aa)
+    <Y_a:Y_a> + sum_{a<b} (U1_a U1_b - U2_ab) <Y_a:Y_b>.  Use with simulate_forced;
+    control.fast must accept an array tau, as synthesize_controls' does, and stay
+    below frequency NODES_PER_PERIOD // 4 (ValueError otherwise)."""
 
     def forcing(t, q, qd=None):
         U1, U2 = _ubar_table(control.fast, t)
@@ -301,32 +315,25 @@ def general_averaged_forcing(sys: MechanicalSystem, control: OscillatoryControl)
 
 
 def synthesis_audit(gains: AveragedGains) -> dict:
-    """Quadrature check of the synthesis identities at the AUDIT_TIMES
-    (20 times in [0, 10) drawn with seed 0).
-
-    For the synthesized fast parts: the pair coefficient U1_a U1_b - U2_ab
-    must equal z_ab(t); the diagonal integral U2_aa must equal the drift
-    1/2 (a + sum_c Z_ac^2) that the slow part cancels; and the first-order
-    means U1 must vanish.
-    """
+    """Spectral check of the synthesis identities at the AUDIT_TIMES (20 times in
+    [0, 10) drawn with seed 0).  For the synthesized fast parts, the pair coefficient
+    U1_a U1_b - U2_ab must equal z_ab(t), the diagonal Ubar U2_aa the drift
+    1/2 (a + sum_c Z_ac^2) that the slow part cancels, and the means U1 zero."""
     m, fast = gains.m, fast_parts(gains)
     U1, U2 = (np.array(u) for u in zip(*[_ubar_table(fast, float(t)) for t in AUDIT_TIMES]))
     Z = np.array([gains.at(t)[1] for t in AUDIT_TIMES])  # (times, m, m), like U2
     drift = np.array([_drift(Zt) for Zt in Z])
 
-    def record(coefficient, target, **key):
-        coefficient, target = [float(c) for c in coefficient], [float(x) for x in target]
-        diff = float(np.max(np.abs(np.array(coefficient) - np.array(target))))
-        return {**key, "coefficient": coefficient, "target": target, "difference": diff}
+    def record(coef, target, **key):
+        diff = float(np.max(np.abs(coef - target)))
+        return {**key, "coefficient": coef.tolist(), "target": target.tolist(), "difference": diff}
 
     pairs = [
         record(U1[:, a] * U1[:, b] - U2[:, a, b], Z[:, a, b], pair=[a + 1, b + 1])
         for (a, b) in lexicographic_enumeration(m)
     ]
     diagonal = [record(U2[:, a, a], drift[:, a], input=a + 1) for a in range(m)]
-    worst = max(
-        [p["difference"] for p in pairs] + [d["difference"] for d in diagonal] + [0.0]
-    )
+    worst = max(r["difference"] for r in pairs + diagonal)  # diagonal has m >= 1 records
     return {
         "m": m,
         "period": TWO_PI,
@@ -356,11 +363,10 @@ class ConvergenceStudy:
 
 
 def member_config(dt_avg, eps, t1):
-    """(sub, cfg) for an eps member over [0, t1]: sub RK4 steps of cfg.dt per
-    dt_avg, so that its fast period eps 2 pi gets at least STEPS_PER_PERIOD of
-    them and every sub-th sample lands on the dt_avg grid.  ConfigError unless
-    dt_avg divides t1, the member takes at most MAX_STEPS steps and cfg.dt
-    divides t1."""
+    """(sub, cfg) for an eps member over [0, t1]: sub RK4 steps of cfg.dt per dt_avg, so
+    that cfg.dt is within the law's suggested_max_dt (STEPS_PER_PERIOD per fast period)
+    and every sub-th sample lands on the dt_avg grid.  ConfigError unless dt_avg divides
+    t1, the member takes at most MAX_STEPS steps and cfg.dt divides t1."""
     sub = dt_avg * STEPS_PER_PERIOD / (eps * TWO_PI)
     if not sub * check_grid(0.0, t1, dt_avg) <= MAX_STEPS:  # inf * 0 is nan: refused
         raise ConfigError(
@@ -368,6 +374,8 @@ def member_config(dt_avg, eps, t1):
             f" more than {MAX_STEPS} over [0, {t1}]"
         )
     sub = max(1, math.ceil(sub))
+    if dt_avg / sub > eps * TWO_PI / STEPS_PER_PERIOD:  # rounded above the law's bound
+        sub += 1
     cfg = IntegratorConfig(dt=dt_avg / sub)
     check_grid(0.0, t1, cfg.dt)
     return sub, cfg

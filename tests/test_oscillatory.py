@@ -2,12 +2,12 @@
 the averaged system, and epsilon-convergence of the true dynamics."""
 
 import dataclasses
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
-import scipy.integrate
 from numpy.testing import assert_allclose
 
 from geoctrl import (
@@ -31,6 +31,8 @@ from geoctrl import (
 )
 from geoctrl.errors import SpanAssumptionError
 from geoctrl.oscillatory import (
+    AUDIT_TIMES,
+    STEPS_PER_PERIOD,
     TWO_PI,
     SpanCoefficients,
     _ubar_table,
@@ -51,6 +53,9 @@ def test_psi_amplitude_and_zero_mean():
 def test_psi_rejects_nonpositive_frequency():
     with pytest.raises(ValueError):
         psi(0)
+    for N in (1.5, np.array([1, 2.5])):  # psi_1.5 is not 2 pi-periodic
+        with pytest.raises(ValueError, match="positive integer"):
+            psi(N)
 
 
 def stacked(*N):
@@ -60,19 +65,19 @@ def stacked(*N):
 
 def test_first_order_average_of_psi_vanishes():
     for N in (1, 2, 5):
-        assert abs(averaged_iterated_integral(stacked(N), (1,))) < 1e-10
+        assert abs(averaged_iterated_integral(stacked(N), (1,))) < 1e-14
 
 
 def test_second_order_average_of_psi_is_half():
     # antiderivative W = sqrt(2) sin(N tau), so mean of W^2 / 2! is 1/2
     for N in (1, 3):
         val = averaged_iterated_integral(stacked(N), (2,))
-        assert abs(val - 0.5) < 1e-8
+        assert abs(val - 0.5) < 1e-14
 
 
 def test_cross_average_of_distinct_frequencies_vanishes():
     val = averaged_iterated_integral(stacked(1, 2), (1, 1))
-    assert abs(val) < 1e-10
+    assert abs(val) < 1e-14
 
 
 def test_averaged_integral_validates_multiplicities():
@@ -82,6 +87,20 @@ def test_averaged_integral_validates_multiplicities():
         averaged_iterated_integral(stacked(1), (-1,))
     with pytest.raises(ValueError):
         averaged_iterated_integral(stacked(1), (0,))
+    for k in ((1.5,), (0.5, 0.5)):  # int(1.5) would be a silent 1
+        with pytest.raises(ValueError, match="integers"):
+            averaged_iterated_integral(stacked(*range(1, len(k) + 1)), k)
+
+
+def test_unresolved_fast_inputs_raise_naming_t():
+    # a product of |k| antiderivatives aliases into its mean from frequency
+    # NODES_PER_PERIOD / |k| on; frequencies from 256 // (2 max(2, |k|)) on raise
+    for k, top in (((1,), 64), ((2,), 64), ((3,), 42)):
+        averaged_iterated_integral(stacked(top - 1), k)
+        with pytest.raises(ValueError, match=f"t=0.5 has a frequency of {top} or more"):
+            averaged_iterated_integral(stacked(top), k, t=0.5)
+    with pytest.raises(ValueError, match="t=0.5 has a nonzero mean"):
+        averaged_iterated_integral(lambda tau, t: np.cos(tau)[None] + 1e-9, (2,), t=0.5)
 
 
 # -- gains and the synthesized fast parts --------------------------------------
@@ -111,7 +130,7 @@ def test_pair_cross_average_is_negated_gain():
     fast = fast_parts(gains)
     for (a, b), target in (((0, 1), 0.7), ((0, 2), -0.3), ((1, 2), 0.0)):
         val = averaged_iterated_integral(fast, np.eye(3, dtype=int)[a] + np.eye(3, dtype=int)[b])
-        assert abs(val + target) < 1e-8
+        assert abs(val + target) < 1e-14
 
 
 def test_diagonal_average_counts_lower_pairs():
@@ -122,25 +141,18 @@ def test_diagonal_average_counts_lower_pairs():
     expected = [0.5 * 0.25, 0.5 * 1.0, 0.5 * 2.0]
     for a in range(3):
         val = averaged_iterated_integral(fast, 2 * np.eye(3, dtype=int)[a])
-        assert abs(val - expected[a]) < 1e-8
+        assert abs(val - expected[a]) < 1e-14
 
 
-def ubar_table_oracle(fast, m, t):
-    """The per-input, per-pair Ubar table that preceded the one-pass table;
-    kept as an oracle.  ``fast`` is the stacked fast input w(tau, t)."""
-    tau = np.linspace(0.0, TWO_PI, 2001)
-    dx = tau[1] - tau[0]
-    W = np.array([scipy.integrate.cumulative_simpson(fast(tau, t)[a], dx=dx, initial=0.0)
-                  for a in range(m)])
-    U1 = scipy.integrate.simpson(W, dx=dx, axis=1) / TWO_PI
-    U2 = np.empty((m, m))
-    for a in range(m):
-        for b in range(a, m):
-            val = scipy.integrate.simpson(W[a] * W[b], dx=dx) / TWO_PI
-            if a == b:
-                val *= 0.5
-            U2[a, b] = U2[b, a] = val
-    return U1, U2
+M4_GAINS = AveragedGains(
+    z=[lambda t: 0.1, lambda t: -0.2, lambda t: 0.0, lambda t: 0.3 * t],
+    z_pairs={  # (0, 2) and (1, 3) left out: zero gain
+        (0, 1): lambda t: 0.5 * math.sin(t),
+        (0, 3): lambda t: 0.3 - 0.1 * t,
+        (1, 2): lambda t: -0.4 * math.cos(2.0 * t),
+        (2, 3): lambda t: 0.2 + 0.05 * t * t,
+    },
+)
 
 
 @pytest.mark.parametrize(
@@ -153,26 +165,46 @@ def ubar_table_oracle(fast, m, t):
             z=[lambda t: 0.0, lambda t: 0.1, lambda t: -0.2],
             z_pairs={(0, 1): lambda t: 0.5 * math.sin(t), (1, 2): lambda t: 0.3 - 0.1 * t},
         ),
+        M4_GAINS,
     ],
-    ids=["m2", "m3"],
+    ids=["m2", "m3", "m4"],
 )
-def test_ubar_table_matches_per_pair_oracle_bitwise(gains):
-    fast = fast_parts(gains)
+def test_ubar_table_matches_closed_form(gains):
+    # w = A psi with orthonormal antiderivatives sqrt(2) sin(N tau): U1 = 0 and
+    # U2 = A A^T with the diagonal halved, where column (a, b) of A is z_ab in
+    # row a and -1 in row b
+    fast, enum = fast_parts(gains), lexicographic_enumeration(gains.m)
     for t in (0.0, 0.4, 1.7, 3.0):
+        A = np.zeros((gains.m, len(enum)))
+        for p, (a, b) in enumerate(enum):
+            A[a, p], A[b, p] = gains.z_pairs.get((a, b), lambda t: 0.0)(t), -1.0
+        want = A @ A.T
+        want[np.diag_indices(gains.m)] *= 0.5
         U1, U2 = _ubar_table(fast, t)
-        want1, want2 = ubar_table_oracle(fast, gains.m, t)
-        assert np.array_equal(U1, want1) and np.array_equal(U2, want2)
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(U1)) <= 1e-14 * scale and np.max(np.abs(U2 - want)) <= 1e-14 * scale
 
 
-M4_GAINS = AveragedGains(
-    z=[lambda t: 0.1, lambda t: -0.2, lambda t: 0.0, lambda t: 0.3 * t],
-    z_pairs={  # (0, 2) and (1, 3) left out: zero gain
-        (0, 1): lambda t: 0.5 * math.sin(t),
-        (0, 3): lambda t: 0.3 - 0.1 * t,
-        (1, 2): lambda t: -0.4 * math.cos(2.0 * t),
-        (2, 3): lambda t: 0.2 + 0.05 * t * t,
-    },
-)
+def every_pair_gains(m):
+    """Time-varying gains on all m (m - 1) / 2 pairs, the highest frequency of the synthesis."""
+    pairs = itertools.combinations(range(m), 2)
+    return AveragedGains(
+        z=[lambda t: 0.1] * m,
+        z_pairs={(a, b): (lambda t, a=a, b=b: math.sin(t + a) / (1 + b)) for a, b in pairs},
+    )
+
+
+@pytest.mark.parametrize("m", [8, 11])
+def test_synthesis_audit_to_round_off_for_many_inputs(m):
+    # highest frequency 28 and 55: below NODES_PER_PERIOD // 4 = 64
+    audit = synthesis_audit(every_pair_gains(m))
+    assert audit["max_difference"] <= 1e-12 and audit["fast_mean_worst"] <= 1e-12
+
+
+def test_twelve_inputs_are_beyond_the_fast_grid():
+    # 66 pair frequencies: the top ones alias, so the audit raises instead of answering
+    with pytest.raises(ValueError, match=f"t={AUDIT_TIMES[0]} has a frequency of 64 or more"):
+        synthesis_audit(every_pair_gains(12))
 
 
 def per_pair_fast_input(gains, a, tau, t):
@@ -598,6 +630,34 @@ def test_cli_and_convergence_study_use_one_substep_rule(tmp_path, capsys):
                          "--out", str(out)]) == 0
         capsys.readouterr()
         assert read_trajectory_csv(out / "true.csv").dt == member_config(dt_avg, eps, 0.1)[1].dt
+
+
+def test_member_step_is_within_the_laws_bound():
+    # eps with dt_avg STEPS_PER_PERIOD / (eps 2 pi) an exact integer n: there the
+    # rounded quotient dt_avg / ceil(...) can land one ulp above the law's
+    # suggested_max_dt, and simulate would warn (322 of these 2400 cases)
+    sys, gains = make("pvtol", gravity=0.0), AveragedGains.constant([0.0, 0.0])
+    for dt_avg in (1e-3, 2e-3, 5e-3, 1e-2, 0.02, 0.025, 0.05, 0.1):
+        for n in range(1, 301):
+            eps = dt_avg * STEPS_PER_PERIOD / (TWO_PI * n)
+            max_dt = synthesize_controls(sys, gains, eps).as_control_law().suggested_max_dt
+            sub, cfg = member_config(dt_avg, eps, 10 * dt_avg)
+            assert sub in (n, n + 1) and cfg.dt <= max_dt
+
+
+def test_member_steps_resolve_the_fast_period():
+    # criterion 07's study: twice the member steps moves each error by < 1e-6
+    # relative; its errors peak before t = 0.5, so the shorter horizon shows it
+    sys = make("pvtol", gravity=0.0)
+    gains = AveragedGains.constant([0.3, 0.2], {(0, 1): 0.5})
+    x0, T, eps = State(q=np.zeros(3), qdot=np.zeros(3)), 0.5, [0.1, 0.05, 0.025, 0.0125]
+    study = convergence_study(sys, gains, x0, T, eps)
+    for e, err in zip(eps, study.errors):
+        sub, cfg = member_config(1e-2, e, T)
+        law = synthesize_controls(sys, gains, e).as_control_law()
+        fine = simulate(sys, law, x0, 0.0, T, IntegratorConfig(dt=cfg.dt / 2))
+        fine_err = np.max(np.linalg.norm(fine.qs[:: 2 * sub] - study.averaged.qs, axis=1))
+        assert abs(fine_err - err) < 1e-6 * err
 
 
 def test_oscillatory_track_is_a_one_epsilon_convergence_study(tmp_path, capsys):
