@@ -8,15 +8,19 @@ Prints one line per finding and exits 1 if there is any.  The rules:
   it so means a line count cannot drop by joining lines);
 - no unused import outside __init__.py (whose imports are the re-exports);
 - every import statement sits outside any function, so a module's cost is paid
-  when it is imported and a test of sys.modules sees it, and an import of scipy
-  names only scipy.linalg or scipy.linalg.lapack: scipy serves LAPACK, and its
-  solver packages (integrate, optimize, interpolate) stay out of every process;
-- the Cholesky routines are imported only by geometry.py: M(q) is factored
-  and solved only in the point kernel, geometry.PointData;
+  when it is imported and a test of sys.modules sees it;
+- scipy is imported only as `import scipy`, and only by geometry.py, which
+  loads scipy's compiled LAPACK module (scipy/linalg/_flapack) from it: no
+  module imports scipy.linalg, whose package init costs more than the rest of
+  the start-up, nor any scipy solver package (integrate, optimize, interpolate);
+- the Cholesky routines are imported or read (as an attribute of the loaded
+  module too) only in geometry.py: M(q) is factored and solved only in the
+  point kernel, geometry.PointData;
 - dpotrf, dpocon and dpotrs are each called at exactly one site in
-  geometry.py: dpotrf and dpocon in the one factor helper that a point, a
-  stack's member and a constant M go through, dpotrs in PointData.solve, so a
-  stacked solve cannot grow a second path beside it;
+  geometry.py, and read nowhere else in it but at their module-level binding:
+  dpotrf and dpocon in the one factor helper that a point, a stack's member and
+  a constant M go through, dpotrs in PointData.solve, so a stacked solve cannot
+  grow a second path beside it;
 - every module-level name (def, class or assignment) outside geoctrl.__all__,
   private or not, is read somewhere else under src/: otherwise it is dead code,
   or a helper only tests use (a public-looking helper whose last caller went
@@ -45,7 +49,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 MAX_LINE = 105
 LAPACK = {"dpotrf", "dpotrs", "dpocon"}
-SCIPY = {"scipy.linalg", "scipy.linalg.lapack"}
+SCIPY_LOADER = "src/geoctrl/geometry.py"  # the one module that imports scipy
 ONE_SITE = ("dpotrf", "dpocon", "dpotrs")
 MODEL = {"inertia", "dinertia", "input_covectors", "dinput_covectors", "potential", "dpotential",
          "damping"}
@@ -122,31 +126,48 @@ def misplaced_imports(trees):
                 named = [f"scipy.{alias.name}" for alias in node.names]
             else:
                 named = [node.module or ""]
-            found += [f"{name}:{node.lineno}: imports {module}; scipy only for scipy.linalg"
-                      for module in named
-                      if module.split(".")[0] == "scipy" and module not in SCIPY]
+            found += [f"{name}:{node.lineno}: imports {module}; scipy only as `import scipy`"
+                      f" in {SCIPY_LOADER}, which loads its LAPACK module"
+                      for module in named if module.split(".")[0] == "scipy"
+                      and (module != "scipy" or name != SCIPY_LOADER)]
     return found
 
 
+def read_name(node):
+    """The name a load reads: x for the Name x and for the Attribute m.x, else None."""
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        return node.id
+    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        return node.attr
+    return None
+
+
 def cholesky_outside_geometry(trees):
-    return [f"{name}:{node.lineno}: imports {alias.name}"
-            for name, tree in trees if not name.endswith("geometry.py")
+    return [f"{name}:{node.lineno}: {'imports' if isinstance(node, ast.alias) else 'reads'} {used}"
+            for name, tree in trees if name != SCIPY_LOADER
             for node in ast.walk(tree)
-            if isinstance(node, (ast.Import, ast.ImportFrom))
-            for alias in node.names
-            if alias.name.split(".")[-1] in LAPACK]
+            for used in [node.name if isinstance(node, ast.alias) else read_name(node)]
+            if used and used.split(".")[-1] in LAPACK]
 
 
 def lapack_call_sites(trees):
-    (tree,) = [tree for name, tree in trees if name.endswith("/geometry.py")]
-    lines = {fn: [node.lineno for node in ast.walk(tree)
-                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                  and node.func.id == fn]
-             for fn in ONE_SITE}
-    found = [f"src/geoctrl/geometry.py:{line}: calls {fn} at a second site (first: line {sites[0]})"
-             for fn, sites in lines.items() for line in sites[1:]]
-    return found + [f"src/geoctrl/geometry.py: no call of {fn}" for fn, sites in lines.items()
-                    if not sites]
+    (tree,) = [tree for name, tree in trees if name == SCIPY_LOADER]
+    called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    bindings = {id(node) for statement in tree.body
+                if not isinstance(statement, (ast.FunctionDef, ast.ClassDef))
+                for node in ast.walk(statement)}
+    sites, found = {fn: [] for fn in ONE_SITE}, []
+    for node in ast.walk(tree):
+        fn = read_name(node)
+        if fn not in sites or (id(node) in bindings and id(node) not in called):
+            continue
+        if id(node) in called:
+            sites[fn].append(node.lineno)
+        else:
+            found.append(f"{SCIPY_LOADER}:{node.lineno}: reads {fn} other than to call it")
+    found += [f"{SCIPY_LOADER}:{line}: calls {fn} at a second site (first: line {min(lines)})"
+              for fn, lines in sites.items() for line in sorted(lines)[1:]]
+    return found + [f"{SCIPY_LOADER}: no call of {fn}" for fn, lines in sites.items() if not lines]
 
 
 def unread_module_names(trees):

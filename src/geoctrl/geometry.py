@@ -34,16 +34,24 @@ products come from the covector identity
 
 one solve for all pairs, with neither dY nor Gamma formed.
 
+The factor, its condition estimate and the solve are LAPACK's dpotrf, dpocon
+and dpotrs from ``flapack``: scipy's compiled LAPACK module, loaded once at
+import without scipy.linalg's package init (which would double the start-up of
+every process).  kinematic takes its QR and QZ routines from the same module.
+
 All operations are pure functions of immutable inputs and safe to call
 from multiple threads (a PointData read by two threads at once at worst
 computes a field twice).
 """
 
+import importlib.machinery
+import importlib.util
+import os
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dpocon, dpotrf, dpotrs
+import scipy
 
 from .errors import SingularInertiaError
 from .numutil import central_jacobian
@@ -51,6 +59,23 @@ from .numutil import central_jacobian
 DEFAULT_FD_STEP = 1e-5
 COND_LIMIT = 1e12
 SYMMETRY_TOL = 1e-12
+
+
+def _load_flapack():
+    """scipy's compiled LAPACK module scipy/linalg/_flapack, loaded without running
+    scipy.linalg's package init: its routines are the objects scipy.linalg.lapack
+    re-exports.  ImportError if this scipy has no such module."""
+    where = os.path.join(scipy.__path__[0], "linalg")
+    spec = importlib.machinery.PathFinder.find_spec("scipy.linalg._flapack", [where])
+    if spec is None:
+        raise ImportError(f"scipy's LAPACK module _flapack is not in {where}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+flapack = _load_flapack()  # kinematic reads its QR and QZ routines here
+dpotrf, dpocon, dpotrs = flapack.dpotrf, flapack.dpocon, flapack.dpotrs
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,10 @@ obstruction at a point is the system of quadratic equations
 
 with {c_l} an orthonormal basis of the orthogonal complement of the input
 span.  Solutions are projective directions in R^m, found exactly for m <= 3.
+
+The complement basis comes from LAPACK dgeqrf and dorgqr, and the singular
+member of a pencil of two forms from the QZ routine dggev, all three read from
+geometry's ``flapack`` (scipy's compiled LAPACK module), not from scipy.linalg.
 """
 
 import math
@@ -21,8 +25,6 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 from numpy.polynomial import polynomial as P
-from scipy.linalg import eigvals
-from scipy.linalg.lapack import dgeqrf, dorgqr
 
 from .errors import (
     BranchVanishedError,
@@ -35,6 +37,7 @@ from .geometry import (
     MechanicalSystem,
     VectorField,
     covariant_derivative,
+    flapack,
     lie_bracket,
 )
 from .simulation import (
@@ -52,6 +55,7 @@ ANGLE_TOL = 1e-6  # directions closer than this angle are one
 # the deepest bracket larc_rank forms: each level costs about 13x the one before,
 # and a depth-d bracket of a decoupling field nests d - 1 central differences
 MAX_DEPTH = 4
+dgeqrf, dorgqr, dggev = flapack.dgeqrf, flapack.dorgqr, flapack.dggev
 
 
 def _span_projector(Y, q):
@@ -185,6 +189,20 @@ def _two_input_directions(forms):
     return [np.array(h) for h in unique]
 
 
+def _pencil_eigvals(A, B):
+    """The homogeneous eigenvalues (alpha, beta) of the pencil (A, B), the rows of a
+    complex (2, n) array: scipy.linalg.eigvals(A, B, homogeneous_eigvals=True) as its own
+    LAPACK dggev calls make it, a workspace query and then the eigenvalues alone.
+    ValueError on a non-finite entry, LinAlgError if dggev fails."""
+    if not (np.isfinite(A).all() and np.isfinite(B).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    lwork = dggev(A, B, lwork=-1)[-2][0].real.astype(np.int_)
+    alphar, alphai, beta, _, _, _, info = dggev(A, B, compute_vl=0, compute_vr=0, lwork=lwork)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK dggev failed (info={info})")
+    return np.vstack((alphar + 1j * alphai, beta))
+
+
 def _conic_directions(B, q):
     """The m != 2 directions of the forms B, shape (k, m, m); None if B ~ 0.  For m = 3, D
     is a singular member of the pencil of two independent live forms, or the one form."""
@@ -201,7 +219,7 @@ def _conic_directions(B, q):
     indep = [E for E in live[1:] if np.max(np.abs(E - np.sum(E * D) / np.sum(D * D) * D)) > ZERO_TOL]
     if indep:  # the largest real root (alpha, beta) of det(beta D - alpha E) = 0, or
         # in a singular pencil, where every member is singular, any nonzero one
-        alpha, beta = eigvals(D, indep[0], homogeneous_eigvals=True)
+        alpha, beta = _pencil_eigvals(D, indep[0])
         size = np.hypot(alpha.real, beta.real)
         k = max(range(3), key=lambda i: (alpha[i].imag == 0.0 and size[i] > 0.0, size[i]))
         D = (beta[k].real * D - alpha[k].real * indep[0]) / size[k]
@@ -300,8 +318,8 @@ def larc_rank(
     Depth d adds brackets of the base fields with everything at depth
     d-1 (left-normed brackets, which span the full bracket algebra).
     Rank counts singular values above tol * sigma_max, 0 < tol < 1; the verdict is
-    rank == n (dimension of q by default).  An empty family has rank 0.  The depth is
-    at most MAX_DEPTH.
+    rank == n (dimension of q by default), and the search stops at the first depth
+    whose rank reaches n.  An empty family has rank 0.  The depth is at most MAX_DEPTH.
     """
     if not 1 <= max_depth <= MAX_DEPTH:
         raise ValueError(f"max_depth must be in 1..{MAX_DEPTH}, got {max_depth}")
@@ -321,6 +339,8 @@ def larc_rank(
 
     ranks = [current_rank()]
     for _ in range(2, max_depth + 1):
+        if ranks[-1] == n:
+            break
         nxt = []
         for X in base:
             for W in level:

@@ -71,7 +71,7 @@ def _antiderivative(fast, t, order):
     round-off for a zero-mean w below frequency NODES_PER_PERIOD // (2 max(2, order)),
     where order W's multiply with no alias in their mean; ValueError, naming t, if not."""
     c = np.fft.rfft(np.asarray(fast(TAU, t), dtype=float))
-    tol = 1e-12 * np.max(np.abs(c), initial=0.0)  # round-off of the largest coefficient
+    tol = 1e-12 * max(1.0, np.max(np.abs(c), initial=0.0))  # round-off, floored at unit scale
     top = NODES_PER_PERIOD // (2 * max(2, order))
     if np.any(np.abs(c[..., 0]) > tol):
         raise ValueError(f"the fast input at t={t} has a nonzero mean")
@@ -363,9 +363,9 @@ class ConvergenceStudy:
 
 
 def member_config(dt_avg, eps, t1):
-    """(sub, cfg) for an eps member over [0, t1]: sub RK4 steps of cfg.dt per dt_avg, so
-    that cfg.dt is within the law's suggested_max_dt (STEPS_PER_PERIOD per fast period)
-    and every sub-th sample lands on the dt_avg grid.  ConfigError unless dt_avg divides
+    """(sub, cfg) for an eps member over [0, t1]: the fewest sub RK4 steps of cfg.dt per
+    dt_avg that keep cfg.dt within the law's suggested_max_dt (STEPS_PER_PERIOD per fast
+    period); every sub-th sample lands on the dt_avg grid.  ConfigError unless dt_avg divides
     t1, the member takes at most MAX_STEPS steps and cfg.dt divides t1."""
     sub = dt_avg * STEPS_PER_PERIOD / (eps * TWO_PI)
     if not sub * check_grid(0.0, t1, dt_avg) <= MAX_STEPS:  # inf * 0 is nan: refused
@@ -373,9 +373,9 @@ def member_config(dt_avg, eps, t1):
             f"dt_avg={dt_avg} and epsilon={eps} give {sub:.3g} member steps per dt_avg,"
             f" more than {MAX_STEPS} over [0, {t1}]"
         )
-    sub = max(1, math.ceil(sub))
-    if dt_avg / sub > eps * TWO_PI / STEPS_PER_PERIOD:  # rounded above the law's bound
-        sub += 1
+    sub = max(1, math.ceil(sub) - 1)  # the rounded quotient: the least sub is at most 2 more
+    for _ in range(2):  # the least sub whose step passes the law's own check
+        sub += dt_avg / sub > eps * TWO_PI / STEPS_PER_PERIOD
     cfg = IntegratorConfig(dt=dt_avg / sub)
     check_grid(0.0, t1, cfg.dt)
     return sub, cfg

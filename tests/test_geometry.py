@@ -1,6 +1,11 @@
 """Christoffel symbols, connection operators, and state-space lifts."""
 
 import dataclasses
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -216,6 +221,39 @@ def test_condition_guard_uses_lapack_estimate():
     # cond 1e11 is inside the default 1e12 guard
     x = diagonal_inertia_system([1.0, 1e-11]).at(q).solve(np.ones(2))
     assert_allclose(x, [1.0, 1e11], rtol=1e-15)
+
+
+LAPACK_ORDER_SCRIPT = """
+import importlib, json, sys
+order = ("geoctrl.kinematic", "scipy.linalg.lapack")
+for name in order if sys.argv[1] == "geoctrl" else order[::-1]:
+    importlib.import_module(name)
+    if name == "geoctrl.kinematic" and sys.argv[1] == "geoctrl":
+        assert "scipy.linalg" not in sys.modules
+from scipy.linalg import lapack
+from geoctrl import geometry, kinematic
+routines = [(geometry, "dpotrf"), (geometry, "dpocon"), (geometry, "dpotrs"),
+            (kinematic, "dgeqrf"), (kinematic, "dorgqr"), (kinematic, "dggev")]
+print(json.dumps([getattr(owner, name) is getattr(lapack, name) for owner, name in routines]))
+"""
+
+
+@pytest.mark.parametrize("first", ["geoctrl", "scipy.linalg"])
+def test_lapack_routines_are_scipys_in_either_import_order(first):
+    # geometry loads scipy's compiled LAPACK module without scipy.linalg's package
+    # init; imported before scipy.linalg or after it, the six routines geoctrl
+    # calls are the very objects scipy.linalg.lapack exports
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", LAPACK_ORDER_SCRIPT, first],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+        check=True,
+    )
+    assert json.loads(run.stdout.splitlines()[-1]) == [True] * 6
 
 
 def test_indefinite_inertia_raises():

@@ -103,6 +103,16 @@ def test_unresolved_fast_inputs_raise_naming_t():
         averaged_iterated_integral(lambda tau, t: np.cos(tau)[None] + 1e-9, (2,), t=0.5)
 
 
+def test_a_fast_input_zero_to_round_off_has_zero_average():
+    # entries of at most 2.2e-16: round-off is judged at unit scale at least, not
+    # against the input's own largest coefficient
+    def fast(tau, t):
+        return (np.sin(tau) ** 2 + np.cos(tau) ** 2 - 1.0)[None]
+
+    for k in (1, 2, 3):  # a product of k antiderivatives of size 1e-16 at most
+        assert abs(averaged_iterated_integral(fast, (k,))) < 1e-15**k
+
+
 # -- gains and the synthesized fast parts --------------------------------------
 
 
@@ -635,7 +645,8 @@ def test_cli_and_convergence_study_use_one_substep_rule(tmp_path, capsys):
 def test_member_step_is_within_the_laws_bound():
     # eps with dt_avg STEPS_PER_PERIOD / (eps 2 pi) an exact integer n: there the
     # rounded quotient dt_avg / ceil(...) can land one ulp above the law's
-    # suggested_max_dt, and simulate would warn (322 of these 2400 cases)
+    # suggested_max_dt, and simulate would warn (322 of these 2400 cases); and the
+    # ceil of a quotient rounded above n took n + 1 steps where n met the bound
     sys, gains = make("pvtol", gravity=0.0), AveragedGains.constant([0.0, 0.0])
     for dt_avg in (1e-3, 2e-3, 5e-3, 1e-2, 0.02, 0.025, 0.05, 0.1):
         for n in range(1, 301):
@@ -643,6 +654,7 @@ def test_member_step_is_within_the_laws_bound():
             max_dt = synthesize_controls(sys, gains, eps).as_control_law().suggested_max_dt
             sub, cfg = member_config(dt_avg, eps, 10 * dt_avg)
             assert sub in (n, n + 1) and cfg.dt <= max_dt
+            assert sub == 1 or dt_avg / (sub - 1) > max_dt  # the fewest member steps
 
 
 def test_member_steps_resolve_the_fast_period():

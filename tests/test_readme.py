@@ -66,16 +66,16 @@ def test_cli_and_quick_start_plan_load_no_scipy_solvers(python_blocks, tmp_path)
     """A fresh process that imports the CLI, then plans and validates the
     quick start, tests decoupling with one input and with every input, solves
     an m = 3 decoupling system, and runs a series-check, an oscillatory-track
-    and a convergence config through cli.main, never loads scipy's
-    interpolation, optimization or integration packages: geoctrl uses scipy
-    for LAPACK only, and its own quadrature."""
+    and a convergence config through cli.main, never loads scipy.linalg nor
+    scipy's interpolation, optimization or integration packages: geoctrl
+    loads scipy's compiled LAPACK module alone, and uses its own quadrature."""
     for experiment, body in RUNS.items():
         (tmp_path / f"{experiment}.yaml").write_text(f"experiment: {experiment}\n{body}")
     script = """
 import json, sys
 from pathlib import Path
 import numpy as np
-heavy = ("scipy.interpolate", "scipy.optimize", "scipy.integrate")
+heavy = ("scipy.linalg", "scipy.interpolate", "scipy.optimize", "scipy.integrate")
 import geoctrl.cli
 after_import = [m for m in heavy if m in sys.modules]
 exec(compile(sys.stdin.read(), "README.md", "exec"), {})
