@@ -36,7 +36,9 @@ Prints one line per finding and exits 1 if there is any.  The rules:
 - the same for the members of those names' classes: every public method,
   property and dataclass field is read as an attribute by a module under src/
   (outside its own definition) or appears as `.name` in README.md or
-  tests/test_acceptance.py.  Attributes are matched by name, not by class.
+  tests/test_acceptance.py.  A read of a dataclass field inside its own class's
+  __post_init__ does not count: a field only its own validation reads is an
+  input the library never uses.  Attributes are matched by name, not by class.
 """
 
 import ast
@@ -230,6 +232,9 @@ def unread_members(trees):
         for cls in tree.body:
             if not (isinstance(cls, ast.ClassDef) and cls.name in public):
                 continue
+            post_init = {id(node) for fn in cls.body
+                         if isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__"
+                         for node in ast.walk(fn)}
             for member in cls.body:  # methods, properties and dataclass fields
                 if isinstance(member, ast.FunctionDef):
                     attr = member.name
@@ -238,6 +243,8 @@ def unread_members(trees):
                 else:
                     continue
                 own = {id(node) for node in ast.walk(member)}
+                if isinstance(member, ast.AnnAssign):  # its own __post_init__ is no reader
+                    own |= post_init
                 if attr.startswith("_") or re.search(rf"\.{attr}\b", text) or any(
                         a == attr and i not in own for i, a in loads):
                     continue

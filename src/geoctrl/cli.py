@@ -320,7 +320,7 @@ def _exp_decoupling(s, sys, outdir):
 
 def _exp_larc(s, sys, outdir):
     fields = [sys.input_field(a) for a in range(sys.m)]
-    report = larc_rank(fields, s["q"], max_depth=s["depth"], tol=s["tol"], n=sys.n)
+    report = larc_rank(fields, s["q"], max_depth=s["depth"], tol=s["tol"])
     _write_json(outdir / "controllability.json", dataclasses.asdict(report))
     return ["controllability.json"], {"rank": report.rank, "verdict": report.verdict}
 
@@ -369,7 +369,8 @@ def _parse_convergence(cfg, sys):
 def _exp_convergence(s, sys, outdir):
     study = convergence_study(sys, s["gains"], s["x0"], s["t1"], s["eps"], dt_avg=s["dt_avg"])
     study.write_csv(outdir / "convergence.csv")
-    slope = study.slope if math.isfinite(study.slope) else None  # NaN: no slope (a zero error)
+    slope = study.slope
+    slope = slope if math.isfinite(slope) else None  # NaN: no slope (a zero error)
     return ["convergence.csv"], {"slope": slope, "errors": study.errors.tolist()}
 
 

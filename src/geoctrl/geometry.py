@@ -157,13 +157,14 @@ class MechanicalSystem:
 
     Parameters
     ----------
-    n, m
-        Degrees of freedom and number of inputs, m <= n.
+    n
+        Degrees of freedom.
     inertia
         q -> symmetric positive-definite (n, n) matrix M(q); ``constant_inertia(M)`` for a
         constant M, kept checked as ``constant_mass`` (else None), with no ``dinertia``.
     input_covectors
-        m callables q -> R^n giving the input co-vector fields F_a.
+        m callables q -> R^n giving the input co-vector fields F_a; the number of inputs
+        ``m`` is their count, 1 <= m <= n.
     potential
         Optional q -> float.  None means identically zero.
     damping
@@ -185,7 +186,7 @@ class MechanicalSystem:
     """
 
     n: int
-    m: int
+    m: int = field(init=False)  # len(input_covectors)
     inertia: Callable[[np.ndarray], np.ndarray]
     input_covectors: Sequence[Callable[[np.ndarray], np.ndarray]]
     potential: Optional[Callable[[np.ndarray], float]] = None
@@ -199,10 +200,9 @@ class MechanicalSystem:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be a positive integer")
+        object.__setattr__(self, "m", len(self.input_covectors))
         if not (1 <= self.m <= self.n):
             raise ValueError(f"need 1 <= m <= n, got m={self.m}, n={self.n}")
-        if len(self.input_covectors) != self.m:
-            raise ValueError("input_covectors must have length m")
         if self.dinput_covectors is not None and len(self.dinput_covectors) != self.m:
             raise ValueError("dinput_covectors must have length m")
         if getattr(self.inertia, "constant_inertia", None) is not None:
@@ -403,17 +403,12 @@ class PointData:
         return self._products
 
 
-def christoffel(sys: MechanicalSystem, q) -> np.ndarray:
-    """Christoffel symbols Gamma[i, j, k] of the inertia metric at q (``sys.at(q).Gamma``)."""
-    return sys.at(q).Gamma
-
-
 def covariant_derivative(sys: MechanicalSystem, X: VectorField, Y: VectorField, q):
     """(nabla_X Y)^i = dY^i/dq^j X^j + Gamma^i_jk X^j Y^k at q."""
     q = np.asarray(q, dtype=float)
     x = X(q)
     y = Y(q)
-    return Y.jacobian_at(q) @ x + np.einsum("ijk,j,k->i", christoffel(sys, q), x, y)
+    return Y.jacobian_at(q) @ x + np.einsum("ijk,j,k->i", sys.at(q).Gamma, x, y)
 
 
 def lie_bracket(X: VectorField, Y: VectorField, q):
@@ -432,7 +427,7 @@ def _symmetric_product(a, b, Ja, Jb, G):
 def symmetric_product(sys: MechanicalSystem, Ya: VectorField, Yb: VectorField, q):
     """<Ya : Yb> = nabla_Ya Yb + nabla_Yb Ya at q (symmetric in Ya, Yb)."""
     q = np.asarray(q, dtype=float)
-    return _symmetric_product(Ya(q), Yb(q), Ya.jacobian_at(q), Yb.jacobian_at(q), christoffel(sys, q))
+    return _symmetric_product(Ya(q), Yb(q), Ya.jacobian_at(q), Yb.jacobian_at(q), sys.at(q).Gamma)
 
 
 # -- lifted (state-space) fields ------------------------------------------
@@ -465,7 +460,7 @@ def geodesic_spray(sys: MechanicalSystem) -> VectorField:
 
     def ev(x):
         q, qd = _split_state(x)
-        return np.concatenate([qd, -np.einsum("ijk,j,k->i", christoffel(sys, q), qd, qd)])
+        return np.concatenate([qd, -np.einsum("ijk,j,k->i", sys.at(q).Gamma, qd, qd)])
 
     def jac(x):
         q, qd = _split_state(x)
@@ -474,9 +469,9 @@ def geodesic_spray(sys: MechanicalSystem) -> VectorField:
         J[:n, n:] = np.eye(n)
         # d(-Gamma(q)(qd,qd))/dq by finite differences of the quadratic form
         J[n:, :n] = central_jacobian(
-            lambda qq: -np.einsum("ijk,j,k->i", christoffel(sys, qq), qd, qd), q, DEFAULT_FD_STEP
+            lambda qq: -np.einsum("ijk,j,k->i", sys.at(qq).Gamma, qd, qd), q, DEFAULT_FD_STEP
         )
-        J[n:, n:] = -2.0 * np.einsum("ijk,k->ij", christoffel(sys, q), qd)
+        J[n:, n:] = -2.0 * np.einsum("ijk,k->ij", sys.at(q).Gamma, qd)
         return J
 
     return VectorField(eval=ev, jacobian=jac, hclass=1)

@@ -21,7 +21,7 @@ geometry's ``flapack`` (scipy's compiled LAPACK module), not from scipy.linalg.
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -268,9 +268,13 @@ def candidate_from_direction(
     branch memory makes the candidate stateful: evaluate it along one
     path at a time.  A field evaluation is one decoupling solve: V(q) is
     the solve's own input fields Y(q) times the matched h, so each point
-    costs a single inertia evaluation and factorization.
+    costs a single inertia evaluation and factorization.  ValueError unless h0 is a
+    finite, nonzero vector of length sys.m.
     """
-    h0 = _canonical(np.asarray(h0, dtype=float))
+    h0 = np.asarray(h0, dtype=float)
+    if h0.shape != (sys.m,) or not np.isfinite(h0).all() or not h0.any():
+        raise ValueError(f"h0 must be a finite, nonzero vector of length m={sys.m}, got {h0}")
+    h0 = _canonical(h0)
     ref = [h0]
 
     def ev(q):
@@ -311,22 +315,20 @@ def larc_rank(
     q,
     max_depth: int = 2,
     tol: float = RANK_TOL,
-    n: Optional[int] = None,
 ) -> ControllabilityReport:
     """Numerical rank of the iterated-bracket span of ``fields`` at q.
 
     Depth d adds brackets of the base fields with everything at depth
     d-1 (left-normed brackets, which span the full bracket algebra).
     Rank counts singular values above tol * sigma_max, 0 < tol < 1; the verdict is
-    rank == n (dimension of q by default), and the search stops at the first depth
-    whose rank reaches n.  An empty family has rank 0.  The depth is at most MAX_DEPTH.
+    rank == dim q, and the search stops at the first depth whose rank reaches it.  An
+    empty family has rank 0.  The depth is at most MAX_DEPTH.
     """
     if not 1 <= max_depth <= MAX_DEPTH:
         raise ValueError(f"max_depth must be in 1..{MAX_DEPTH}, got {max_depth}")
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must be in (0, 1), got {tol}")
     q = np.asarray(q, dtype=float)
-    n = q.size if n is None else n
     base = list(fields)
     level = list(fields)
     columns = [f(q) for f in base]
@@ -339,7 +341,7 @@ def larc_rank(
 
     ranks = [current_rank()]
     for _ in range(2, max_depth + 1):
-        if ranks[-1] == n:
+        if ranks[-1] == q.size:
             break
         nxt = []
         for X in base:
@@ -352,7 +354,7 @@ def larc_rank(
         ranks.append(current_rank())
     rank = ranks[-1]
     depth = 1 + next(i for i, r in enumerate(ranks) if r == rank)
-    return ControllabilityReport(rank=rank, depth=depth, verdict=(rank == n))
+    return ControllabilityReport(rank=rank, depth=depth, verdict=(rank == q.size))
 
 
 def kinematic_controllability(
@@ -370,7 +372,7 @@ def kinematic_controllability(
     else:
         cands = [candidate_from_direction(sys, q, h) for h in sol.directions]
     residuals = [decoupling_residual(sys, c.field, q) for c in cands]
-    report = larc_rank([c.field for c in cands], q, max_depth=max_depth, tol=tol, n=sys.n)
+    report = larc_rank([c.field for c in cands], q, max_depth=max_depth, tol=tol)
     return replace(report, residuals=residuals), cands
 
 
@@ -535,7 +537,7 @@ def kinematic_plan(
         qds = seg.scaling.sdot(ts)[:, None] * v
         us = np.zeros((ts.size, sys.m))
         if validate:
-            part = Trajectory(t0=0.0, t1=T, dt=cfg.dt, qs=qs, qds=qds, us=us)
+            part = Trajectory(t0=0.0, dt=cfg.dt, qs=qs, qds=qds, us=us)
             rec = reconstruct_inputs(sys, part)
             if rec.max_residual > residual_tol:
                 worst = int(np.argmax(rec.residuals))
@@ -554,7 +556,6 @@ def kinematic_plan(
     all_qs, all_qds, all_us = zip(*parts)
     return Trajectory(
         t0=0.0,
-        t1=t_total,
         dt=cfg.dt,
         qs=np.concatenate(all_qs),
         qds=np.concatenate(all_qds),

@@ -176,7 +176,6 @@ def _build_flat(params, acts):
     dcovs = [lambda q: np.zeros((2, 2)) for _ in acts]
     return MechanicalSystem(
         n=2,
-        m=len(acts),
         inertia=constant_inertia(np.eye(2)),
         input_covectors=covs,
         dinput_covectors=dcovs,
@@ -229,7 +228,6 @@ def _build_body(params, acts, forces, drag=0.0, gravity=0.0):
         dpotential = lambda q: grad.copy()
     return MechanicalSystem(
         n=3,
-        m=len(acts),
         inertia=constant_inertia(np.diag([mass, mass, params["inertia"]])),
         input_covectors=[F for F, _ in table],
         damping=damping,
@@ -337,7 +335,6 @@ def _build_three_link(params, acts):
 
     return MechanicalSystem(
         n=3,
-        m=len(acts),
         inertia=inertia,
         input_covectors=covs,
         potential=potential,

@@ -237,8 +237,8 @@ def synthesize_controls(
     """
     if gains.m != sys.m:
         raise ValueError(f"gains are for m={gains.m}, system has m={sys.m}")
-    if not 0.0 < epsilon:
-        raise ValueError("epsilon must be positive")
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
     coeffs = SpanCoefficients(sys=sys)
 
     def slow(t, q, zZ=None):
@@ -352,9 +352,14 @@ class ConvergenceStudy:
 
     epsilons: np.ndarray
     errors: np.ndarray
-    slope: float
     averaged: Trajectory
     members: Tuple[Trajectory, ...]
+
+    @property
+    def slope(self):
+        """loglog_slope(epsilons, errors): NaN when fewer than 2 epsilons are distinct or an
+        error is not positive."""
+        return loglog_slope(self.epsilons, self.errors)
 
     def write_csv(self, path):
         eps, errs = self.epsilons, self.errors
@@ -365,8 +370,11 @@ class ConvergenceStudy:
 def member_config(dt_avg, eps, t1):
     """(sub, cfg) for an eps member over [0, t1]: the fewest sub RK4 steps of cfg.dt per
     dt_avg that keep cfg.dt within the law's suggested_max_dt (STEPS_PER_PERIOD per fast
-    period); every sub-th sample lands on the dt_avg grid.  ConfigError unless dt_avg divides
-    t1, the member takes at most MAX_STEPS steps and cfg.dt divides t1."""
+    period); every sub-th sample lands on the dt_avg grid.  ConfigError unless eps is finite
+    and positive, dt_avg divides t1, the member takes at most MAX_STEPS steps and cfg.dt
+    divides t1."""
+    if not 0.0 < eps < math.inf:
+        raise ConfigError(f"epsilon must be finite and positive, got {eps}")
     sub = dt_avg * STEPS_PER_PERIOD / (eps * TWO_PI)
     if not sub * check_grid(0.0, t1, dt_avg) <= MAX_STEPS:  # inf * 0 is nan: refused
         raise ConfigError(
@@ -394,9 +402,7 @@ def convergence_study(
     The averaged reference runs once at dt_avg; each epsilon member runs
     at the nested step of member_config(dt_avg, eps, T_final), which
     resolves the fast period and keeps the sample grids aligned.
-    Members run one after the other in the given epsilon order.  The
-    slope is NaN when fewer than 2 distinct epsilons are given or an error
-    is not positive.
+    Members run one after the other in the given epsilon order.
     """
     ref = AveragedSystem(sys, gains).simulate(x0, 0.0, T_final, IntegratorConfig(dt=dt_avg))
 
@@ -408,5 +414,4 @@ def convergence_study(
         errors.append(np.max(np.linalg.norm(members[-1].qs[::sub] - ref.qs, axis=1)))
     eps_arr = np.array(eps_list, dtype=float)
     err_arr = np.array(errors, dtype=float)
-    slope = loglog_slope(eps_arr, err_arr)
-    return ConvergenceStudy(eps_arr, err_arr, slope, ref, tuple(members))
+    return ConvergenceStudy(eps_arr, err_arr, ref, tuple(members))

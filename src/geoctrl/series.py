@@ -23,9 +23,9 @@ and generally V_k = sum_w c_w(t) P_w(q) over the words w of order k: a
 leaf a (c = U_a, P = Y_a) or an unordered pair (u, v) of words of orders
 j + (k - j) = k, with P = <P_u : P_v> and c = -1/2 int_0^t c_u c_v summed
 over both orders and every split.  The c_w are integrated once per engine
-on one uniform grid (cumulative Simpson; predict_from_rest's is
-uniform_grid, >= NODES_PER_UNIT nodes per unit time).  The P_w of every
-word of order <= k are evaluated in one forward pass over one kernel
+(cumulative Simpson) on uniform_grid(T), >= NODES_PER_UNIT nodes per unit
+time over the horizon T.  The P_w of every word of order <= k are
+evaluated in one forward pass over one kernel
 ``sys.at(q)``: the leaves are its Y, the order-2 words its products, and
 from order 3 on <P_u : P_v> reads its JY and Gamma, with the Jacobians of
 all composite words of order < k from one central difference (step
@@ -57,17 +57,17 @@ MAX_ORDER = 4  # order-k words nest k - 2 central differences; round-off grows w
 
 def uniform_grid(T):
     """Uniform time grid on [0, T] with at least NODES_PER_UNIT nodes per unit."""
-    if T <= 0:
-        raise ValueError("horizon must be positive")
+    if not 0.0 < T < math.inf:
+        raise ValueError(f"horizon must be finite and positive, got {T}")
     N = max(4, int(math.ceil((NODES_PER_UNIT - 1) * T)) + 1)
     return np.linspace(0.0, T, N)
 
 
 class _Engine:
-    """Word coefficients c_w on the grid and word values P_w at q, for B members at once:
-    members[i] is member i's list of m input signals, and q a stack (B, n) of points."""
+    """Word coefficients c_w on uniform_grid(T) and word values P_w at q, for B members at
+    once: members[i] is member i's list of m input signals, and q a stack (B, n) of points."""
 
-    def __init__(self, sys: MechanicalSystem, members, K, grid):
+    def __init__(self, sys: MechanicalSystem, members, K, T):
         if not 1 <= K <= MAX_ORDER:
             raise ValueError(f"series order must be in 1..{MAX_ORDER}, got K={K}")
         if sys.potential is not None or sys.damping is not None:
@@ -77,17 +77,11 @@ class _Engine:
         for inputs in members:
             if len(inputs) != sys.m:
                 raise ValueError(f"expected {sys.m} input signals, got {len(inputs)}")
-        grid = np.asarray(grid, dtype=float)
-        if grid.ndim != 1 or grid.size < 4 or grid[0] != 0.0:
-            raise ValueError("grid must be a 1-D array of times starting at 0")
-        steps = np.diff(grid)
-        if np.max(np.abs(steps - steps[0])) > 1e-12 * max(1.0, steps[0]):
-            raise ValueError("grid must be uniform")
-        self.sys, self.K, self.grid = sys, K, grid
-        dx = float(steps[0])
+        self.sys, self.K, self.grid = sys, K, uniform_grid(T)
+        dx = float(self.grid[1] - self.grid[0])
         # words[w] is an input index (leaf) or a pair (u, v) of word ids, u <= v;
         # ids are grouped by order, words of order k being ends[k-1]:ends[k]
-        U = np.array([[[u(t) for t in grid] for u in inputs] for inputs in members])
+        U = np.array([[[u(t) for t in self.grid] for u in inputs] for inputs in members])
         self.words = list(range(sys.m))
         coefs = list(cumulative_simpson_uniform(U, dx).swapaxes(0, 1))
         self.ends = [0, sys.m]
@@ -137,21 +131,21 @@ class _Engine:
         return self._sum(q, t, self.K, 0)
 
 
-def series_terms(sys: MechanicalSystem, inputs, K: int, grid) -> List[Callable]:
-    """The terms V_1 .. V_K, as callables (q, t) -> V_k(q, t), over the given time grid."""
-    e = _Engine(sys, [inputs], K, grid)
+def series_terms(sys: MechanicalSystem, inputs, K: int, T: float) -> List[Callable]:
+    """The terms V_1 .. V_K, as callables (q, t) -> V_k(q, t), for t in [0, T]."""
+    e = _Engine(sys, [inputs], K, T)
     return [lambda q, t, _k=k: e._sum(q, t, _k, e.ends[_k - 1]) for k in range(1, K + 1)]
 
 
 def _predict(sys, members, K, q0s, T, cfg):
     """The Trajectories of qdot = sum_k V_k(q, t) from rest at q0s[i] under members[i]'s
     signals, stepped as one (B, n) problem on one engine."""
-    engine = _Engine(sys, members, K, uniform_grid(T))
+    engine = _Engine(sys, members, K, T)
     steps = check_grid(0.0, T, cfg.dt)
     qs, qds = _rk4(lambda t, q: (engine.velocity(q, t),) * 2, q0s, 0.0, cfg.dt, steps)
     times = cfg.dt * np.arange(steps + 1)
     return [
-        Trajectory(t0=0.0, t1=T, dt=cfg.dt, qs=qs[:, i], qds=qds[:, i],
+        Trajectory(t0=0.0, dt=cfg.dt, qs=qs[:, i], qds=qds[:, i],
                    us=np.array([[u(t) for u in inputs] for t in times]))
         for i, inputs in enumerate(members)
     ]
@@ -188,8 +182,11 @@ def truncation_errors(
     The amplitudes step as one stacked problem: each order predicts the signals
     make_inputs(eps) of every eps at cfg_predict.dt, and then one reference simulates
     them all from rest at q0 over [0, T] at cfg_reference.dt, which must divide
-    cfg_predict.dt.
+    cfg_predict.dt.  ValueError if orders or epsilons is empty.
     """
+    for name, sweep in (("orders", orders), ("epsilons", epsilons)):
+        if len(sweep) == 0:
+            raise ValueError(f"{name} must hold at least one value")
     try:  # the reference steps in one prediction step, a whole number as for a grid
         stride = check_grid(0.0, cfg_predict.dt, cfg_reference.dt)
     except ConfigError:
@@ -204,7 +201,7 @@ def truncation_errors(
         return _acceleration(pt, qd, (pt.F @ u[..., None])[..., 0]), u
 
     steps = check_grid(0.0, T, cfg_reference.dt)
-    refs = _simulate(sys, accel, rest, 0.0, T, cfg_reference.dt, steps)
+    refs = _simulate(sys, accel, rest, 0.0, cfg_reference.dt, steps)
     errs = [np.max(np.linalg.norm(p.qs - ref.qs[::stride], axis=1)) for ps in preds
             for p, ref in zip(ps, refs)]
     return np.reshape(errs, (len(orders), len(epsilons)))

@@ -92,7 +92,6 @@ class Trajectory:
     """Uniformly sampled states and the inputs recorded at sample times."""
 
     t0: float
-    t1: float
     dt: float
     qs: np.ndarray  # (N, n)
     qds: np.ndarray  # (N, n)
@@ -104,9 +103,6 @@ class Trajectory:
         N = self.qs.shape[0]
         if self.qds.shape != self.qs.shape or self.us.shape[0] != N:
             raise ValueError("misaligned trajectory arrays")
-        expect = int(round((self.t1 - self.t0) / self.dt)) + 1
-        if N != expect:
-            raise ValueError(f"sample count {N} != round((t1-t0)/dt)+1 = {expect}")
 
     @property
     def times(self):
@@ -145,7 +141,6 @@ def read_trajectory_csv(path) -> Trajectory:
         raise ValueError(f"{path}: time {float(t[off[0]])!r} is not t0 + k dt, dt = {float(dt)!r}")
     return Trajectory(
         t0=float(t[0]),
-        t1=float(t[-1]),
         dt=float(dt),
         qs=data[:, 1 : 1 + n],
         qds=data[:, 1 + n : 1 + 2 * n],
@@ -238,7 +233,7 @@ def _rk4(rhs, x0, t0, dt, steps):
     return xs, rs
 
 
-def _simulate(sys, accel, x0, t0, t1, dt, steps):
+def _simulate(sys, accel, x0, t0, dt, steps):
     """The Trajectory of fixed-step RK4 on qddot = accel(t, pt, qdot), where each stage
     builds its one kernel point pt = sys.at(q) and accel returns (qddot, the input to record).
     A stacked x0 (q and qdot (B, n)) steps its B members as one problem on the stacked
@@ -251,8 +246,8 @@ def _simulate(sys, accel, x0, t0, t1, dt, steps):
 
     xs, us = _rk4(rhs, np.concatenate([x0.q, x0.qdot], axis=-1), t0, dt, steps)
     if xs.ndim == 2:
-        return Trajectory(t0=t0, t1=t1, dt=dt, qs=xs[:, :n], qds=xs[:, n:], us=us)
-    return [Trajectory(t0=t0, t1=t1, dt=dt, qs=x[:, :n], qds=x[:, n:], us=u)
+        return Trajectory(t0=t0, dt=dt, qs=xs[:, :n], qds=xs[:, n:], us=us)
+    return [Trajectory(t0=t0, dt=dt, qs=x[:, :n], qds=x[:, n:], us=u)
             for x, u in zip(xs.swapaxes(0, 1), us.swapaxes(0, 1))]
 
 
@@ -278,7 +273,7 @@ def simulate(
         u = control(t, pt if control.reads_point else pt.q, qd)
         return _acceleration(pt, qd, pt.F @ u), u
 
-    return _simulate(sys, accel, x0, t0, t1, cfg.dt, steps)
+    return _simulate(sys, accel, x0, t0, cfg.dt, steps)
 
 
 def simulate_forced(
@@ -302,7 +297,7 @@ def simulate_forced(
     def accel(t, pt, qd):
         return _acceleration(pt, qd, zero) + forcing(t, pt, qd), no_inputs
 
-    return _simulate(sys, accel, x0, t0, t1, cfg.dt, steps)
+    return _simulate(sys, accel, x0, t0, cfg.dt, steps)
 
 
 # -- input reconstruction -----------------------------------------------------

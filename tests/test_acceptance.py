@@ -16,7 +16,6 @@ from geoctrl import (
     MechanicalSystem,
     TimeScaling,
     candidate_from_direction,
-    christoffel,
     convergence_study,
     decoupling_residual,
     find_decoupling_fields,
@@ -108,7 +107,6 @@ def _warped_plane(analytic):
 
     return MechanicalSystem(
         n=2,
-        m=1,
         inertia=lambda q: np.diag([1.0, 1.0 + q[0] ** 2]),
         input_covectors=[lambda q: np.array([1.0, 0.0])],
         dinertia=dinertia if analytic else None,
@@ -128,10 +126,10 @@ def test_criterion_03_christoffel_hand_oracle():
     for q1 in (-1.4, -0.3, 0.5, 1.0, 2.1):
         q = np.array([q1, 0.7])
         worst_an = max(
-            worst_an, np.abs(christoffel(_warped_plane(True), q) - hand(q)).max()
+            worst_an, np.abs(_warped_plane(True).at(q).Gamma - hand(q)).max()
         )
         worst_fd = max(
-            worst_fd, np.abs(christoffel(_warped_plane(False), q) - hand(q)).max()
+            worst_fd, np.abs(_warped_plane(False).at(q).Gamma - hand(q)).max()
         )
     _report(
         3,
@@ -186,7 +184,7 @@ def test_criterion_05_three_link_all_pairs_kinematically_controllable():
             cands = [candidate_from_direction(sys, q, h) for h in hs]
             for c in cands:
                 worst = max(worst, decoupling_residual(sys, c.field, q))
-            rep = larc_rank([c.field for c in cands], q, max_depth=2, tol=1e-8, n=3)
+            rep = larc_rank([c.field for c in cands], q, max_depth=2, tol=1e-8)
             assert (rep.rank, rep.depth) == (3, 2), (pair, q, rep.rank, rep.depth)
     _report(
         5,

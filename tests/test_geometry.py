@@ -14,7 +14,6 @@ from numpy.testing import assert_allclose
 from geoctrl import (
     MechanicalSystem,
     VectorField,
-    christoffel,
     covariant_derivative,
     damping_lift,
     geodesic_spray,
@@ -46,7 +45,6 @@ def warped_plane(analytic=True):
 
     return MechanicalSystem(
         n=2,
-        m=2,
         inertia=lambda q: np.diag([1.0, 1.0 + q[0] ** 2]),
         input_covectors=[lambda q: np.array([1.0, 0.0]), lambda q: np.array([0.0, 1.0])],
         dinertia=dinertia if analytic else None,
@@ -66,14 +64,14 @@ def test_christoffel_hand_values_analytic():
     rng = np.random.default_rng(0)
     for _ in range(10):
         q = rng.uniform(-2.0, 2.0, 2)
-        got = christoffel(sys, q)
+        got = sys.at(q).Gamma
         assert_allclose(got, warped_gamma(q), atol=1e-13)
 
 
 def test_christoffel_hand_values_fd():
     sys = warped_plane(analytic=False)
     q = np.array([1.0, 0.0])
-    got = christoffel(sys, q)
+    got = sys.at(q).Gamma
     assert abs(got[0, 1, 1] - (-1.0)) < 1e-5
     assert abs(got[1, 0, 1] - 0.5) < 1e-5
     assert_allclose(got, warped_gamma(q), atol=1e-5)
@@ -84,7 +82,7 @@ def test_christoffel_symmetric_lower_indices():
     rng = np.random.default_rng(1)
     for _ in range(5):
         q = rng.uniform(-np.pi, np.pi, 3)
-        G = christoffel(sys, q)
+        G = sys.at(q).Gamma
         assert_allclose(G, G.transpose(0, 2, 1), atol=1e-14)
 
 
@@ -96,7 +94,7 @@ def test_christoffel_metric_compatibility():
         q = rng.uniform(-np.pi, np.pi, 3)
         M = sys.mass(q)
         dM = sys.dmass(q)
-        G = christoffel(sys, q)
+        G = sys.at(q).Gamma
         recon = np.einsum("lj,lik->ijk", M, G) + np.einsum("il,ljk->ijk", M, G)
         assert_allclose(dM, recon, atol=1e-10)
 
@@ -166,9 +164,8 @@ def test_point_data_consistency():
     sys = make("three-link", gravity=0.0)
     q = np.array([0.2, 0.5, -0.9])
     pt = sys.at(q)
-    Y, JY, Gam = pt.Y, pt.JY, pt.Gamma
+    Y, JY = pt.Y, pt.JY
     assert_allclose(Y, np.linalg.solve(sys.mass(q), sys.input_matrix(q)), atol=1e-14)
-    assert_allclose(Gam, christoffel(sys, q), atol=1e-14)
     for a in range(sys.m):
         assert_allclose(JY[a], sys.input_field(a).jacobian_at(q), atol=1e-14)
 
@@ -185,7 +182,6 @@ def test_input_field_jacobian_matches_fd():
 def test_mass_rejects_asymmetric_inertia():
     sys = MechanicalSystem(
         n=2,
-        m=1,
         inertia=lambda q: np.array([[1.0, 0.5], [0.0, 1.0]]),
         input_covectors=[lambda q: np.array([1.0, 0.0])],
     )
@@ -196,7 +192,6 @@ def test_mass_rejects_asymmetric_inertia():
 def test_singular_inertia_raises():
     sys = MechanicalSystem(
         n=2,
-        m=1,
         inertia=lambda q: np.diag([1.0, 0.0]),
         input_covectors=[lambda q: np.array([1.0, 0.0])],
     )
@@ -207,7 +202,6 @@ def test_singular_inertia_raises():
 def diagonal_inertia_system(diag):
     return MechanicalSystem(
         n=len(diag),
-        m=1,
         inertia=lambda q: np.diag(diag),
         input_covectors=[lambda q: np.eye(len(diag))[0]],
     )
@@ -259,7 +253,6 @@ def test_lapack_routines_are_scipys_in_either_import_order(first):
 def test_indefinite_inertia_raises():
     sys = MechanicalSystem(
         n=2,
-        m=1,
         inertia=lambda q: np.array([[1.0, 2.0], [2.0, 1.0]]),
         input_covectors=[lambda q: np.array([1.0, 0.0])],
     )
@@ -284,7 +277,7 @@ def test_geodesic_spray_structure():
     qd = np.array([1.2, 0.7])
     out = Z(np.concatenate([q, qd]))
     assert_allclose(out[:2], qd)
-    assert_allclose(out[2:], -np.einsum("ijk,j,k->i", christoffel(sys, q), qd, qd), atol=1e-13)
+    assert_allclose(out[2:], -np.einsum("ijk,j,k->i", sys.at(q).Gamma, qd, qd), atol=1e-13)
 
 
 def test_lift_structure():
@@ -322,14 +315,12 @@ def _unit_mass(q):
 @pytest.mark.parametrize(
     "call, error, message",
     [
-        (lambda: MechanicalSystem(0, 1, _unit_mass, [_covector]), ValueError, "n must be a positive"),
-        (lambda: MechanicalSystem(2, 0, _unit_mass, []), ValueError, "need 1 <= m <= n"),
-        (lambda: MechanicalSystem(2, 3, _unit_mass, [_covector] * 3), ValueError, "need 1 <= m <= n"),
-        (lambda: MechanicalSystem(2, 1, _unit_mass, [_covector] * 2), ValueError,
-         "input_covectors must have length m"),
-        (lambda: MechanicalSystem(2, 1, _unit_mass, [_covector], dinput_covectors=[]), ValueError,
+        (lambda: MechanicalSystem(0, _unit_mass, [_covector]), ValueError, "n must be a positive"),
+        (lambda: MechanicalSystem(2, _unit_mass, []), ValueError, "need 1 <= m <= n"),
+        (lambda: MechanicalSystem(2, _unit_mass, [_covector] * 3), ValueError, "need 1 <= m <= n"),
+        (lambda: MechanicalSystem(2, _unit_mass, [_covector], dinput_covectors=[]), ValueError,
          "dinput_covectors must have length m"),
-        (lambda: MechanicalSystem(2, 1, lambda q: np.eye(3), [_covector]).mass(np.zeros(2)),
+        (lambda: MechanicalSystem(2, lambda q: np.eye(3), [_covector]).mass(np.zeros(2)),
          ValueError, r"inertia returned shape \(3, 3\), expected \(2, 2\)"),
         (lambda: make("flat").input_field(1), IndexError, "input index 1 out of range for m=1"),
         (lambda: make("flat").input_field(-1), IndexError, "out of range"),
@@ -340,6 +331,14 @@ def _unit_mass(q):
 def test_geometry_refuses_bad_input(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+def test_input_count_is_the_number_of_covectors():
+    sys = MechanicalSystem(2, _unit_mass, [_covector, _covector])
+    assert sys.m == 2
+    assert dataclasses.replace(sys, input_covectors=[_covector]).m == 1
+    with pytest.raises(TypeError):
+        MechanicalSystem(2, _unit_mass, [_covector], m=1)
 
 
 def test_homogeneity_classes_add_under_bracket():
@@ -408,7 +407,6 @@ def random_polynomial_system(analytic=True, seed=7, n=4, m=2):
 
     return MechanicalSystem(
         n=n,
-        m=m,
         inertia=lambda q: np.eye(n) + Bq(q) @ Bq(q).T,
         input_covectors=[lambda q, a=a: c[a] + D[a] @ q + e[a] * (q @ q) for a in range(m)],
         dinertia=dinertia if analytic else None,
@@ -449,7 +447,6 @@ def test_christoffel_and_input_jacobians_read_the_kernel(analytic):
     sys = random_polynomial_system(analytic)
     for q in kernel_points(9):
         pt = sys.at(q)
-        assert np.array_equal(christoffel(sys, q), pt.Gamma)
         for a in range(sys.m):
             assert np.array_equal(sys.input_field(a)(q), pt.Y[:, a])
             assert np.array_equal(sys.input_field(a).jacobian_at(q), pt.JY[a])
@@ -570,7 +567,7 @@ def test_stacked_point_equals_its_members_bit_for_bit(sys):
 
 def test_stacked_point_names_the_member_it_refuses():
     sys = MechanicalSystem(
-        n=2, m=1, inertia=lambda q: np.diag([1.0, q[0] ** 2]),
+        n=2, inertia=lambda q: np.diag([1.0, q[0] ** 2]),
         input_covectors=[lambda q: np.array([1.0, 0.0])],
     )
     Q = np.array([[1.0, 0.5], [0.0, 0.25], [2.0, 0.0]])

@@ -251,7 +251,6 @@ def synthetic_system(*forms):
 
     return MechanicalSystem(
         n=n,
-        m=m,
         inertia=lambda q: np.eye(n),
         input_covectors=[cov(a) for a in range(m)],
         dinertia=lambda q: np.zeros((n, n, n)),
@@ -537,6 +536,12 @@ def test_candidate_branch_continuity():
         prev = h
 
 
+@pytest.mark.parametrize("h0", [[0.0, 0.0], [np.nan, 1.0], [np.inf, 1.0], [1.0, 0.0, 0.0]])
+def test_candidate_refuses_a_bad_direction(h0):
+    with pytest.raises(ValueError, match="h0 must be a finite, nonzero vector of length m=2"):
+        candidate_from_direction(make("three-link"), np.array([0.4, 0.9, -1.3]), h0)
+
+
 # -- LARC ------------------------------------------------------------------------
 
 
@@ -707,7 +712,7 @@ def test_plan_rest_to_rest_junctions():
     # validation O(dt) at two samples (~1.6e-5 here); a branch-tracking bug
     # would show up as ~1e-1, so this tolerance still bites
     traj = kinematic_plan(sys, segs, q0, IntegratorConfig(dt=2.5e-4), residual_tol=5e-5)
-    assert traj.t1 == 2.0
+    assert traj.n_samples == 8001  # two 1 s segments at dt 2.5e-4
     k = 4000  # junction sample
     assert np.linalg.norm(traj.qds[0]) < 1e-12
     assert np.linalg.norm(traj.qds[k]) < 1e-10

@@ -29,7 +29,7 @@ from geoctrl import (
     synthesis_audit,
     synthesize_controls,
 )
-from geoctrl.errors import SpanAssumptionError
+from geoctrl.errors import ConfigError, SpanAssumptionError
 from geoctrl.oscillatory import (
     AUDIT_TIMES,
     STEPS_PER_PERIOD,
@@ -248,7 +248,7 @@ def test_gains_at_and_the_lexicographic_pair_order_m4():
     pair_gains = [M4_GAINS.z_pairs.get(pair, lambda t: 0.0) for pair in enum]
     assert np.array_equal(Z[tuple(np.array(list(enum)).T)], [g(t) for g in pair_gains])
     sys = MechanicalSystem(
-        n=4, m=4, inertia=lambda q: np.eye(4), input_covectors=[lambda q, _e=e: _e for e in np.eye(4)]
+        n=4, inertia=lambda q: np.eye(4), input_covectors=[lambda q, _e=e: _e for e in np.eye(4)]
     )
     avg = AveragedSystem(sys, M4_GAINS)
     assert np.array_equal(avg.gain_vector(t), np.concatenate([z, [g(t) for g in pair_gains]]))
@@ -323,6 +323,14 @@ def test_synthesize_rejects_bad_arguments():
         synthesize_controls(sys, AveragedGains.constant([0.1, 0.2]), 0.0)
 
 
+@pytest.mark.parametrize("eps", [-0.1, 0.0, math.inf, math.nan])
+def test_a_bad_epsilon_is_refused(eps):
+    with pytest.raises(ConfigError, match=f"epsilon must be finite and positive, got {eps}"):
+        member_config(1e-2, eps, 1.0)
+    with pytest.raises(ValueError, match=f"epsilon must be finite and positive, got {eps}"):
+        synthesize_controls(make("pvtol", gravity=0.0), AveragedGains.constant([0.1, 0.2]), eps)
+
+
 def test_single_input_controls_are_purely_slow():
     sys = make("flat")  # m = 1: no pairs, nothing to oscillate
     control = synthesize_controls(sys, AveragedGains.constant([0.4]), 0.05)
@@ -391,7 +399,7 @@ def test_span_solve_with_dependent_input_fields():
     def F(q):
         return np.array([1.0, 0.0])
 
-    sys = MechanicalSystem(n=2, m=2, inertia=lambda q: np.eye(2), input_covectors=[F, F])
+    sys = MechanicalSystem(n=2, inertia=lambda q: np.eye(2), input_covectors=[F, F])
     assert_allclose(SpanCoefficients(sys).check(np.zeros(2)), 0.0, atol=1e-15)
 
 

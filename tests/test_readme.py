@@ -87,7 +87,7 @@ for name, actuators in (("planar-body", (4,)), ("three-link", (1, 2, 3))):
 forms = (np.diag([1.0, 0.0, -1.0]), np.diag([1.0, 1.0, -2.0]))
 covectors = [lambda q, a=a: np.concatenate([np.eye(3)[a], [0.5 * B[a] @ q[:3] for B in forms]])
              for a in range(3)]
-system = MechanicalSystem(n=5, m=3, inertia=lambda q: np.eye(5), input_covectors=covectors,
+system = MechanicalSystem(n=5, inertia=lambda q: np.eye(5), input_covectors=covectors,
                           dinertia=lambda q: np.zeros((5, 5, 5)))
 assert len(find_decoupling_fields(system, np.zeros(5)).directions) == 4
 after_plan = [m for m in heavy if m in sys.modules]

@@ -19,7 +19,7 @@ from geoctrl import (
     truncation_errors,
 )
 from geoctrl import series
-from geoctrl.geometry import PointData, christoffel
+from geoctrl.geometry import PointData
 from geoctrl.numutil import central_jacobian, cumulative_simpson_uniform, lagrange4_interp
 from geoctrl.series import uniform_grid
 from geoctrl.simulation import _rk4
@@ -34,8 +34,9 @@ def test_grid_helper():
     g = uniform_grid(1.0)
     assert g[0] == 0.0 and g[-1] == 1.0 and g.size >= 201
     assert np.allclose(np.diff(g), g[1] - g[0])
-    with pytest.raises(ValueError):
-        uniform_grid(0.0)
+    for T in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="horizon must be finite and positive"):
+            uniform_grid(T)
 
 
 def test_first_order_constant_field():
@@ -43,7 +44,7 @@ def test_first_order_constant_field():
     sys = make("flat")
     eps = 0.3
     forcing = [lambda t: eps]
-    terms = series_terms(sys, forcing, 3, uniform_grid(1.0))
+    terms = series_terms(sys, forcing, 3, 1.0)
     q = np.array([0.4, -0.2])
     for t in (0.25, 0.5, 1.0):
         assert_allclose(terms[0](q, t), [eps * t, 0.0], atol=1e-13)
@@ -56,7 +57,7 @@ def test_second_order_hand_oracle():
     sys = offset_body()
     eps = 0.2
     forcing = [lambda t: eps]
-    terms = series_terms(sys, forcing, 2, uniform_grid(1.0))
+    terms = series_terms(sys, forcing, 2, 1.0)
     Y = sys.input_field(0)
     rng = np.random.default_rng(30)
     for _ in range(3):
@@ -70,11 +71,10 @@ def test_second_order_hand_oracle():
 def test_amplitude_scaling_by_order():
     # V_k is homogeneous of degree k: doubling eps scales term k by 2^k
     sys = offset_body()
-    grid = uniform_grid(1.0)
 
     def terms_at(eps):
         f = [lambda t, _e=eps: _e * np.sin(t)]
-        return series_terms(sys, f, 4, grid)
+        return series_terms(sys, f, 4, 1.0)
 
     lo, hi = terms_at(0.05), terms_at(0.10)
     q = np.array([0.1, -0.6, 0.8])
@@ -85,12 +85,11 @@ def test_amplitude_scaling_by_order():
 
 
 def test_rejects_potential_and_damping():
-    grid = uniform_grid(1.0)
     with pytest.raises(ValueError, match="potential or damping"):
-        series_terms(make("pvtol"), [lambda t: 0.0] * 2, 2, grid)
+        series_terms(make("pvtol"), [lambda t: 0.0] * 2, 2, 1.0)
     blimp = make("blimp")
     with pytest.raises(ValueError, match="potential or damping"):
-        series_terms(blimp, [lambda t: 0.0] * 2, 2, grid)
+        series_terms(blimp, [lambda t: 0.0] * 2, 2, 1.0)
 
 
 def test_order_bounds():
@@ -98,16 +97,7 @@ def test_order_bounds():
     forcing = [lambda t: 1.0]
     for K in (0, 5):
         with pytest.raises(ValueError, match="order"):
-            series_terms(sys, forcing, K, uniform_grid(1.0))
-
-
-def test_grid_must_be_uniform_from_zero():
-    sys = make("flat")
-    forcing = [lambda t: 1.0]
-    with pytest.raises(ValueError):
-        series_terms(sys, forcing, 2, np.array([0.0, 0.1, 0.3, 0.6]))
-    with pytest.raises(ValueError):
-        series_terms(sys, forcing, 2, np.array([0.1, 0.2, 0.3, 0.4]))
+            series_terms(sys, forcing, K, 1.0)
 
 
 def test_zero_forcing_is_stationary():
@@ -203,12 +193,20 @@ def test_truncation_errors_need_a_reference_step_dividing_the_prediction_step(mo
             )
 
 
+@pytest.mark.parametrize("name, orders, epsilons", [("orders", [], [0.1]), ("epsilons", [1], [])])
+def test_truncation_errors_refuse_an_empty_sweep(monkeypatch, name, orders, epsilons):
+    monkeypatch.setattr(series, "_simulate", None)  # refused before the reference runs
+    cfg = IntegratorConfig(dt=1e-2)
+    with pytest.raises(ValueError, match=f"{name} must hold at least one value"):
+        truncation_errors(offset_body(), sine_inputs, orders, np.zeros(3), 1.0, epsilons, cfg, cfg)
+
+
 def test_wrong_signal_count():
     sys, cfg = offset_body(), IntegratorConfig(dt=1e-2)  # one input
     for count in (0, 2):
         signals, match = [lambda t: 0.0] * count, f"expected 1 input signals, got {count}"
         with pytest.raises(ValueError, match=match):
-            series_terms(sys, signals, 2, uniform_grid(1.0))
+            series_terms(sys, signals, 2, 1.0)
         with pytest.raises(ValueError, match=match):
             predict_from_rest(sys, signals, 2, np.zeros(3), 1.0, cfg)
         with pytest.raises(ValueError, match=match):
@@ -379,7 +377,7 @@ class GridRecursionOracle:
     def sym_grid(self, j, l, q, cache):
         vj, vl = self.values(j, q, cache), self.values(l, q, cache)
         Jj, Jl = self.jacobian(j, q, cache), self.jacobian(l, q, cache)
-        G = christoffel(self.sys, q)
+        G = self.sys.at(q).Gamma
         out = np.einsum("gir,gr->gi", Jl, vj) + np.einsum("gir,gr->gi", Jj, vl)
         out += np.einsum("ijk,gj,gk->gi", G, vj, vl)
         out += np.einsum("ijk,gj,gk->gi", G, vl, vj)
@@ -427,9 +425,8 @@ def test_fourth_order_term_matches_grid_recursion_oracle():
     # order-4 words nest two central differences: agreement is at FD noise
     sys = make("planar-body", actuators=(4,))
     forcing = sine_forcing(sys, [0.1])
-    grid = uniform_grid(1.0)
-    terms = series_terms(sys, forcing, 4, grid)
-    oracle = GridRecursionOracle(sys, forcing, grid)
+    terms = series_terms(sys, forcing, 4, 1.0)
+    oracle = GridRecursionOracle(sys, forcing, uniform_grid(1.0))
     q, t = np.array([0.1, -0.6, 0.8]), 0.77
     want = oracle.term(4, q, t)
     assert np.linalg.norm(terms[3](q, t) - want) <= 1e-3 * np.linalg.norm(want)
@@ -467,6 +464,6 @@ def test_recorded_velocities_match_per_sample_evaluation(monkeypatch):
     pred = predict_from_rest(sys, forcing, 2, q0, T, IntegratorConfig(dt=dt))
     steps = int(round(T / dt))
     assert len(calls) == 4 * steps + 1  # RK4 stage 1 supplies the sampled velocity
-    engine = series._Engine(sys, [forcing], 2, uniform_grid(T))
+    engine = series._Engine(sys, [forcing], 2, T)
     want = np.array([engine.velocity(q, t) for q, t in zip(pred.qs, pred.times)])
     assert pred.qds.tobytes() == want.tobytes()

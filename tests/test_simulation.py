@@ -218,13 +218,12 @@ def test_reconstruct_flags_rank_deficiency():
     # both covectors identical: any motion off their span is unexplainable
     sys = MechanicalSystem(
         n=2,
-        m=2,
         inertia=lambda q: np.eye(2),
         input_covectors=[lambda q: np.array([1.0, 0.0])] * 2,
     )
     qs = np.column_stack([np.linspace(0, 1, 11) ** 2, np.zeros(11)])
     qds = np.column_stack([2 * np.linspace(0, 1, 11), np.zeros(11)])
-    traj = Trajectory(t0=0.0, t1=1.0, dt=0.1, qs=qs, qds=qds, us=np.zeros((11, 2)))
+    traj = Trajectory(t0=0.0, dt=0.1, qs=qs, qds=qds, us=np.zeros((11, 2)))
     rec = reconstruct_inputs(sys, traj)
     assert np.all(np.isinf(rec.residuals))
 
@@ -273,7 +272,7 @@ def smooth_curve(n, N, dt, seed):
     t = dt * np.arange(N)[:, None]
     qs = a * np.sin(w * 3.0 * t + 6.0 * p)
     qds = a * 3.0 * w * np.cos(w * 3.0 * t + 6.0 * p)
-    return Trajectory(t0=0.0, t1=dt * (N - 1), dt=dt, qs=qs, qds=qds, us=np.zeros((N, 0)))
+    return Trajectory(t0=0.0, dt=dt, qs=qs, qds=qds, us=np.zeros((N, 0)))
 
 
 def user_system():
@@ -288,7 +287,6 @@ def user_system():
 
     return MechanicalSystem(
         n=3,
-        m=2,
         inertia=inertia,
         input_covectors=[
             lambda q: np.array([1.0, 0.0, 0.1 * np.sin(q[2])]),
@@ -354,12 +352,11 @@ def test_reconstruction_names_the_first_asymmetric_sample():
     # M(q) loses its symmetry once q1 > 0.5; mass() and the blocked path share one check
     sys = MechanicalSystem(
         n=2,
-        m=1,
         inertia=lambda q: np.array([[1.0, 0.1 * (q[0] > 0.5)], [0.0, 1.0]]),
         input_covectors=[lambda q: np.array([1.0, 0.0])],
     )
     qs = np.column_stack([np.arange(11) / 10, np.zeros(11)])
-    traj = Trajectory(t0=0.0, t1=1.0, dt=0.1, qs=qs, qds=np.zeros_like(qs), us=np.zeros((11, 1)))
+    traj = Trajectory(t0=0.0, dt=0.1, qs=qs, qds=np.zeros_like(qs), us=np.zeros((11, 1)))
     message = r"asymmetric at q=\[0\.6, 0\.0\] \(\|M - M\^T\| = 1\.000e-01\)"
     with pytest.raises(ValueError, match=message):
         reconstruct_inputs(sys, traj)
@@ -406,7 +403,7 @@ def test_loglog_slope_needs_two_distinct_x():
 def test_csv_roundtrip_of_times_off_zero(tmp_path):
     # t0 far from 0 in units of dt: t[1] - t[0] carries the roundoff of t0
     qs = np.zeros((2001, 1))
-    traj = Trajectory(t0=-3.7, t1=-3.7 + 2000 * 1e-3, dt=1e-3, qs=qs, qds=qs, us=np.zeros((2001, 0)))
+    traj = Trajectory(t0=-3.7, dt=1e-3, qs=qs, qds=qs, us=np.zeros((2001, 0)))
     path = tmp_path / "traj.csv"
     traj.write_csv(path)
     assert read_trajectory_csv(path).n_samples == 2001
@@ -415,7 +412,7 @@ def test_csv_roundtrip_of_times_off_zero(tmp_path):
 def test_trajectory_needs_a_positive_step(tmp_path):
     qs = np.zeros((2, 3))
     with pytest.raises(ValueError, match="dt must be positive, got 0.0"):
-        Trajectory(t0=0.0, t1=0.0, dt=0.0, qs=qs, qds=qs, us=np.zeros((2, 0)))
+        Trajectory(t0=0.0, dt=0.0, qs=qs, qds=qs, us=np.zeros((2, 0)))
     path = tmp_path / "traj.csv"
     path.write_text("t,q1,q2,q3,qd1,qd2,qd3\n" + "0.5,0,0,0,0,0,0\n" * 2)
     with pytest.raises(ValueError, match="dt must be positive"):
@@ -433,15 +430,15 @@ def test_csv_header_layout(tmp_path):
 
 def test_csv_numbers_have_17_significant_digits(tmp_path):
     v = np.array([0.0, -0.0, 5e-324, np.nan, np.inf, -np.inf, 1e300, 0.1, -1.0 / 3.0])
-    traj = Trajectory(t0=0.0, t1=8.0, dt=1.0, qs=v[:, None], qds=v[:, None], us=v[:, None])
+    traj = Trajectory(t0=0.0, dt=1.0, qs=v[:, None], qds=v[:, None], us=v[:, None])
     traj.write_csv(tmp_path / "traj.csv")
     rows = (tmp_path / "traj.csv").read_text().splitlines()[1:]
     assert rows == [",".join(f"{float(x):.17g}" for x in (t, y, y, y)) for t, y in zip(traj.times, v)]
 
 
-def _trajectory(N, t1=1.0, qds_rows=None, us_rows=None):
+def _trajectory(N, qds_rows=None, us_rows=None):
     qs = np.zeros((N, 2))
-    return Trajectory(t0=0.0, t1=t1, dt=0.5, qs=qs, qds=np.zeros((qds_rows or N, 2)),
+    return Trajectory(t0=0.0, dt=0.5, qs=qs, qds=np.zeros((qds_rows or N, 2)),
                       us=np.zeros((us_rows or N, 1)))
 
 
@@ -452,8 +449,7 @@ def _trajectory(N, t1=1.0, qds_rows=None, us_rows=None):
         (lambda: IntegratorConfig(dt=-1e-3), ValueError, "dt must be positive"),
         (lambda: _trajectory(3, qds_rows=2), ValueError, "misaligned"),
         (lambda: _trajectory(3, us_rows=4), ValueError, "misaligned"),
-        (lambda: _trajectory(4), ValueError, r"sample count 4 != round\(\(t1-t0\)/dt\)\+1 = 3"),
-        (lambda: reconstruct_inputs(make("flat"), _trajectory(2, t1=0.5)), ValueError,
+        (lambda: reconstruct_inputs(make("flat"), _trajectory(2)), ValueError,
          "at least 3 samples"),
         # finite stages whose step overflows: the state check, not a stage check, fires
         (lambda: _rk4(lambda t, x: (np.full(1, 1e308), ()), np.zeros(1), 0.0, 10.0, 2),
@@ -571,7 +567,6 @@ def test_constant_inertia_refuses_a_dinertia():
     with pytest.raises(ValueError, match="constant_inertia takes no dinertia"):
         MechanicalSystem(
             n=2,
-            m=1,
             inertia=constant_inertia(np.eye(2)),
             input_covectors=[lambda q: np.array([1.0, 0.0])],
             dinertia=lambda q: np.zeros((2, 2, 2)),
